@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from .commutator import HierarchyReport, hierarchy_report
 from .core import LoopTable, fingerprint
 from .errors import Malformed
-from .util import INFINITE, parse_class
+from .util import parse_class, parse_value
 
 _REPORT_FIELDS = [f.name for f in fields(HierarchyReport)]
 
@@ -39,16 +39,10 @@ class CatalogRecord:
         cols = line.rstrip("\n").split("\t")
         if len(cols) != 2 + len(_REPORT_FIELDS) + 1:
             raise Malformed(f"catalog record has {len(cols)} columns")
-        kwargs = {}
-        for name, raw in zip(_REPORT_FIELDS, cols[2:-1]):
-            if raw in ("true", "false"):
-                kwargs[name] = raw == "true"
-            else:
-                kwargs[name] = parse_class(raw)
         return cls(
             fingerprint=int(cols[0], 16),
             order=int(cols[1]),
-            report=HierarchyReport(**kwargs),
+            report=HierarchyReport.from_values(dict(zip(_REPORT_FIELDS, cols[2:-1]))),
             source=cols[-1],
         )
 
@@ -121,12 +115,10 @@ def _coerce(raw: str, sample):
     if isinstance(sample, bool):
         if raw not in ("true", "false"):
             raise Malformed(f"boolean field needs true/false, got {raw!r}")
-        return raw == "true"
+        return parse_value(raw)
     if isinstance(sample, str):
         return raw
-    if raw == "inf":
-        return INFINITE
-    return int(raw)
+    return parse_class(raw)
 
 
 def query(records, filters) -> list[CatalogRecord]:

@@ -1,11 +1,20 @@
 """The commutator of normal subloops and the solvability/nilpotence hierarchy.
 
 The commutator [A,B] is the smallest normal subloop containing all
-deviations W_u(a) / W_v(a), where W runs over the five tot-inner word
-families T, U, L, R, M, a over A, and each substituted argument pair
-(u, v) satisfies u/v in B (so u ranges over B*v for every v).  The
-inner-only word family {T, L, R} is available as a diagnostic but
-nothing is asserted about it.
+deviations W_p(a) / W_q(a), where W runs over the five tot-inner word
+families T, U, L, R, M, a over A, and the argument tuples p and q are
+B-congruent entry by entry (u ~ v when u/v in B).  The inner-only word
+family {T, L, R} is available as a diagnostic but nothing is asserted
+about it.
+
+Only the deviations W_p(a) / W_{rep p}(a) are formed, where rep p
+replaces each entry of p by the least element of its B-coset.  They have
+the same normal closure.  Each of them is one of the deviations above,
+since p and rep p are congruent.  Conversely, for a normal subloop N,
+x/y in N exactly when xN = yN.  If N contains every W_p(a) / W_{rep p}(a),
+then W_p(a)N = W_{rep p}(a)N for every p, and congruent tuples p and q
+share rep p = rep q.  So W_p(a)N = W_q(a)N, that is, W_p(a) / W_q(a)
+lies in N.
 
 Abelianess of a normal subloop has three independent routes here:
 
@@ -28,7 +37,7 @@ import numpy as np
 from .core import LoopTable
 from .errors import NotNormal
 from .extensions import extract_cocycle
-from .multgrp import assoc_group
+from .multgrp import INNER_WORDS, TOT_INNER_WORDS, assoc_group, inner_maps
 from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
@@ -37,65 +46,27 @@ from .structure import (
     cosets,
     direct_decomposition,
     is_normal,
+    normal_closure,
     quotient,
 )
-from .util import INFINITE, Infinite, fmt_class, is_finite, is_prime_power, parse_class
-
-TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
-INNER_WORDS = ("T", "L", "R")
-
-_CHUNK_LIMIT = 1 << 22
+from .util import INFINITE, Infinite, format_value, is_finite, is_prime_power, parse_value
 
 _log = logging.getLogger(__name__)
 
 
-def _one_var_values(Q: LoopTable, word: str, a: int) -> np.ndarray:
-    """W_x(a) for all x, as a length-n vector."""
-    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
-    xs = np.arange(Q.order)
-    if word == "T":
-        return rdiv[mul[:, a], xs]
-    if word == "U":
-        return rdiv[ldiv[a, :], xs]
-    raise ValueError(word)
-
-
-def _two_var_values(Q: LoopTable, word: str, a: int) -> np.ndarray:
-    """W_{x,y}(a) for all (x, y), as an n x n matrix."""
-    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
-    if word == "L":
-        return ldiv[mul, mul[:, mul[:, a]]]
-    if word == "R":
-        return rdiv[mul[mul[a], :].T, mul.T]
-    if word == "M":
-        return rdiv[ldiv.T, ldiv[ldiv[a], :].T]
-    raise ValueError(word)
-
-
 def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS):
-    """The word deviations whose normal closure is the commutator."""
-    mul, rdiv = Q.mul, Q.rdiv
-    n = Q.order
-    bidx = np.fromiter(B.elements, dtype=np.int64)
-    U = mul[np.ix_(bidx, np.arange(n))]  # U[b, v] = b*v, the set {u : u/v in B}
+    """The deviations W_p(a) / W_{rep p}(a) whose normal closure is [A, B]."""
+    rep = np.empty(Q.order, dtype=np.int64)
+    for coset in cosets(Q, B):
+        rep[list(coset)] = coset[0]
+    idx = np.fromiter(A.elements, dtype=np.int64)
     found: set[int] = set()
-    for a in A.elements:
-        for word in words:
-            if word in ("T", "U"):
-                vals = _one_var_values(Q, word, a)
-                devs = rdiv[vals[U], vals[np.newaxis, :]]
-                found.update(np.unique(devs).tolist())
-            else:
-                vm = _two_var_values(Q, word, a)
-                if (len(bidx) * n) ** 2 <= _CHUNK_LIMIT:
-                    lhs = vm[U[:, :, None, None], U[None, None, :, :]]
-                    devs = rdiv[lhs, vm[None, :, None, :]]
-                    found.update(np.unique(devs).tolist())
-                else:
-                    for row in U:
-                        lhs = vm[row[:, None, None], U[None, :, :]]
-                        devs = rdiv[lhs, vm[:, None, :]]
-                        found.update(np.unique(devs).tolist())
+    for word in words:
+        vals = inner_maps(Q, word, idx)
+        at_rep = vals
+        for axis in range(vals.ndim - 1):
+            at_rep = at_rep.take(rep, axis=axis)
+        found.update(np.unique(Q.rdiv[vals, at_rep]).tolist())
     found.discard(Q.neutral)
     return found
 
@@ -107,8 +78,6 @@ def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WOR
         raise NotNormal("first argument is not normal")
     if not is_normal(Q, B):
         raise NotNormal("second argument is not normal")
-    from .structure import normal_closure
-
     gens = commutator_generators(Q, A, B, words)
     if not gens:
         return Subloop(Q, (Q.neutral,))
@@ -130,37 +99,18 @@ def is_abelian_in_A1(Q: LoopTable, A: Subloop) -> bool:
     return commutator_subloop(Q, A, A).is_trivial()
 
 
-def _r_block(Q: LoopTable, x: int) -> np.ndarray:
-    # R_{x,y}(z) = ((z y) x) / (y x), rows indexed by y
-    mul = Q.mul
-    return Q.rdiv[mul[mul.T, x], mul[:, x][:, None]]
-
-
-def _l_block(Q: LoopTable, x: int) -> np.ndarray:
-    # L_{x,y}(z) = (xy) \ (x (y z)), rows indexed by y
-    mul = Q.mul
-    return Q.ldiv[mul[x][:, None], mul[x][mul]]
-
-
-def _t_block(Q: LoopTable) -> np.ndarray:
-    # T_x(z) = (x z) / x, rows indexed by x
-    return Q.rdiv[Q.mul, np.arange(Q.order)[:, None]]
-
-
-def _restrictions_automorphic(Q: LoopTable, A: Subloop, block: np.ndarray) -> bool:
-    """Each row of block, restricted to A, is an automorphism of A's table."""
+def _restricts_to_automorphisms(Q: LoopTable, A: Subloop, images: np.ndarray) -> bool:
+    """Each row of images (the values of one map on A, in element order)
+    is an automorphism of A's table."""
     idx = np.fromiter(A.elements, dtype=np.int64)
-    member = np.zeros(Q.order, dtype=bool)
-    member[idx] = True
-    imgs = block[:, idx]
-    if not member[imgs].all():
+    pos = np.full(Q.order, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    if (pos[images] < 0).any():
         return False
-    mul = Q.mul
-    sub_products = mul[np.ix_(idx, idx)]
-    for row, img in zip(block, imgs):
-        if not np.array_equal(row[sub_products], mul[np.ix_(img, img)]):
-            return False
-    return True
+    products = pos[Q.mul[np.ix_(idx, idx)]]  # a_i a_j as a position in A
+    lhs = images[:, products]  # W(a_i a_j)
+    rhs = Q.mul[images[:, :, None], images[:, None, :]]  # W(a_i) W(a_j)
+    return bool(np.array_equal(lhs, rhs))
 
 
 def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
@@ -174,12 +124,12 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     vi   [a,x,u] = [a,x,v] whenever u/v in A
     """
     mul = Q.mul
-    n = Q.order
     idx = np.fromiter(A.elements, dtype=np.int64)
-    cond_i = _restrictions_automorphic(Q, A, _t_block(Q)) and all(
-        _restrictions_automorphic(Q, A, _l_block(Q, x))
-        and _restrictions_automorphic(Q, A, _r_block(Q, x))
-        for x in range(n)
+    # one first argument at a time: never all generators x |A|^2 at once
+    cond_i = _restricts_to_automorphisms(Q, A, inner_maps(Q, "T", idx)) and all(
+        _restricts_to_automorphisms(Q, A, block)
+        for word in ("L", "R")
+        for block in inner_maps(Q, word, idx)
     )
     sub = mul[np.ix_(idx, idx)]
     cond_ii = bool(np.array_equal(sub, sub.T))
@@ -246,15 +196,7 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
     if mode == "C1":
         return commutator_subloop(Q, A, _whole(Q)).is_trivial()
     if mode == "C3":
-        if not np.array_equal(_t_block(Q)[:, idx], np.broadcast_to(idx, (n, len(idx)))):
-            return False
-        for x in range(n):
-            target = np.broadcast_to(idx, (n, len(idx)))
-            if not np.array_equal(_l_block(Q, x)[:, idx], target):
-                return False
-            if not np.array_equal(_r_block(Q, x)[:, idx], target):
-                return False
-        return True
+        return all((inner_maps(Q, word, idx) == idx).all() for word in INNER_WORDS)
     if mode == "C3prime":
         if not np.array_equal(mul[idx, :], mul[:, idx].T):
             return False
@@ -402,40 +344,25 @@ class HierarchyReport:
         if self.supernilpotent and not is_finite(self.nilpotency_class):
             raise AssertionError("supernilpotent but not nilpotent")
 
+    def field_values(self) -> dict[str, str]:
+        return {f.name: format_value(getattr(self, f.name)) for f in fields(self)}
+
     def to_lines(self) -> str:
-        parts = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                text = "true" if v else "false"
-            else:
-                text = fmt_class(v)
-            parts.append(f"{f.name}: {text}")
-        return "\n".join(parts) + "\n"
+        return "".join(f"{k}: {v}\n" for k, v in sorted(self.field_values().items()))
+
+    @classmethod
+    def from_values(cls, values) -> "HierarchyReport":
+        """The report from a field name -> text mapping (field_values' inverse)."""
+        return cls(**{f.name: parse_value(values[f.name]) for f in fields(cls)})
 
     @classmethod
     def from_lines(cls, text: str) -> "HierarchyReport":
         values = {}
         for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            key, _, raw = ln.partition(":")
-            values[key.strip()] = raw.strip()
-        kwargs = {}
-        for f in fields(cls):
-            raw = values[f.name]
-            if raw in ("true", "false"):
-                kwargs[f.name] = raw == "true"
-            else:
-                kwargs[f.name] = parse_class(raw)
-        return cls(**kwargs)
-
-    def field_values(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = ("true" if v else "false") if isinstance(v, bool) else fmt_class(v)
-        return out
+            if ln.strip():
+                key, _, raw = ln.partition(":")
+                values[key.strip()] = raw.strip()
+        return cls.from_values(values)
 
 
 @lru_cache(maxsize=None)

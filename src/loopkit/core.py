@@ -19,6 +19,20 @@ ORDER_CAP = 512
 CANONICAL_NODE_BUDGET = 5_000_000
 
 
+def latin_neutral(mul: np.ndarray) -> int | None:
+    """Check that a square array over 0..n-1 is a Latin square (raising
+    NotLatin at the first bad row or column) and return its least
+    two-sided neutral element, or None for a quasigroup without one."""
+    full = np.arange(len(mul))
+    bad_row = (np.sort(mul, axis=1) != full).any(axis=1)
+    bad_col = (np.sort(mul, axis=0) != full[:, None]).any(axis=0)
+    if (bad_row | bad_col).any():
+        i = int(np.argmax(bad_row | bad_col))
+        raise NotLatin(f"{'row' if bad_row[i] else 'column'} {i} repeats a value")
+    fixes = (mul == full).all(axis=1) & (mul == full[:, None]).all(axis=0)
+    return int(np.argmax(fixes)) if fixes.any() else None
+
+
 class LoopTable:
     """A finite loop: an n x n Latin square with a two-sided neutral element."""
 
@@ -36,18 +50,8 @@ class LoopTable:
         if any(v < 0 or v >= n for row in rows for v in row):
             raise Malformed("entry out of range")
         mul = np.asarray(rows, dtype=np.int64)
-        full = np.arange(n)
-        for i in range(n):
-            if not np.array_equal(np.sort(mul[i]), full):
-                raise NotLatin(f"row {i} repeats a value")
-            if not np.array_equal(np.sort(mul[:, i]), full):
-                raise NotLatin(f"column {i} repeats a value")
-        neutral = -1
-        for e in range(n):
-            if np.array_equal(mul[e], full) and np.array_equal(mul[:, e], full):
-                neutral = e
-                break
-        if neutral < 0:
+        neutral = latin_neutral(mul)
+        if neutral is None:
             raise NoNeutral("no two-sided neutral element")
         ldiv = np.argsort(mul, axis=1)
         rdiv = np.argsort(mul, axis=0)
@@ -263,12 +267,6 @@ def g_oplus(G: LoopTable, oplus) -> LoopTable:
         raise Malformed("oplus table has wrong shape")
     if op_arr.min() < 0 or op_arr.max() >= n:
         raise Malformed("oplus entry out of range")
-    full = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(op_arr[i]), full) or not np.array_equal(
-            np.sort(op_arr[:, i]), full
-        ):
-            raise NotLatin("oplus is not a Latin square")
     table = np.empty((2 * n, 2 * n), dtype=np.int64)
     table[:n, :n] = G.mul
     table[:n, n:] = G.mul + n

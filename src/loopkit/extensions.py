@@ -25,17 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LoopTable, format_table, parse_table
+from .core import LoopTable, format_table, latin_neutral, parse_table
 from .errors import (
     CapExceeded,
     CocycleInvalid,
     Malformed,
     NotAbelianGroup,
     NotAbelianIn,
-    NotLatin,
     NotNeutralAt,
     NotNormal,
 )
+from .multgrp import assoc_group, inner_maps
 from .perm import PermGroup, Permutation
 from .structure import Subloop, cosets, is_normal
 from .util import SplitMix64
@@ -217,20 +217,22 @@ def pair_index(gamma: Cocycle, a: int, x: int) -> int:
     return a + gamma.A.order * x
 
 
-def _raw_extension_table(gamma: Cocycle) -> np.ndarray:
-    A, F = gamma.A, gamma.F
-    na, nf = A.order, F.order
+def _extension_rows(A: AbelianGroupTable, f: np.ndarray, phi, psi, theta) -> np.ndarray:
+    """Product table of the pairs over any Latin square f (loop or not)."""
+    na, nf = A.order, len(f)
     add = A.table.mul
     table = np.empty((na * nf, na * nf), dtype=np.int64)
-    arange = np.arange(na)
     for x in range(nf):
         for y in range(nf):
-            z = int(F.mul[x, y])
-            pa = np.asarray(gamma.phi[x][y].images, dtype=np.int64)
-            pb = np.asarray(gamma.psi[x][y].images, dtype=np.int64)
-            block = add[add[np.ix_(pa[arange], pb[arange])], gamma.theta[x][y]]
-            table[x * na : (x + 1) * na, y * na : (y + 1) * na] = block + na * z
+            pa = np.asarray(phi[x][y].images, dtype=np.int64)
+            pb = np.asarray(psi[x][y].images, dtype=np.int64)
+            block = add[add[np.ix_(pa, pb)], theta[x][y]]
+            table[x * na : (x + 1) * na, y * na : (y + 1) * na] = block + na * int(f[x, y])
     return table
+
+
+def _raw_extension_table(gamma: Cocycle) -> np.ndarray:
+    return _extension_rows(gamma.A, gamma.F.mul, gamma.phi, gamma.psi, gamma.theta)
 
 
 def build_extension(gamma: Cocycle) -> LoopTable:
@@ -282,18 +284,8 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
     k = f.shape[0]
     if f.shape != (k, k):
         raise Malformed("quasigroup table is not square")
-    full = np.arange(k)
-    for i in range(k):
-        if not np.array_equal(np.sort(f[i]), full) or not np.array_equal(
-            np.sort(f[:, i]), full
-        ):
-            raise NotLatin("quasigroup table is not a Latin square")
+    one = latin_neutral(f)
     answer = None
-    one = None
-    for e in range(k):
-        if np.array_equal(f[e], full) and np.array_equal(f[:, e], full):
-            one = e
-            break
     if one is not None:
         border_ok = all(
             phi[y][one].is_identity() and psi[one][y].is_identity() for y in range(k)
@@ -308,23 +300,8 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
                     answer = (a, one)
                     break
     # cross-validate against the raw product table
-    na = A.order
-    add = A.table.mul
-    arange = np.arange(na)
-    raw = np.empty((na * k, na * k), dtype=np.int64)
-    for x in range(k):
-        for y in range(k):
-            pa = np.asarray(phi[x][y].images, dtype=np.int64)
-            pb = np.asarray(psi[x][y].images, dtype=np.int64)
-            block = add[add[np.ix_(pa[arange], pb[arange])], theta[x][y]]
-            raw[x * na : (x + 1) * na, y * na : (y + 1) * na] = block + na * int(f[x, y])
-    n = raw.shape[0]
-    scan = None
-    fulln = np.arange(n)
-    for e in range(n):
-        if np.array_equal(raw[e], fulln) and np.array_equal(raw[:, e], fulln):
-            scan = (e % na, e // na)
-            break
+    e = latin_neutral(_extension_rows(A, f, phi, psi, theta))
+    scan = None if e is None else (e % A.order, e // A.order)
     if answer != scan:
         raise AssertionError("neutral analysis disagrees with table scan")
     return answer
@@ -411,15 +388,14 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     pos = {e: i for i, e in enumerate(elems)}
     k = len(reps)
     phi_rows, psi_rows, theta_rows = [], [], []
-    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
+    mul, rdiv = Q.mul, Q.rdiv
     idx = np.fromiter(elems, dtype=np.int64)
+    r_maps = inner_maps(Q, "R", idx)
     for x in reps:
         phi_row, psi_row, theta_row = [], [], []
         for y in reps:
             xy = int(mul[x, y])
-            # phi = R_{y,x}|_A : a -> ((a x) y) / (x y)
-            phi_imgs = rdiv[mul[mul[idx, x], y], xy]
-            phi = _restriction(phi_imgs, pos)
+            phi = _restriction(r_maps[y, x], pos)  # phi = R_{y,x}|_A
             # psi = (R_{xy}^-1 L_x R_y)|_A : b -> (x (b y)) / (x y)
             psi_imgs = rdiv[mul[x, mul[idx, y]], xy]
             psi = _restriction(psi_imgs, pos)
@@ -520,8 +496,6 @@ def mlt_element_form(gamma: Cocycle, perm: Permutation) -> FiberAffineForm | Non
     if sorted(base) != list(range(nf)):
         return None
     base_map = Permutation(base)
-    from .multgrp import assoc_group
-
     mlt_f = assoc_group(F, "MLT")
     inner = (
         shifts[F.neutral] == A.zero

@@ -24,6 +24,8 @@ from .errors import ArityMismatch
 from .perm import PermGroup, Permutation
 
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
+TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
+INNER_WORDS = ("T", "L", "R")
 
 
 def inner_generator(Q: LoopTable, name: str, args) -> Permutation:
@@ -55,6 +57,28 @@ def inner_generator(Q: LoopTable, name: str, args) -> Permutation:
         x, y = args
         images = rdiv[ldiv[y, x], ldiv[ldiv[z, y], x]]
     return Permutation._wrap(tuple(int(v) for v in images))
+
+
+def inner_maps(Q: LoopTable, word: str, points=None) -> np.ndarray:
+    """W_args(z) for every argument tuple of the word and every z in points.
+
+    The result has shape (n,)*arity + (len(points),): entry [x, z] is
+    W_x(points[z]) and entry [x, y, z] is W_{x,y}(points[z]).  points
+    defaults to the whole loop.  Computed on demand; nothing is cached.
+    """
+    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
+    z = np.arange(Q.order) if points is None else np.asarray(points, dtype=np.int64)
+    if word == "T":  # (x z) / x
+        return rdiv[mul[:, z], np.arange(Q.order)[:, None]]
+    if word == "U":  # (z \ x) / x
+        return rdiv[ldiv[z].T, np.arange(Q.order)[:, None]]
+    if word == "L":  # (x y) \ (x (y z))
+        return ldiv[mul[:, :, None], mul[:, mul[:, z]]]
+    if word == "R":  # ((z y) x) / (y x)
+        return rdiv[mul.T[:, mul[z].T], mul.T[:, :, None]]
+    if word == "M":  # (y \ x) / ((z \ y) \ x)
+        return rdiv[ldiv.T[:, :, None], ldiv.T[:, ldiv[z].T]]
+    raise ArityMismatch(f"unknown inner generator {word!r}")
 
 
 def _translation_rows(Q: LoopTable, kinds) -> list[tuple]:
@@ -93,10 +117,13 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
         gens = [Permutation._wrap(r) for r in _translation_rows(Q, "LR")]
     elif which == "TMLT":
         gens = [Permutation._wrap(r) for r in _translation_rows(Q, "LRM")]
-    elif which == "INN":
-        gens = inner_generator_family(Q, ("T", "L", "R"))
-    elif which == "TINN":
-        gens = inner_generator_family(Q, ("T", "U", "L", "R", "M"))
+    elif which in ("INN", "TINN"):
+        words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
+        gens = [
+            Permutation._wrap(tuple(row))
+            for word in words
+            for row in inner_maps(Q, word).reshape(-1, n).tolist()
+        ]
     else:
         raise ValueError(f"unknown associated group {which!r}")
     return PermGroup(n, gens)

@@ -21,7 +21,6 @@ from .errors import CapExceeded
 from .util import INFINITE, Infinite
 
 GROUP_ORDER_CAP = 10**12
-SERIES_STEP_CAP = 60
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -340,15 +339,14 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 class SeriesResult:
     """A descending subgroup series with its classification.
 
-    orders includes the starting group; capped is True when the 60-step
-    cap stopped the iteration, distinguishing a proof of INFINITE (series
-    stabilized at a nontrivial term) from a resource cut-off.
+    orders includes the starting group.  cls is INFINITE exactly when the
+    series stabilized at a nontrivial term.  Each step at least halves an
+    order of at most 10**12, so a series has at most 39 steps.
     """
 
     groups: tuple[PermGroup, ...]
     orders: tuple[int, ...]
     cls: int | Infinite
-    capped: bool
 
 
 def derived_series(group: PermGroup) -> SeriesResult:
@@ -373,18 +371,14 @@ def lower_central_series(group: PermGroup) -> SeriesResult:
 def _descend(group: PermGroup, step) -> SeriesResult:
     groups = [group]
     orders = [group.order()]
-    if orders[0] == 1:
-        return SeriesResult(tuple(groups), tuple(orders), 0, False)
-    for _ in range(SERIES_STEP_CAP):
+    while orders[-1] > 1:
         nxt = step(groups[-1])
         n = nxt.order()
         if n == orders[-1]:
-            return SeriesResult(tuple(groups), tuple(orders), INFINITE, False)
+            return SeriesResult(tuple(groups), tuple(orders), INFINITE)
         groups.append(nxt)
         orders.append(n)
-        if n == 1:
-            return SeriesResult(tuple(groups), tuple(orders), len(orders) - 1, False)
-    return SeriesResult(tuple(groups), tuple(orders), INFINITE, True)
+    return SeriesResult(tuple(groups), tuple(orders), len(orders) - 1)
 
 
 def solvable_class(group: PermGroup) -> int | Infinite:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import LoopTable, direct_product
 from .errors import CapExceeded, NotNormal
+from .multgrp import INNER_WORDS, inner_maps
 
 NORMAL_ENUM_CAP = 64
 
@@ -75,22 +76,7 @@ def subloop_generated(Q: LoopTable, seed) -> Subloop:
 
 def _inner_images(Q: LoopTable, elements: np.ndarray) -> np.ndarray:
     """All images of the element set under the T, L, R generator families."""
-    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
-    n = Q.order
-    A = elements
-    xs = np.arange(n)[:, None]
-    t_imgs = rdiv[mul[:, A], xs]
-    chunks = [t_imgs.ravel()]
-    MA = mul[:, A]  # MA[y, i] = y * a_i
-    for x in range(n):
-        # L_{x,y}(a) = (xy) \ (x(ya))
-        l_imgs = ldiv[mul[x][:, None], mul[x][MA]]
-        chunks.append(l_imgs.ravel())
-        # R_{x,y}(a) = ((a y) x) / (yx)
-        ay = mul[np.ix_(A, np.arange(n))]  # ay[i, y] = a_i * y
-        r_imgs = rdiv[mul[ay.T, x], mul[:, x][:, None]]
-        chunks.append(r_imgs.ravel())
-    return np.concatenate(chunks)
+    return np.concatenate([inner_maps(Q, w, elements).ravel() for w in INNER_WORDS])
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:
@@ -138,8 +124,8 @@ def center_subloop(Q: LoopTable) -> Subloop:
         if not np.array_equal(mul[mul, a], mul[:, mul[:, a]]):
             ok[a] = False
     fixed = np.ones(n, dtype=bool)
-    imgs = _inner_images(Q, np.arange(n)).reshape(-1, n)
-    fixed = (imgs == np.arange(n)).all(axis=0)
+    for w in INNER_WORDS:
+        fixed &= (inner_maps(Q, w).reshape(-1, n) == np.arange(n)).all(axis=0)
     if not np.array_equal(ok, fixed):
         raise AssertionError("center characterizations disagree; table corrupt?")
     return Subloop(Q, tuple(int(v) for v in np.nonzero(ok)[0]))

@@ -68,6 +68,20 @@ def parse_class(text: str):
     return INFINITE if text == "inf" else int(text)
 
 
+def format_value(value) -> str:
+    """Render a report value: booleans as true/false, classes by fmt_class."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt_class(value)
+
+
+def parse_value(text: str):
+    """Inverse of format_value."""
+    if text in ("true", "false"):
+        return text == "true"
+    return parse_class(text)
+
+
 def mix64(value: int) -> int:
     """splitmix64 output stage; a fixed 64-bit bijective mixer."""
     z = value & _MASK64

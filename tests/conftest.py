@@ -150,6 +150,36 @@ def condition_i_oracle(Q, A) -> bool:
     return True
 
 
+def commutator_oracle(Q, A, B) -> tuple[int, ...]:
+    """[A,B] from the scalar inner-map words over all B-congruent argument
+    tuples, not only each tuple against its class representative, closed
+    under the operations and the scalar T, L, R maps.  Independent of the
+    array kernel in loopkit.multgrp."""
+    n = Q.order
+    bset = set(B.elements)
+    cls = [min(v for v in range(n) if Q.rdiv_at(u, v) in bset) for u in range(n)]
+    devs = set()
+    for word in ("T", "U", "L", "R", "M"):
+        arity = 1 if word in ("T", "U") else 2
+        tuples = itertools.product(range(n), repeat=arity)
+        restricted = {}  # congruence class of the tuple -> images of A
+        for args, g in zip(tuples, inner_generator_family(Q, (word,))):
+            key = tuple(cls[u] for u in args)
+            restricted.setdefault(key, set()).add(tuple(g(a) for a in A.elements))
+        for images in restricted.values():
+            for wp, wq in itertools.product(images, repeat=2):
+                devs.update(Q.rdiv_at(u, v) for u, v in zip(wp, wq))
+    inner = inner_generator_family(Q, ("T", "L", "R"))
+    elems = {Q.neutral} | devs
+    while True:
+        new = {g(x) for g in inner for x in elems}
+        for x, y in itertools.product(elems, repeat=2):
+            new.update((Q.mul_at(x, y), Q.ldiv_at(x, y), Q.rdiv_at(x, y)))
+        if new <= elems:
+            return tuple(sorted(elems))
+        elems |= new
+
+
 def normal_subloop_pairs(Q):
     subs = all_normal_subloops(Q)
     return [(A, B) for A in subs for B in subs]

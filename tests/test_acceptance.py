@@ -48,7 +48,7 @@ from loopkit import (
     solvable_class,
     supernilpotent_crosscheck,
 )
-from loopkit.commutator import _l_block, _r_block, _t_block, a3_subconditions
+from loopkit.commutator import a3_subconditions
 from loopkit.errors import NotAbelianIn
 from loopkit.extensions import (
     Cocycle,
@@ -57,6 +57,7 @@ from loopkit.extensions import (
     iter_cocycles_random,
     pair_index,
 )
+from loopkit.multgrp import INNER_WORDS, inner_maps
 from loopkit.pools import central_cocycle_pool
 from loopkit.tables import cyclic, elementary_abelian, klein, latin_squares
 
@@ -335,12 +336,6 @@ def test_routes_agree_on_block_extension_loops():
                 assert len(modes) == 1
 
 
-def test_paper_condition_i_witness_over_z4():
-    """Condition (i) cannot be dropped: a Z4[oplus] fiber satisfying the
-    five identity conditions whose inner restrictions are not additive."""
-    assert _first_goplus(cyclic(4), _fails_only("i")) is not None
-
-
 @criterion("AC-8")
 def test_ac8_central_extension_solvability_bounds(central_pool):
     assert len(central_pool) == 100
@@ -363,27 +358,22 @@ def _induced_inner_map_checks(L, N):
     proj = np.asarray(proj_list, dtype=np.int64)
     m = table.order
     ident = np.arange(m)
-    # T family: descent and the kernel characterization
-    t_l = _t_block(L)
-    t_q = _t_block(table)
-    assert np.array_equal(proj[t_l], t_q[proj][:, proj])
-    in_kernel = (proj[t_l] == proj[None, :]).all(axis=1)
-    maps_to_id = (t_q[proj] == ident[None, :]).all(axis=1)
-    assert np.array_equal(in_kernel, maps_to_id)
-    # L and R families, sliced per first argument
-    for x in range(L.order):
-        for block_l, block_q in (
-            (_l_block(L, x), _l_block(table, int(proj[x]))),
-            (_r_block(L, x), _r_block(table, int(proj[x]))),
-        ):
-            assert np.array_equal(proj[block_l], block_q[proj][:, proj])
-            in_kernel = (proj[block_l] == proj[None, :]).all(axis=1)
-            maps_to_id = (block_q[proj] == ident[None, :]).all(axis=1)
-            assert np.array_equal(in_kernel, maps_to_id)
+    # T, L and R families: descent and the kernel characterization
+    for word in INNER_WORDS:
+        w_l = inner_maps(L, word)
+        w_q = inner_maps(table, word)
+        for axis in range(w_q.ndim - 1):
+            w_q = w_q.take(proj, axis=axis)  # W at the projected arguments
+        assert np.array_equal(proj[w_l], w_q[..., proj])
+        in_kernel = (proj[w_l] == proj).all(axis=-1)
+        maps_to_id = (w_q == ident).all(axis=-1)
+        assert np.array_equal(in_kernel, maps_to_id)
     # surjectivity: the projection hits every coset, so every generator
     # of Inn(L/N) is the image of a generator of Inn(L)
     assert set(proj.tolist()) == set(range(m))
     # homomorphism spot check on composed generators
+    t_l = inner_maps(L, "T")
+    t_q = inner_maps(table, "T")
     g = t_l[1 % L.order]
     h = t_l[(L.order - 1)]
     lhs = proj[g[h]]

