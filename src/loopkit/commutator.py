@@ -30,16 +30,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .core import LoopTable
-from .errors import NotNormal
+from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
 from .multgrp import INNER_WORDS, TOT_INNER_WORDS, assoc_group, inner_maps
 from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
+    NORMAL_ENUM_CAP,
     Subloop,
     all_normal_subloops,
     center_subloop,
@@ -365,8 +365,13 @@ class HierarchyReport:
         return cls.from_values(values)
 
 
-@lru_cache(maxsize=None)
 def hierarchy_report(Q: LoopTable) -> HierarchyReport:
+    """Every invariant of the report; raises CapExceeded before any work
+    when the order exceeds the normal-enumeration cap the series need."""
+    if Q.order > NORMAL_ENUM_CAP:
+        raise CapExceeded(
+            f"order {Q.order} exceeds the normal-enumeration cap {NORMAL_ENUM_CAP}"
+        )
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
     report = HierarchyReport(
@@ -377,10 +382,10 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
         nilpotency_class=nilpotency_class_loop(Q),
         congruence_solvability_class=congruence_derived_series(Q)[1],
         classical_solvability_class=classical_derived_series(Q)[1],
-        supernilpotent=is_supernilpotent(Q),
+        supernilpotent=is_finite(mlt_nilpotency := nilpotency_class_group(mlt)),
         mlt_order=group_order(mlt),
         mlt_solvable_class=solvable_class(mlt),
-        mlt_nilpotency_class=nilpotency_class_group(mlt),
+        mlt_nilpotency_class=mlt_nilpotency,
         inn_order=group_order(inn),
         inn_solvable_class=solvable_class(inn),
     )

@@ -3,7 +3,9 @@
 Elements are 0-based indices into the table.  The neutral element is
 detected, not required to be index 0; canonicalize() relabels it to 0 and
 minimizes the table for catalog storage.  All tables are immutable after
-construction and every operation here is a pure function.
+construction and every operation here is a pure function.  A table
+memoizes data derived from it (LoopTable.memo), so that data lives and
+dies with the table.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def latin_neutral(mul: np.ndarray) -> int | None:
 class LoopTable:
     """A finite loop: an n x n Latin square with a two-sided neutral element."""
 
-    __slots__ = ("order", "rows", "neutral", "mul", "ldiv", "rdiv", "_hash", "_flags")
+    __slots__ = ("order", "rows", "neutral", "mul", "ldiv", "rdiv", "_hash", "_memo")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -63,7 +65,7 @@ class LoopTable:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "ldiv", ldiv)
         object.__setattr__(self, "rdiv", rdiv)
-        object.__setattr__(self, "_flags", None)
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", hash((n, rows)))
 
     # -- arithmetic -------------------------------------------------------
@@ -100,29 +102,30 @@ class LoopTable:
         self.check_element(x)
         return Permutation._wrap(tuple(int(v) for v in self.ldiv[:, x]))
 
-    # -- structure flags ----------------------------------------------------
+    # -- derived data -------------------------------------------------------
 
-    def _compute_flags(self):
-        mul = self.mul
-        commutative = bool(np.array_equal(mul, mul.T))
-        associative = True
-        for x in range(self.order):
-            if not np.array_equal(mul[mul[x]], mul[x][mul]):
-                associative = False
-                break
-        self._flags = (commutative, associative)
+    def memo(self, key, compute):
+        """The value stored under key, set to compute() on first use.
+
+        Derived data is kept here rather than in global caches, so it is
+        freed with the table; equal but distinct tables compute their own.
+        An exception from compute() is raised and nothing is stored.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def is_commutative(self) -> bool:
-        if self._flags is None:
-            self._compute_flags()
-        return self._flags[0]
+        return self.memo("commutative", lambda: bool(np.array_equal(self.mul, self.mul.T)))
 
     @property
     def is_associative(self) -> bool:
-        if self._flags is None:
-            self._compute_flags()
-        return self._flags[1]
+        mul = self.mul
+        return self.memo(
+            "associative",
+            lambda: all(np.array_equal(mul[mul[x]], mul[x][mul]) for x in range(self.order)),
+        )
 
     # -- plumbing -----------------------------------------------------------
 
@@ -153,10 +156,7 @@ class LoopTable:
         return self._hash
 
     def __setattr__(self, name, value):
-        if name == "_flags":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("LoopTable is immutable")
+        raise AttributeError("LoopTable is immutable")
 
     def __repr__(self):
         return f"LoopTable(order={self.order}, neutral={self.neutral})"

@@ -21,7 +21,6 @@ least index of each right coset (the neutral represents the fiber), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,12 +79,17 @@ class AbelianGroupTable:
         return f"AbelianGroupTable(order={self.order})"
 
 
-@lru_cache(maxsize=None)
-def _automorphisms_cached(table: LoopTable) -> tuple[Permutation, ...]:
-    A = AbelianGroupTable(table)
+def automorphisms(A: AbelianGroupTable) -> list[Permutation]:
+    """All additive bijections fixing zero, in lexicographic image order,
+    enumerated once per table."""
+    return list(A.table.memo("automorphisms", lambda: _enumerate_automorphisms(A)))
+
+
+def _enumerate_automorphisms(A: AbelianGroupTable) -> tuple[Permutation, ...]:
     n = A.order
     if n > AUTOMORPHISM_CAP:
         raise CapExceeded(f"automorphism enumeration capped at {AUTOMORPHISM_CAP}")
+    table = A.table
     mul = table.mul
     found: list[Permutation] = []
     images = [-1] * n
@@ -136,11 +140,6 @@ def _automorphisms_cached(table: LoopTable) -> tuple[Permutation, ...]:
 
     extend(0)
     return tuple(sorted(found, key=lambda p: p.images))
-
-
-def automorphisms(A: AbelianGroupTable) -> list[Permutation]:
-    """All additive bijections fixing zero, in lexicographic image order."""
-    return list(_automorphisms_cached(A.table))
 
 
 def _is_additive(A: AbelianGroupTable, p: Permutation) -> bool:
@@ -403,8 +402,6 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
             t = int(rdiv[xy, xy_rep])
             if phi is None or psi is None or t not in pos:
                 return None
-            if not _is_additive(fiber, phi) or not _is_additive(fiber, psi):
-                return None
             phi_row.append(phi)
             psi_row.append(psi)
             theta_row.append(pos[t])
@@ -535,7 +532,7 @@ def free_cells(F: LoopTable, central: bool = False):
 
 def cocycle_space_size(A: AbelianGroupTable, F: LoopTable, central: bool = False) -> int:
     phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    naut = len(_automorphisms_cached(A.table))
+    naut = len(automorphisms(A))
     return naut ** (len(phi_cells) + len(psi_cells)) * A.order ** len(theta_cells)
 
 
@@ -570,7 +567,7 @@ def iter_cocycles_exhaustive(A: AbelianGroupTable, F: LoopTable, central: bool =
     if size > EXHAUSTIVE_SPACE_CAP:
         raise CapExceeded(f"exhaustive space {size} exceeds {EXHAUSTIVE_SPACE_CAP}")
     phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    auts = _automorphisms_cached(A.table)
+    auts = automorphisms(A)
     naut = len(auts)
     ranges = [range(naut)] * (len(phi_cells) + len(psi_cells)) + [
         range(A.order)
@@ -586,7 +583,7 @@ def iter_cocycles_random(
 ):
     """budget seeded random loop cocycles; duplicates permitted."""
     phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    auts = _automorphisms_cached(A.table)
+    auts = automorphisms(A)
     naut = len(auts)
     rng = SplitMix64(seed)
     for _ in range(budget):
@@ -621,7 +618,7 @@ def search_cocycles(
 
 
 def format_cocycle(gamma: Cocycle) -> str:
-    auts = _automorphisms_cached(gamma.A.table)
+    auts = automorphisms(gamma.A)
     index_of = {p: i for i, p in enumerate(auts)}
     lines = ["A", format_table(gamma.A.table).rstrip("\n"), "F",
              format_table(gamma.F).rstrip("\n")]
@@ -657,7 +654,7 @@ def parse_cocycle(text: str) -> Cocycle:
             raise Malformed(f"missing section {needed}")
     A = AbelianGroupTable(parse_table("\n".join(sections["A"])))
     F = parse_table("\n".join(sections["F"]))
-    auts = _automorphisms_cached(A.table)
+    auts = automorphisms(A)
     k = F.order
 
     def read_grid(name, bound):

@@ -15,8 +15,6 @@ a genuine cross-check).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .core import LoopTable
@@ -109,9 +107,13 @@ def inner_generator_family(Q: LoopTable, names) -> list[Permutation]:
     return out
 
 
-@lru_cache(maxsize=None)
 def assoc_group(Q: LoopTable, which: str) -> PermGroup:
-    """MLT, INN, TMLT or TINN of the loop as a permutation group."""
+    """MLT, INN, TMLT or TINN of the loop as a permutation group, built
+    once per table."""
+    return Q.memo(("assoc_group", which), lambda: _generated_group(Q, which))
+
+
+def _generated_group(Q: LoopTable, which: str) -> PermGroup:
     n = Q.order
     if which == "MLT":
         gens = [Permutation._wrap(r) for r in _translation_rows(Q, "LR")]

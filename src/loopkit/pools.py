@@ -77,20 +77,24 @@ _RANDOM_SHAPES = [
 ]
 
 
+def _build_shapes(shapes):
+    """(tag, A, F) per shape, built once so that every entry of a shape
+    shares its tables and their memoized automorphisms."""
+    return [
+        (f"{a_tag}by{f_tag}", AbelianGroupTable(a_fn()), f_fn())
+        for a_tag, a_fn, f_tag, f_fn in shapes
+    ]
+
+
 def random_extension_pool(count: int = 200, master_seed: int = POOL_MASTER_SEED):
     """Seeded random abelian extensions of orders 8..16."""
+    shapes = _build_shapes(_RANDOM_SHAPES)
     out = []
     seeds = SplitMix64(master_seed)
-    i = 0
     while len(out) < count:
-        a_tag, a_fn, f_tag, f_fn = _RANDOM_SHAPES[i % len(_RANDOM_SHAPES)]
-        i += 1
-        A = AbelianGroupTable(a_fn())
-        F = f_fn()
+        tag, A, F = shapes[len(out) % len(shapes)]
         gamma = next(iter(iter_cocycles_random(A, F, seed=seeds.next_u64(), budget=1)))
-        out.append(
-            PoolEntry(f"{a_tag}by{f_tag}#{len(out)}", build_extension(gamma), gamma)
-        )
+        out.append(PoolEntry(f"{tag}#{len(out)}", build_extension(gamma), gamma))
     return out
 
 
@@ -118,20 +122,13 @@ _CENTRAL_SHAPES = [
 
 def central_cocycle_pool(count: int = 100, master_seed: int = POOL_MASTER_SEED ^ 0xC0C):
     """Seeded random central cocycles over assorted (A, F), |F| <= 8."""
+    shapes = _build_shapes(_CENTRAL_SHAPES)
     out = []
     seeds = SplitMix64(master_seed)
-    i = 0
     while len(out) < count:
-        a_tag, a_fn, f_tag, f_fn = _CENTRAL_SHAPES[i % len(_CENTRAL_SHAPES)]
-        i += 1
-        A = AbelianGroupTable(a_fn())
-        F = f_fn()
+        tag, A, F = shapes[len(out) % len(shapes)]
         gamma = next(
-            iter(
-                iter_cocycles_random(
-                    A, F, seed=seeds.next_u64(), budget=1, central=True
-                )
-            )
+            iter(iter_cocycles_random(A, F, seed=seeds.next_u64(), budget=1, central=True))
         )
-        out.append((f"central-{a_tag}by{f_tag}#{len(out)}", gamma))
+        out.append((f"central-{tag}#{len(out)}", gamma))
     return out

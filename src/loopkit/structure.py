@@ -9,7 +9,6 @@ subset enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,40 +130,37 @@ def center_subloop(Q: LoopTable) -> Subloop:
     return Subloop(Q, tuple(int(v) for v in np.nonzero(ok)[0]))
 
 
-@lru_cache(maxsize=None)
-def _all_normal_subloops_cached(Q: LoopTable) -> tuple[Subloop, ...]:
-    n = Q.order
-    if n > NORMAL_ENUM_CAP:
-        raise CapExceeded(f"normal subloop enumeration capped at {NORMAL_ENUM_CAP}")
-    found: dict[tuple[int, ...], Subloop] = {}
-    trivial = Subloop(Q, (Q.neutral,))
-    found[trivial.elements] = trivial
-    singles = []
-    for x in range(n):
-        sl = normal_closure(Q, (x,))
-        if sl.elements not in found:
-            found[sl.elements] = sl
-        singles.append(sl)
-    frontier = list(found.values())
+def all_normal_subloops(Q: LoopTable) -> list[Subloop]:
+    """All normal subloops, sorted by size then lexicographically.
+
+    They are the join-closure of the singleton normal closures, and the
+    join of normal subloops A and B is the product set AB = {ab}: the term
+    (x/y)z makes the congruences of a loop permute, so the join of the
+    congruences of A and B is their composition, whose class of the
+    neutral is AB.  Enumerated once per table.
+    """
+    if Q.order > NORMAL_ENUM_CAP:
+        raise CapExceeded(
+            f"order {Q.order} exceeds the normal-enumeration cap {NORMAL_ENUM_CAP}"
+        )
+    # the memo keeps element tuples: a Subloop would refer back to the table
+    elements = Q.memo("normal_subloops", lambda: _normal_subloop_elements(Q))
+    return [Subloop(Q, e) for e in elements]
+
+
+def _normal_subloop_elements(Q: LoopTable) -> tuple[tuple[int, ...], ...]:
+    found = {(Q.neutral,)} | {normal_closure(Q, (x,)).elements for x in range(Q.order)}
+    frontier = list(found)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(found.values()):
-                union = set(a.elements) | set(b.elements)
-                key = tuple(sorted(union))
-                if key in found:
-                    continue
-                joined = normal_closure(Q, key)
-                if joined.elements not in found:
-                    found[joined.elements] = joined
+            for b in list(found):
+                joined = tuple(np.unique(Q.mul[np.ix_(a, b)]).tolist())
+                if joined not in found:
+                    found.add(joined)
                     fresh.append(joined)
         frontier = fresh
-    return tuple(sorted(found.values(), key=lambda s: (s.size, s.elements)))
-
-
-def all_normal_subloops(Q: LoopTable) -> list[Subloop]:
-    """All normal subloops, sorted by size then lexicographically."""
-    return list(_all_normal_subloops_cached(Q))
+    return tuple(sorted(found, key=lambda e: (len(e), e)))
 
 
 def cosets(Q: LoopTable, A: Subloop) -> list[tuple[int, ...]]:

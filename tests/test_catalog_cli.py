@@ -76,6 +76,13 @@ def test_cli_analyze_malformed_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_analyze_above_enumeration_cap_exits_2(tmp_path, capsys):
+    path = write_table(tmp_path, "z128.table", cyclic(128))
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "128" in err and "64" in err
+
+
 def test_cli_analyze_missing_file_exits_4(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.table")]) == 4
 

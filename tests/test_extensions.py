@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loopkit import (
     AbelianGroupTable,
     Cocycle,
+    LoopTable,
     Permutation,
     Subloop,
     automorphisms,
@@ -24,6 +26,7 @@ from loopkit import (
     trivial_cocycle,
     validate_cocycle,
 )
+from loopkit.cli import PRESETS
 from loopkit.errors import CapExceeded, CocycleInvalid, Malformed, NotAbelianGroup, NotNeutralAt
 from loopkit.extensions import (
     cocycle_space_size,
@@ -379,6 +382,23 @@ def test_random_search_is_reproducible():
     assert runs[0] == runs[1]
     other = [g.theta for g in iter_cocycles_random(Z4, cyclic(2), seed=43, budget=6)]
     assert other != runs[0]
+
+
+def test_search_candidates_are_freed():
+    # derived data lives on each candidate table, so a tested candidate is
+    # freed: the live table count does not grow with the budget
+    preset = PRESETS["mltq-solvability-hunt"]
+
+    def live_tables_after(budget):
+        A = AbelianGroupTable(preset["A"]())
+        for _ in search_cocycles(
+            A, preset["F"](), preset["predicate"], "random", seed=0, budget=budget
+        ):
+            pass
+        gc.collect()
+        return sum(isinstance(obj, LoopTable) for obj in gc.get_objects())
+
+    assert live_tables_after(10) == live_tables_after(20) == live_tables_after(30)
 
 
 # -- file format -------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from loopkit import assoc_group, inner_generator
+from loopkit import LoopTable, assoc_group, inner_generator
 from loopkit.errors import ArityMismatch
 from loopkit.multgrp import TOT_INNER_WORDS, inner_generator_family, inner_maps
 from loopkit.perm import group_order
@@ -54,6 +54,13 @@ def test_regular_abelian_action():
 def test_s3_group_orders():
     assert assoc_group(S3, "INN").order() == 6
     assert assoc_group(S3, "MLT").order() == 36
+
+
+def test_assoc_group_is_memoized_on_its_table():
+    assert assoc_group(S3, "MLT") is assoc_group(S3, "MLT")
+    twin = LoopTable(S3.rows)
+    assert twin == S3 and twin is not S3
+    assert assoc_group(twin, "MLT") is not assoc_group(S3, "MLT")
 
 
 def test_stabilizer_identity(groups, small_extensions):

@@ -61,8 +61,11 @@ def test_all_normal_subloops_counts(table, count):
     assert len(all_normal_subloops(table)) == count
 
 
-def test_normal_subloops_form_a_lattice():
-    for q in (Z6, S3, D4, klein(), cyclic(12)):
+def test_normal_subloops_form_a_lattice(pool):
+    # the join is the product set AB (congruences of loops permute);
+    # normal_closure(A | B) is the oracle
+    tables = [Z6, S3, D4, klein(), cyclic(12)] + [e.table for e in pool if e.table.order <= 8]
+    for q in tables:
         subs = all_normal_subloops(q)
         keys = {s.elements for s in subs}
         for a, b in itertools.combinations(subs, 2):
@@ -70,6 +73,8 @@ def test_normal_subloops_form_a_lattice():
             assert meet in keys
             join = normal_closure(q, set(a.elements) | set(b.elements))
             assert join.elements in keys
+            product = {q.mul_at(x, y) for x in a.elements for y in b.elements}
+            assert join.elements == tuple(sorted(product))
 
 
 def test_quotient_examples():
