@@ -4,11 +4,14 @@ One record per line: hex fingerprint, order, the thirteen report fields
 in dataclass order, then the source tag.  The fingerprint is the 64-bit
 hash of the canonical (lex-least, neutral-at-0) relabeling, so isomorphic
 tables collide by construction.  Writers are expected to be exclusive
-(single-writer rule); readers may run at any time.
+(single-writer rule); readers may run at any time.  A writer that dies
+mid-record leaves a last line without its trailing newline: readers skip
+it with a warning, and the next append cuts it off before writing.
 """
 
 from __future__ import annotations
 
+import logging
 import operator
 from dataclasses import dataclass, fields
 
@@ -18,6 +21,8 @@ from .errors import Malformed
 from .util import parse_class, parse_value
 
 _REPORT_FIELDS = [f.name for f in fields(HierarchyReport)]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -56,22 +61,43 @@ def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
     )
 
 
-def load_catalog(path) -> list[CatalogRecord]:
+def _load(path) -> tuple[list[CatalogRecord], bytes]:
+    """The records of the complete lines, and the torn last line (b"" if
+    none).  A malformed complete line raises Malformed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return []
-    return [CatalogRecord.from_line(ln) for ln in lines]
+        return [], b""
+    end = data.rfind(b"\n") + 1
+    torn = data[end:]
+    if torn:
+        _log.warning(
+            "catalog %s: skipping a torn last line (%d bytes, no trailing newline)",
+            path,
+            len(torn),
+        )
+    try:
+        lines = data[:end].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"catalog {path} is not UTF-8: {exc}") from None
+    return [CatalogRecord.from_line(ln) for ln in lines if ln.strip()], torn
+
+
+def load_catalog(path) -> list[CatalogRecord]:
+    return _load(path)[0]
 
 
 def append_record(path, record: CatalogRecord) -> bool:
-    """Append unless an equal fingerprint is already present."""
-    existing = load_catalog(path)
+    """Append unless an equal fingerprint is already present.  A torn last
+    line is cut off first, so the record starts a line of its own."""
+    existing, torn = _load(path)
     if any(r.fingerprint == record.fingerprint for r in existing):
         return False
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record.to_line() + "\n")
+    with open(path, "ab") as fh:
+        if torn:
+            fh.truncate(fh.tell() - len(torn))
+        fh.write((record.to_line() + "\n").encode("utf-8"))
     return True
 
 

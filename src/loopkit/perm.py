@@ -7,6 +7,31 @@ first-in-first-out discovery order with generators applied in install
 order, so two constructions from the same generator list produce
 identical base sequences and identical orders.
 
+Inside the chain, the normal closures and the series, a permutation of
+degree <= 256 is a 256-byte `bytes`: its images, padded with fixed
+points.  Then "p after q" is q.translate(p), the inverse of p is
+bytes.maketrans(p, _ID) and the identity test is p == _ID, one C call
+each.  Degrees 257..512 (up to ORDER_CAP) keep image tuples and the same
+three primitives written in Python.  The degree alone picks the form
+(`_ops`); everything above the primitives has one code path.
+`Permutation` keeps its image tuple.  Each transversal representative is
+stored with its inverse, so sifting composes and never inverts.
+
+Each chain records the generators whose sift grew it (`_Chain.grown`),
+and the series and normal closures use only those.  This is exact:
+
+- a generator that sifts to the identity lies in the group generated by
+  the generators before it, so the recorded ones generate the group;
+- G' is the normal closure in G of the commutators [a, b] of any
+  generating set of G, and [G, N] for N normal in G is the normal
+  closure of [g, c] over generators g of G and c of N; since
+  [b, a] = [a, b]^-1, G' needs one commutator per unordered pair;
+- in a finite group every g^-1 is a power of g, so a subgroup closed
+  under conjugation by the generators is normal: it is the normal
+  closure.
+
+(Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
+
 A PermGroup builds its chain lazily on first query.  The fill is not
 locked; force it with order() before sharing a group between workers.
 After that every query is read-only.
@@ -16,27 +41,55 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from .errors import CapExceeded
 from .util import INFINITE, Infinite
 
 GROUP_ORDER_CAP = 10**12
 
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Image tuple of p after q: (p*q)(x) = p(q(x))."""
-    return tuple(p[v] for v in q)
+_ID = bytes(range(256))
 
 
-def _invert(p: tuple) -> tuple:
+def _tuple_then(q: tuple, p: tuple) -> tuple:
+    """Image tuple of p after q: x -> p(q(x))."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _tuple_invert(p: tuple) -> tuple:
     inv = [0] * len(p)
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
 
 
-def _is_id(p: tuple) -> bool:
-    return all(i == v for i, v in enumerate(p))
+def _bytes_invert(p: bytes) -> bytes:
+    return bytes.maketrans(p, _ID)
+
+
+def _bytes_pack(images: tuple) -> bytes:
+    return bytes(images) + _ID[len(images):]
+
+
+class _Ops(NamedTuple):
+    """The primitives on one degree's internal form.  then(q, p) is p
+    after q; pack turns an image tuple into the internal form, and
+    tuple(p[:degree]) turns it back."""
+
+    identity: bytes | tuple
+    then: Callable
+    invert: Callable
+    pack: Callable
+
+
+_BYTES_OPS = _Ops(_ID, bytes.translate, _bytes_invert, _bytes_pack)
+
+
+def _ops(degree: int) -> _Ops:
+    if degree <= len(_ID):
+        return _BYTES_OPS
+    return _Ops(tuple(range(degree)), _tuple_then, _tuple_invert, tuple)
 
 
 class Permutation:
@@ -79,13 +132,13 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(x) = p(q(x)): q acts first, matching L_x R_y style words.
-        return Permutation._wrap(_compose(self.images, other.images))
+        return Permutation._wrap(_tuple_then(other.images, self.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(_invert(self.images))
+        return Permutation._wrap(_tuple_invert(self.images))
 
     def is_identity(self) -> bool:
-        return _is_id(self.images)
+        return all(i == v for i, v in enumerate(self.images))
 
     def cycles(self):
         seen = [False] * len(self.images)
@@ -145,52 +198,55 @@ class _Level:
     previous base points (deeper levels' generators are repeated here, so
     orbits never miss a generator).  Transversal entries are never
     replaced once written, which keeps previously processed Schreier
-    generators valid; pair_queue holds (point, gen index) pairs that still
-    need Schreier processing.
+    generators valid; inverses holds their inverses.  Both are keyed in
+    orbit discovery order.  pair_queue holds (point, gen index) pairs that
+    still need Schreier processing.
     """
 
-    __slots__ = ("base", "gens", "transversal", "orbit_order", "pair_queue")
+    __slots__ = ("base", "gens", "transversal", "inverses", "pair_queue")
 
-    def __init__(self, base: int, degree: int):
+    def __init__(self, base: int, identity):
         self.base = base
-        self.gens: list[tuple] = []
-        self.transversal: dict[int, tuple] = {base: tuple(range(degree))}
-        self.orbit_order: list[int] = [base]
+        self.gens: list = []
+        self.transversal: dict = {base: identity}
+        self.inverses: dict = {base: identity}
         self.pair_queue: deque = deque()
 
-    def add_gen(self, g: tuple):
+    def add_gen(self, g):
         self.gens.append(g)
         gi = len(self.gens) - 1
-        for p in self.orbit_order:
+        for p in self.transversal:
             self.pair_queue.append((p, gi))
 
-    def add_point(self, q: int, rep: tuple):
+    def add_point(self, q: int, rep, rep_inverse):
         self.transversal[q] = rep
-        self.orbit_order.append(q)
+        self.inverses[q] = rep_inverse
         for gi in range(len(self.gens)):
             self.pair_queue.append((q, gi))
 
 
 class _Chain:
-    """Mutable deterministic stabilizer chain."""
+    """Mutable deterministic stabilizer chain over the internal form of
+    its degree.  grown lists the added generators whose sift grew it."""
 
     def __init__(self, degree: int):
-        self.degree = degree
+        self.ops = _ops(degree)
         self.levels: list[_Level] = []
+        self.grown: list = []
 
-    def strip(self, p: tuple, start: int = 0):
+    def strip(self, p, start: int = 0):
+        then = self.ops.then
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            image = p[level.base]
-            u = level.transversal.get(image)
-            if u is None:
+            u_inv = level.inverses.get(p[level.base])
+            if u_inv is None:
                 return p, i
-            p = _compose(_invert(u), p)
+            p = then(p, u_inv)
         return p, len(self.levels)
 
-    def contains(self, p: tuple) -> bool:
+    def contains(self, p) -> bool:
         residue, _ = self.strip(p)
-        return _is_id(residue)
+        return residue == self.ops.identity
 
     def order(self) -> int:
         total = 1
@@ -201,38 +257,43 @@ class _Chain:
     def base_sequence(self):
         return tuple(level.base for level in self.levels)
 
-    def add_generator(self, p: tuple) -> bool:
-        """Sift p; if new, install the residue and re-establish. True if grown."""
+    def add_generator(self, p) -> bool:
+        """Sift p; if new, record it, install the residue and re-establish.
+        True if grown."""
         residue, where = self.strip(p)
-        if _is_id(residue):
+        if residue == self.ops.identity:
             return False
+        self.grown.append(p)
         self._install(residue, where)
         for k in range(len(self.levels) - 1, -1, -1):
             self._establish(k)
         return True
 
-    def _install(self, residue: tuple, where: int):
+    def _install(self, residue, where: int):
         """Add residue (which fixes the first `where` base points) to levels 0..where."""
         if where == len(self.levels):
             base = next(i for i, v in enumerate(residue) if v != i)
-            self.levels.append(_Level(base, self.degree))
+            self.levels.append(_Level(base, self.ops.identity))
         for m in range(where + 1):
             self.levels[m].add_gen(residue)
 
     def _establish(self, k: int):
         """Drain level k's pair queue; deeper levels are re-established on demand."""
         level = self.levels[k]
+        identity, then, invert = self.ops.identity, self.ops.then, self.ops.invert
         while level.pair_queue:
             p, gi = level.pair_queue.popleft()
             g = level.gens[gi]
             q = g[p]
-            u_p = level.transversal[p]
-            if q not in level.transversal:
-                level.add_point(q, _compose(g, u_p))
+            g_u_p = then(level.transversal[p], g)
+            u_q = level.transversal.get(q)
+            if u_q is None:
+                level.add_point(q, g_u_p, invert(g_u_p))
                 continue
-            schreier = _compose(_invert(level.transversal[q]), _compose(g, u_p))
-            residue, where = self.strip(schreier, k + 1)
-            if _is_id(residue):
+            if g_u_p == u_q:
+                continue  # the Schreier generator is the identity
+            residue, where = self.strip(then(g_u_p, level.inverses[q]), k + 1)
+            if residue == identity:
                 continue
             self._install(residue, where)
             for m in range(min(where, len(self.levels) - 1), k, -1):
@@ -244,13 +305,13 @@ class PermGroup:
 
     def __init__(self, degree: int, generators, _chain: _Chain | None = None):
         gens = []
-        seen = set()
+        seen = {tuple(range(degree))}  # the identity is dropped too
         for g in generators:
             if not isinstance(g, Permutation):
                 g = Permutation(g)
-            if g.degree != degree:
+            if len(g.images) != degree:
                 raise ValueError("generator degree mismatch")
-            if g.is_identity() or g.images in seen:
+            if g.images in seen:
                 continue
             seen.add(g.images)
             gens.append(g)
@@ -263,7 +324,7 @@ class PermGroup:
         if self._chain_cache is None:
             chain = _Chain(self.degree)
             for g in self.generators:
-                chain.add_generator(g.images)
+                chain.add_generator(chain.ops.pack(g.images))
             self._chain_cache = chain
         return self._chain_cache
 
@@ -279,7 +340,8 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch in membership test")
-        return self._chain.contains(p.images)
+        chain = self._chain
+        return chain.contains(chain.ops.pack(p.images))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -299,40 +361,45 @@ def contains(group: PermGroup, p: Permutation) -> bool:
 
 def normal_closure(group: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing seeds and closed under conjugation by group."""
+    pack = _ops(group.degree).pack
+    images = (s.images if isinstance(s, Permutation) else tuple(s) for s in seeds)
+    return _closure(group, [pack(s) for s in images])
+
+
+def _closure(group: PermGroup, seeds: list) -> PermGroup:
+    """Normal closure in group of seeds in the internal form, conjugating
+    by the generators that grew group's chain."""
     chain = _Chain(group.degree)
-    kept: list[Permutation] = []
-    queue: deque[tuple] = deque()
-    top = [g.images for g in group.generators]
-    top_inv = [_invert(g) for g in top]
-    for s in seeds:
-        raw = s.images if isinstance(s, Permutation) else tuple(s)
-        if chain.add_generator(raw):
-            kept.append(Permutation._wrap(raw))
-            queue.append(raw)
+    then, invert = chain.ops.then, chain.ops.invert
+    conjugators = [(g, invert(g)) for g in group._chain.grown]
+    queue = deque(s for s in seeds if chain.add_generator(s))
     while queue:
         s = queue.popleft()
-        for g, ginv in zip(top, top_inv):
-            conj = _compose(g, _compose(s, ginv))
+        for g, g_inv in conjugators:
+            conj = then(then(g_inv, s), g)
             if chain.add_generator(conj):
-                kept.append(Permutation._wrap(conj))
                 queue.append(conj)
-    return PermGroup(group.degree, kept, _chain=chain)
+    degree = group.degree
+    kept = [Permutation._wrap(tuple(p[:degree])) for p in chain.grown]
+    return PermGroup(degree, kept, _chain=chain)
 
 
-def _comm(a: tuple, b: tuple) -> tuple:
-    return _compose(a, _compose(b, _compose(_invert(a), _invert(b))))
+def _commutators(ops: _Ops, pairs) -> list:
+    """The non-identity [a, b] = a b a^-1 b^-1 over pairs (a, b)."""
+    then, invert = ops.then, ops.invert
+    out = []
+    for a, b in pairs:
+        c = then(then(then(invert(b), invert(a)), b), a)
+        if c != ops.identity:
+            out.append(c)
+    return out
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Normal closure in group of commutators of generator pairs."""
+    """Normal closure in group of the commutators of generator pairs."""
     group_order(group)
-    comms = []
-    for a in group.generators:
-        for b in group.generators:
-            c = _comm(a.images, b.images)
-            if not _is_id(c):
-                comms.append(Permutation._wrap(c))
-    return normal_closure(group, comms)
+    chain = group._chain
+    return _closure(group, _commutators(chain.ops, combinations(chain.grown, 2)))
 
 
 @dataclass(frozen=True)
@@ -356,13 +423,9 @@ def derived_series(group: PermGroup) -> SeriesResult:
 
 def lower_central_series(group: PermGroup) -> SeriesResult:
     def step(current: PermGroup) -> PermGroup:
-        comms = []
-        for g in group.generators:
-            for c in current.generators:
-                k = _comm(g.images, c.images)
-                if not _is_id(k):
-                    comms.append(Permutation._wrap(k))
-        return normal_closure(group, comms)
+        top = group._chain
+        pairs = product(top.grown, current._chain.grown)
+        return _closure(group, _commutators(top.ops, pairs))
 
     group_order(group)
     return _descend(group, step)

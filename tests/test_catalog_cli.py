@@ -153,6 +153,45 @@ def test_cli_catalog_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
+    tmp_path, capsys, caplog
+):
+    cat = tmp_path / "cat.tsv"
+    z2 = write_table(tmp_path, "z2.table", cyclic(2))
+    s3 = write_table(tmp_path, "s3.table", symmetric(3))
+    assert main(["catalog", "add", z2, "--catalog", str(cat)]) == 0
+    record = cat.read_bytes()
+    fragment = record[:40]  # a writer that died mid-record
+    cat.write_bytes(fragment)
+    capsys.readouterr()
+
+    assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 0
+    assert capsys.readouterr().out == ""
+    assert str(cat) in caplog.text and "torn" in caplog.text
+    assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 0
+    assert capsys.readouterr().out.startswith("added")
+    assert cat.read_bytes().count(b"\n") == 1 and fragment not in cat.read_bytes()
+    caplog.clear()
+    assert [r.order for r in load_catalog(cat)] == [6]
+    assert "torn" not in caplog.text
+
+    # the record after a complete line is kept; only the torn tail goes
+    cat.write_bytes(record + fragment)
+    assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 0
+    assert cat.read_bytes().startswith(record)
+    assert sorted(r.order for r in load_catalog(cat)) == [2, 6]
+
+    cat.write_bytes(fragment + b"\n")
+    capsys.readouterr()
+    assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
+    assert "columns" in capsys.readouterr().err
+    assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 2
+    assert cat.read_bytes() == fragment + b"\n"
+    cat.write_bytes(b"\xff" + record)
+    assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_cli_search_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

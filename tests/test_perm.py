@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,45 @@ def test_chain_is_deterministic():
     g2 = PermGroup(8, gens)
     assert g1.order() == g2.order()
     assert g1.base_sequence() == g2.base_sequence()
+    gens.append(perm((0, 1, 2), (4, 5), degree=8))
+    s1 = derived_series(PermGroup(8, gens))
+    s2 = derived_series(PermGroup(8, gens))
+    assert s1.orders == (144, 36, 4, 1)
+    assert [g.generators for g in s1.groups] == [g.generators for g in s2.groups]
+    assert [g.base_sequence() for g in s1.groups] == [g.base_sequence() for g in s2.groups]
+
+
+def moved(p, shift, degree):
+    """p moved onto points shift, shift + 1, ... of a degree-`degree` permutation."""
+    images = list(range(degree))
+    for i, v in enumerate(p.images):
+        images[i + shift] = v + shift
+    return Permutation(images)
+
+
+def test_tuple_form_above_degree_256_agrees_with_bytes_form():
+    # D4 x S3 on 7 points, and on points 250..256 of degree 260
+    gens = [
+        perm((0, 1, 2, 3), degree=7),
+        perm((0, 2), degree=7),
+        perm((4, 5), degree=7),
+        perm((4, 5, 6), degree=7),
+    ]
+    low = PermGroup(7, gens)
+    high = PermGroup(260, [moved(g, 250, 260) for g in gens])
+    invariants = []
+    for group in (low, high):
+        derived, lower = derived_series(group), lower_central_series(group)
+        invariants.append(
+            (group_order(group), derived.orders, derived.cls, lower.orders, lower.cls)
+        )
+    assert invariants[0] == invariants[1] == (48, (48, 6, 1), 2, (48, 6, 3), INFINITE)
+    assert high.base_sequence() == tuple(b + 250 for b in low.base_sequence())
+    candidates = [perm(c, degree=7) for c in combinations(range(7), 2)]
+    candidates += [perm(c, degree=7) for c in combinations(range(7), 3)]
+    answers = [p in low for p in candidates]
+    assert answers == [moved(p, 250, 260) in high for p in candidates]
+    assert any(answers) and not all(answers)
 
 
 def test_order_cap():

@@ -1,0 +1,54 @@
+"""loopkit's permutation engine against sympy's, an independent oracle.
+
+Only the public surface of loopkit.perm is used (no _Chain): orders, the
+orders along the derived and lower central series, and the classes.
+Pool tables stop at order 8: sympy takes minutes on order-16 Mlts.
+"""
+
+import pytest
+
+from loopkit.multgrp import assoc_group
+from loopkit.perm import derived_series, group_order, lower_central_series
+from loopkit.util import INFINITE
+
+from test_perm import a5, d4, s3
+
+combinatorics = pytest.importorskip("sympy.combinatorics")
+
+
+def sympy_invariants(group):
+    """(order, derived orders, derived length, lower central orders,
+    nilpotency class), classes INFINITE where the series stalls."""
+    gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
+    oracle = combinatorics.PermutationGroup(
+        gens or [combinatorics.Permutation(list(range(group.degree)))]
+    )
+    derived = tuple(h.order() for h in oracle.derived_series())
+    lower = tuple(h.order() for h in oracle.lower_central_series())
+
+    def cls(orders):
+        return len(orders) - 1 if orders[-1] == 1 else INFINITE
+
+    assert oracle.is_solvable == (cls(derived) is not INFINITE)
+    assert oracle.is_nilpotent == (cls(lower) is not INFINITE)
+    return oracle.order(), derived, cls(derived), lower, cls(lower)
+
+
+def loopkit_invariants(group):
+    derived = derived_series(group)
+    lower = lower_central_series(group)
+    return group_order(group), derived.orders, derived.cls, lower.orders, lower.cls
+
+
+@pytest.mark.parametrize("factory", [s3, d4, a5])
+def test_small_groups_match_sympy(factory):
+    assert loopkit_invariants(factory()) == sympy_invariants(factory())
+
+
+def test_mlt_and_inn_of_small_pool_tables_match_sympy(pool):
+    tables = [entry.table for entry in pool if entry.table.order <= 8]
+    assert len(tables) == 118
+    for Q in tables:
+        for which in ("MLT", "INN"):
+            group = assoc_group(Q, which)
+            assert loopkit_invariants(group) == sympy_invariants(group), (Q, which)
