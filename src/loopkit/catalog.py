@@ -1,12 +1,17 @@
 """Invariant catalog: append-only, line-delimited, tab-separated records.
 
-One record per line: hex fingerprint, order, the thirteen report fields
-in dataclass order, then the source tag.  The fingerprint is the 64-bit
-hash of the canonical (lex-least, neutral-at-0) relabeling, so isomorphic
-tables collide by construction.  Writers are expected to be exclusive
-(single-writer rule); readers may run at any time.  A writer that dies
-mid-record leaves a last line without its trailing newline: readers skip
-it with a warning, and the next append cuts it off before writing.
+The first line is the format header HEADER; further lines starting with
+'#' are comments.  Then one record per line: hex fingerprint, order, the
+thirteen report fields in dataclass order, then the source tag.  The
+fingerprint is the 64-bit hash of the canonical table (core.canonicalize:
+the least of the labelings grown from an isomorphism-invariant set of
+generator tuples), so isomorphic tables collide by construction.  A
+catalog with records but without the header holds fingerprints of an
+earlier canonical form and is rejected.  Writers are expected to be
+exclusive (single-writer rule); readers may run at any time.  A writer
+that dies mid-record leaves a last line without its trailing newline:
+readers skip it with a warning, and the next append cuts it off before
+writing.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .commutator import HierarchyReport, hierarchy_report
 from .core import LoopTable, fingerprint
 from .errors import Malformed
 from .util import parse_class, parse_value
+
+HEADER = "# loopkit-catalog v2"
 
 _REPORT_FIELDS = [f.name for f in fields(HierarchyReport)]
 
@@ -63,7 +70,8 @@ def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
 
 def _load(path) -> tuple[list[CatalogRecord], bytes]:
     """The records of the complete lines, and the torn last line (b"" if
-    none).  A malformed complete line raises Malformed."""
+    none).  A malformed complete line, or a first line that is not
+    HEADER, raises Malformed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -78,27 +86,52 @@ def _load(path) -> tuple[list[CatalogRecord], bytes]:
             len(torn),
         )
     try:
-        lines = data[:end].decode("utf-8").split("\n")
+        lines = data[:end].decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise Malformed(f"catalog {path} is not UTF-8: {exc}") from None
-    return [CatalogRecord.from_line(ln) for ln in lines if ln.strip()], torn
+    if lines and lines[0] != HEADER:
+        raise Malformed(
+            f"catalog {path} does not start with {HEADER!r}; its fingerprints "
+            "are from an earlier canonical form"
+        )
+    records = [CatalogRecord.from_line(ln) for ln in lines if ln.strip() and ln[0] != "#"]
+    return records, torn
 
 
 def load_catalog(path) -> list[CatalogRecord]:
     return _load(path)[0]
 
 
-def append_record(path, record: CatalogRecord) -> bool:
-    """Append unless an equal fingerprint is already present.  A torn last
-    line is cut off first, so the record starts a line of its own."""
+def _append(path, fp: int, make_record) -> bool:
+    """Append make_record() unless fingerprint fp is already present.  A
+    torn last line is cut off first, so the record starts a line of its
+    own; a catalog with no complete line gets the header first."""
     existing, torn = _load(path)
-    if any(r.fingerprint == record.fingerprint for r in existing):
+    if any(r.fingerprint == fp for r in existing):
         return False
+    text = make_record().to_line() + "\n"
     with open(path, "ab") as fh:
+        start = fh.tell() - len(torn)
         if torn:
-            fh.truncate(fh.tell() - len(torn))
-        fh.write((record.to_line() + "\n").encode("utf-8"))
+            fh.truncate(start)
+        fh.write(((HEADER + "\n" if start == 0 else "") + text).encode("utf-8"))
     return True
+
+
+def append_record(path, record: CatalogRecord) -> bool:
+    """Append unless an equal fingerprint is already present."""
+    return _append(path, record.fingerprint, lambda: record)
+
+
+def add_table(path, Q: LoopTable, source: str = "") -> tuple[bool, int]:
+    """(added, fingerprint) for adding Q's record; the catalog is read
+    once, and the report is built only for a new fingerprint."""
+    fp = fingerprint(Q)
+
+    def record() -> CatalogRecord:
+        return CatalogRecord(fp, Q.order, hierarchy_report(Q), source)
+
+    return _append(path, fp, record), fp
 
 
 _OPS = {

@@ -207,11 +207,8 @@ def cmd_search(args) -> int:
 
 def cmd_catalog_add(args) -> int:
     Q = parse_table(_read(args.path))
-    record = cat.record_for(Q, source=args.source)
-    added = cat.append_record(args.catalog, record)
-    sys.stdout.write(
-        f"{'added' if added else 'duplicate'}\t{record.fingerprint:016x}\n"
-    )
+    added, fp = cat.add_table(args.catalog, Q, source=args.source)
+    sys.stdout.write(f"{'added' if added else 'duplicate'}\t{fp:016x}\n")
     return 0
 
 

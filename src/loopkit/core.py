@@ -2,10 +2,11 @@
 
 Elements are 0-based indices into the table.  The neutral element is
 detected, not required to be index 0; canonicalize() relabels it to 0 and
-minimizes the table for catalog storage.  All tables are immutable after
-construction and every operation here is a pure function.  A table
-memoizes data derived from it (LoopTable.memo), so that data lives and
-dies with the table.
+picks, for catalog storage, the least table among the labelings grown by
+products from an isomorphism-invariant set of generator tuples.  All
+tables are immutable after construction and every operation here is a
+pure function.  A table memoizes data derived from it (LoopTable.memo),
+so that data lives and dies with the table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .util import hash_tokens
 
 ORDER_CAP = 512
 
-CANONICAL_NODE_BUDGET = 5_000_000
+CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes, each O(n^2) work
 
 
 def latin_neutral(mul: np.ndarray) -> int | None:
@@ -354,132 +355,126 @@ def is_isomorphic(Q1: LoopTable, Q2: LoopTable):
 # -- canonical form ------------------------------------------------------------
 
 
-def canonicalize(Q: LoopTable) -> LoopTable:
-    """The least relabeling of Q sending neutral to 0, compared row-major.
+def _bfs_labeling(Q: LoopTable, gens) -> list[int]:
+    """The elements of the subloop gens generate, in label order: the
+    neutral, then gens, then each product of two listed elements as it
+    first appears, taking element m against elements 0..m in turn (the
+    product with m on the right first).  A finite subset closed under
+    multiplication is a subloop, so products alone reach all of it."""
+    rows = Q.rows
+    order = [Q.neutral, *gens]
+    seen = set(order)
+    m = 0
+    while m < len(order):
+        x = order[m]
+        row_x = rows[x]
+        for y in order[: m + 1]:
+            for p in (rows[y][x], row_x[y]):
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+        m += 1
+    return order
 
-    Candidate relabelings place the neutral at 0, one branched element at
-    position 1, branched elements at the remaining column positions of
-    row 1, and give every element surfacing as a row-1 value the least
-    position still free; row 1 then fixes the whole bijection, so the
-    rest of the table is forced.  The rule is structural, so isomorphic
-    tables produce identical results and the hashed fingerprint is
-    relabeling-invariant.  The walk is budgeted; pathological highly
-    symmetric tables beyond order ~16 raise CapExceeded.
+
+def canonicalize(Q: LoopTable) -> LoopTable:
+    """The least table, compared row-major, among the BFS labelings
+    (_bfs_labeling) from the generator tuples of a search tree whose
+    shape depends on invariants alone.
+
+    A node is a tuple of elements, S the subloop it generates; a node with
+    S = Q is a leaf.  Its children append each element x outside S with
+    the greatest key among those outside S: the profile of x (_profiles),
+    then the least k with x^k in S (x^1 = x, x^(k+1) = x * x^k).  The key
+    prefers elements that take S furthest, so tuples stay short.  An
+    isomorphism maps this tree onto the tree of its image, so isomorphic
+    tables get the same canonical table and the hashed fingerprint is
+    relabeling-invariant.
+
+    Two leaves with equal tables give an automorphism, sending one tuple
+    to the other; leaf tables are kept by hash, and a map is used only
+    once checked to be an automorphism.  The walk skips a child in the
+    orbit of an explored sibling under the automorphisms found so far
+    that fix the node's tuple; below a node of the first path every
+    automorphism found fixes its tuple, so there these orbits are those
+    of the tuple's stabiliser.  A leaf equal to an earlier leaf sends the
+    sibling subtree holding that leaf, which is fully walked, onto the
+    current one, so the walk resumes where the two tuples part (McKay and
+    Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).
+    The walk visits at most CANONICAL_NODE_BUDGET nodes and raises
+    CapExceeded, naming the order and the budget, beyond that.
     """
     n = Q.order
-    if n == 1:
-        return LoopTable([[0]])
     rows = Q.rows
-    best: list[int] | None = None
-    cells = [CANONICAL_NODE_BUDGET]
+    profile = _profiles(Q)
+    autos: list[list[int]] = []
+    leaves: dict[int, tuple] = {}  # hash of each leaf table seen -> (tuple, labeling)
+    best: list[bytes] = []
+    budget = [CANONICAL_NODE_BUDGET]
 
-    def spend():
-        cells[0] -= 1
-        if cells[0] < 0:
-            raise CapExceeded("canonical form search budget exceeded")
+    def leaf(gens: tuple, labeled: list[int]) -> int:
+        order = np.asarray(labeled)
+        label = np.empty(n, dtype=np.int64)
+        label[order] = np.arange(n)
+        key = label[Q.mul[np.ix_(order, order)]].astype(">u2").tobytes()
+        other, other_order = leaves.setdefault(hash(key), (gens, order))
+        if other != gens:
+            images = np.empty(n, dtype=np.int64)
+            images[other_order] = order
+            if np.array_equal(images[Q.mul], Q.mul[np.ix_(images, images)]):
+                autos.append(images.tolist())
+                return next(i for i, (a, b) in enumerate(zip(gens, other)) if a != b)
+        if not best or key < best[0]:
+            best[:] = [key]
+        return len(gens)
 
-    def search(r1: int):
-        nonlocal best
-        sigma = [-1] * n
-        rho = [-1] * n
-        sigma[Q.neutral] = 0
-        rho[0] = Q.neutral
-        sigma[r1] = 1
-        rho[1] = r1
-        row1 = rows[r1]
-        prefix: list[int] = []
+    def walk(gens: tuple) -> int:
+        """Walk the subtree at gens; returns the depth to resume at."""
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CapExceeded(
+                f"canonical form of order {n} exceeds node budget {CANONICAL_NODE_BUDGET}"
+            )
+        order = _bfs_labeling(Q, gens)
+        if len(order) == n:
+            return leaf(gens, order)
+        inside = set(order)
 
-        def place(element: int):
-            p = next(i for i in range(n) if rho[i] < 0)
-            sigma[element] = p
-            rho[p] = element
+        def rank(x: int):
+            k, y, row = 1, x, rows[x]
+            while y not in inside:
+                k, y = k + 1, row[y]
+            return profile[x], k
 
-        def unplace(element: int):
-            rho[sigma[element]] = -1
-            sigma[element] = -1
+        ranks = {x: rank(x) for x in range(n) if x not in inside}
+        top = max(ranks.values())
+        root = list(range(n))  # orbits under the automorphisms fixing gens
 
-        def scan(j: int, tight: bool):
-            spend()
-            if j == n:
-                finish(tight)
-                return
-            pos = len(prefix)
-            h = rho[j]
-            if h >= 0:
-                v = row1[h]
-                fresh = sigma[v] < 0
-                if fresh:
-                    place(v)
-                value = sigma[v]
-                if best is None or not tight or value <= best[pos]:
-                    still = tight and best is not None and value == best[pos]
-                    prefix.append(value)
-                    scan(j + 1, still)
-                    prefix.pop()
-                if fresh:
-                    unplace(v)
-                return
-            options = []
-            for cand in range(n):
-                if sigma[cand] >= 0:
-                    continue
-                rho[j] = cand
-                sigma[cand] = j
-                v = row1[cand]
-                if sigma[v] >= 0:
-                    value = sigma[v]
-                else:
-                    value = next(i for i in range(n) if rho[i] < 0)
-                options.append((value, cand))
-                rho[j] = -1
-                sigma[cand] = -1
-            options.sort()
-            for value, cand in options:
-                if best is not None and tight and value > best[pos]:
-                    break
-                rho[j] = cand
-                sigma[cand] = j
-                v = row1[cand]
-                fresh = sigma[v] < 0
-                if fresh:
-                    place(v)
-                still = tight and best is not None and value == best[pos]
-                prefix.append(value)
-                scan(j + 1, still)
-                prefix.pop()
-                if fresh:
-                    unplace(v)
-                rho[j] = -1
-                sigma[cand] = -1
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
 
-        def finish(tight: bool):
-            nonlocal best
-            out = list(prefix)
-            pos = len(out)
-            for i in range(2, n):
-                row = rows[rho[i]]
-                for j in range(n):
-                    spend()
-                    value = sigma[row[rho[j]]]
-                    if tight and best is not None:
-                        if value > best[pos]:
-                            return
-                        if value < best[pos]:
-                            tight = False
-                    out.append(value)
-                    pos += 1
-            if best is None or out < best:
-                best = out
+        explored: list[int] = []
+        used = 0
+        for child in (x for x, r in ranks.items() if r == top):
+            for a in autos[used:]:
+                if all(a[g] == g for g in gens):
+                    for x in range(n):
+                        rx, ry = find(x), find(a[x])
+                        if rx != ry:
+                            root[max(rx, ry)] = min(rx, ry)
+            used = len(autos)
+            if find(child) in {find(x) for x in explored}:
+                continue
+            explored.append(child)
+            resume = walk(gens + (child,))
+            if resume < len(gens):
+                return resume
+        return len(gens)
 
-        scan(0, best is not None)
-
-    for r1 in range(n):
-        if r1 != Q.neutral:
-            search(r1)
-    table = [list(range(n))]
-    for i in range(n - 1):
-        table.append(best[i * n : (i + 1) * n])
-    return LoopTable(table)
+    walk(())
+    return LoopTable(np.frombuffer(best[0], dtype=">u2").reshape(n, n))
 
 
 def fingerprint(Q: LoopTable) -> int:

@@ -114,18 +114,18 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
 
 
 def _generated_group(Q: LoopTable, which: str) -> PermGroup:
+    """The group of the word rows, each distinct row wrapped once in
+    first-occurrence order, so PermGroup.generators is as for all rows."""
     n = Q.order
     if which == "MLT":
-        gens = [Permutation._wrap(r) for r in _translation_rows(Q, "LR")]
+        rows = _translation_rows(Q, "LR")
     elif which == "TMLT":
-        gens = [Permutation._wrap(r) for r in _translation_rows(Q, "LRM")]
+        rows = _translation_rows(Q, "LRM")
     elif which in ("INN", "TINN"):
         words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
-        gens = [
-            Permutation._wrap(tuple(row))
-            for word in words
-            for row in inner_maps(Q, word).reshape(-1, n).tolist()
+        rows = [
+            tuple(row) for word in words for row in inner_maps(Q, word).reshape(-1, n).tolist()
         ]
     else:
         raise ValueError(f"unknown associated group {which!r}")
-    return PermGroup(n, gens)
+    return PermGroup(n, [Permutation._wrap(r) for r in dict.fromkeys(rows)])

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from loopkit import format_table, hierarchy_report
+from loopkit import catalog, format_table, hierarchy_report
 from loopkit.catalog import (
+    HEADER,
     CatalogRecord,
     append_record,
     load_catalog,
@@ -170,7 +171,7 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
     assert str(cat) in caplog.text and "torn" in caplog.text
     assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 0
     assert capsys.readouterr().out.startswith("added")
-    assert cat.read_bytes().count(b"\n") == 1 and fragment not in cat.read_bytes()
+    assert cat.read_bytes().count(b"\n") == 2 and fragment not in cat.read_bytes()  # header, s3
     caplog.clear()
     assert [r.order for r in load_catalog(cat)] == [6]
     assert "torn" not in caplog.text
@@ -190,6 +191,49 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
     cat.write_bytes(b"\xff" + record)
     assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_catalog_v2_header_and_unversioned_catalog_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.tsv"
+    z2 = write_table(tmp_path, "z2.table", cyclic(2))
+    s3 = write_table(tmp_path, "s3.table", symmetric(3))
+    assert main(["catalog", "add", z2, "--catalog", str(cat)]) == 0
+    assert cat.read_text().splitlines()[0] == HEADER == "# loopkit-catalog v2"
+    assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 0
+    assert cat.read_text().count(HEADER) == 1
+    assert [r.order for r in load_catalog(cat)] == [2, 6]
+
+    cat.write_text(cat.read_text().split("\n", 1)[1])  # a catalog of the v1 format
+    unversioned = cat.read_bytes()
+    capsys.readouterr()
+    assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
+    assert str(cat) in capsys.readouterr().err
+    assert main(["catalog", "add", z2, "--catalog", str(cat)]) == 2
+    assert str(cat) in capsys.readouterr().err
+    assert cat.read_bytes() == unversioned
+    with pytest.raises(Malformed, match="loopkit-catalog v2"):
+        load_catalog(cat)
+
+    empty = tmp_path / "empty.tsv"
+    empty.write_bytes(b"")
+    assert load_catalog(empty) == []
+    assert append_record(empty, record_for(cyclic(2)))
+    assert empty.read_text().startswith(HEADER + "\n")
+
+
+def test_catalog_add_builds_no_report_for_a_duplicate(tmp_path, capsys, monkeypatch):
+    cat = tmp_path / "cat.tsv"
+    s3 = write_table(tmp_path, "s3.table", symmetric(3))
+    copy = write_table(tmp_path, "s3r.table", symmetric(3).relabel([5, 3, 1, 0, 2, 4]))
+    assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 0
+    added = capsys.readouterr().out
+
+    def no_report(Q):
+        raise AssertionError("report built for a duplicate")
+
+    monkeypatch.setattr(catalog, "hierarchy_report", no_report)
+    assert main(["catalog", "add", copy, "--catalog", str(cat)]) == 0
+    assert capsys.readouterr().out == added.replace("added", "duplicate")
 
 
 def test_cli_search_is_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from loopkit import (
     parse_table,
     translation,
 )
+from loopkit import core
 from loopkit.errors import CapExceeded, Malformed, NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.tables import cyclic, klein, latin_squares, symmetric
+from loopkit.pools import POOL_MASTER_SEED, random_extension_pool
+from loopkit.tables import cyclic, dihedral, elementary_abelian, klein, latin_squares, symmetric
+from loopkit.util import SplitMix64
 
 from conftest import group_inverse
 
@@ -258,11 +262,76 @@ def test_canonical_form_is_idempotent():
     assert canon.neutral == 0
 
 
-@given(st.permutations(range(8)))
+POOL16 = random_extension_pool(16)[15].table  # K4 by K4, not associative
+
+
+@given(st.permutations(range(16)))
 @settings(max_examples=25, deadline=None)
 def test_fingerprint_invariant_under_relabeling(images):
-    q = direct_product(Z4, Z2)
-    assert fingerprint(q.relabel(images)) == fingerprint(q)
+    assert fingerprint(POOL16.relabel(images)) == fingerprint(POOL16)
+
+
+def _seeded_relabelings(q, seed, count=3):
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        images = list(range(q.order))
+        for j in range(q.order - 1, 0, -1):
+            k = rng.below(j + 1)
+            images[j], images[k] = images[k], images[j]
+        yield q.relabel(images)
+
+
+def _analyze_corpus_tables():
+    """The benchmark's order-32 extension (Z8 by K4) and order-64 table
+    (the first order-16 pool table times Z4)."""
+    gamma = next(iter(iter_cocycles_random(
+        AbelianGroupTable(cyclic(8)), klein(), seed=POOL_MASTER_SEED, budget=1
+    )))
+    first16 = next(e.table for e in random_extension_pool(6) if e.table.order == 16)
+    return [build_extension(gamma), direct_product(first16, cyclic(4))]
+
+
+def test_fingerprint_invariant_on_symmetric_and_large_tables():
+    tables = [(elementary_abelian(2, 4), 2.0), (elementary_abelian(2, 5), 2.0)]
+    tables += [(elementary_abelian(2, 6), 5.0), (dihedral(4), 2.0), (dihedral(8), 2.0)]
+    tables += [(q, 2.0) for q in _analyze_corpus_tables()]
+    for q, limit in tables:
+        start = time.perf_counter()
+        fp = fingerprint(q)
+        took = time.perf_counter() - start
+        assert took <= limit, (q, took)
+        assert all(fingerprint(r) == fp for r in _seeded_relabelings(q, q.order))
+
+
+def test_fingerprint_invariant_on_order16_pool_loops(pool):
+    loops = [e.table for e in pool if e.table.order == 16]
+    assert len(loops) == 48
+    # Pruning by automorphisms that do not fix the node's tuple gives this
+    # table several fingerprints.
+    loops.append(direct_product(next(e.table for e in pool if e.tag == "K4byZ2#79"), Z2))
+    for i, q in enumerate(loops):
+        fp = fingerprint(q)
+        assert all(fingerprint(r) == fp for r in _seeded_relabelings(q, i, count=2))
+
+
+def test_equal_fingerprints_iff_isomorphic_on_the_pool(pool):
+    """is_isomorphic is the oracle: it never calls canonicalize."""
+    tables = [e.table for e in pool]
+    copies = [next(_seeded_relabelings(q, i, count=1)) for i, q in enumerate(tables)]
+    fps = [fingerprint(q) for q in tables]
+    copy_fps = [fingerprint(q) for q in copies]
+    assert fps == copy_fps
+    for i, j in itertools.combinations(range(len(tables)), 2):
+        if tables[i].order == tables[j].order:
+            isomorphic = is_isomorphic(tables[i], copies[j]) is not None
+            assert isomorphic == (fps[i] == copy_fps[j]), (pool[i].tag, pool[j].tag)
+    assert len(set(fps)) == 227
+
+
+def test_canonical_form_budget_names_order_and_budget(monkeypatch):
+    monkeypatch.setattr(core, "CANONICAL_NODE_BUDGET", 3)
+    with pytest.raises(CapExceeded, match="order 16 exceeds node budget 3"):
+        fingerprint(elementary_abelian(2, 4))
 
 
 def test_fingerprint_separates_z4_and_klein():
