@@ -39,9 +39,7 @@ from .extensions import extract_cocycle
 from .multgrp import INNER_WORDS, TOT_INNER_WORDS, assoc_group, inner_maps
 from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
-    NORMAL_ENUM_CAP,
     Subloop,
-    all_normal_subloops,
     center_subloop,
     cosets,
     direct_decomposition,
@@ -52,6 +50,8 @@ from .structure import (
 from .util import INFINITE, Infinite, format_value, is_finite, is_prime_power, parse_value
 
 _log = logging.getLogger(__name__)
+
+REPORT_ORDER_CAP = 128
 
 
 def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS):
@@ -234,19 +234,23 @@ def congruence_derived_series(Q: LoopTable):
         series.append(nxt)
 
 
-def _least_commutative_group_kernel(Q: LoopTable) -> Subloop:
-    """Least normal subloop with a commutative-group quotient."""
-    candidates = []
-    for N in all_normal_subloops(Q):
-        table, _ = quotient(Q, N)
-        if table.is_commutative and table.is_associative:
-            candidates.append(N)
-    candidates.sort(key=lambda s: (s.size, s.elements))
-    least = candidates[0]
-    least_set = set(least.elements)
-    if any(not least_set <= set(c.elements) for c in candidates):
-        raise AssertionError("derived subloop is not the least candidate")
-    return least
+def derived_subloop(Q: LoopTable) -> Subloop:
+    """Least normal subloop with a commutative-group quotient: the normal
+    closure of every commutator element ((yx)/y)/x and every associator
+    element (((xy)z)/(yz))/x.
+
+    For a normal subloop N, x/y lies in N exactly when xN = yN.  So N
+    holds ((yx)/y)/x iff (yx)/y = x, that is yx = xy, in Q/N, and N holds
+    (((xy)z)/(yz))/x iff (xy)z = x(yz) in Q/N.  Hence Q/N is a commutative
+    group iff N holds all these elements, and the least such N is their
+    normal closure.
+    """
+    mul, rdiv = Q.mul, Q.rdiv
+    x = np.arange(Q.order)
+    commutators = rdiv[rdiv[mul.T, x], x[:, None]]  # at [x, y]: ((yx)/y)/x
+    associators = rdiv[rdiv[mul[mul], mul], x[:, None, None]]  # at [x, y, z]
+    seeds = np.union1d(commutators, associators)
+    return normal_closure(Q, seeds.tolist())
 
 
 def classical_derived_series(Q: LoopTable):
@@ -263,7 +267,7 @@ def classical_derived_series(Q: LoopTable):
         if current.is_trivial():
             return series, len(series) - 1
         table = current.induced_table()
-        derived = _least_commutative_group_kernel(table)
+        derived = derived_subloop(table)
         lifted = tuple(current.elements[i] for i in derived.elements)
         if lifted == current.elements:
             return series, INFINITE
@@ -367,11 +371,12 @@ class HierarchyReport:
 
 def hierarchy_report(Q: LoopTable) -> HierarchyReport:
     """Every invariant of the report; raises CapExceeded before any work
-    when the order exceeds the normal-enumeration cap the series need."""
-    if Q.order > NORMAL_ENUM_CAP:
-        raise CapExceeded(
-            f"order {Q.order} exceeds the normal-enumeration cap {NORMAL_ENUM_CAP}"
-        )
+    when the order exceeds REPORT_ORDER_CAP.  No part of the report
+    enumerates normal subloops, and the group orders are exact integers;
+    the cap bounds time and memory (the words over argument triples take
+    n**3 entries)."""
+    if Q.order > REPORT_ORDER_CAP:
+        raise CapExceeded(f"order {Q.order} exceeds the report cap {REPORT_ORDER_CAP}")
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
     report = HierarchyReport(

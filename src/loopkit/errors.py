@@ -18,7 +18,7 @@ class NoNeutral(LoopkitError):
 
 
 class CapExceeded(LoopkitError):
-    """A size or budget cap was exceeded (order > 512, group order > 1e12, ...)."""
+    """A size or budget cap was exceeded (order > 512, report order > 128, ...)."""
 
 
 class ArityMismatch(LoopkitError):

@@ -195,8 +195,6 @@ def direct_decomposition(Q: LoopTable):
     """Unordered pairs (A, B) of nontrivial normal subloops realizing
     Q as their direct product through (a, b) -> a*b."""
     n = Q.order
-    if n > NORMAL_ENUM_CAP:
-        raise CapExceeded(f"decomposition capped at {NORMAL_ENUM_CAP}")
     subs = all_normal_subloops(Q)
     out = []
     for i, A in enumerate(subs):

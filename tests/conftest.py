@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loopkit import all_normal_subloops
+from loopkit import all_normal_subloops, quotient
 from loopkit.multgrp import inner_generator_family
 from loopkit.pools import (
     central_cocycle_pool,
@@ -178,6 +178,26 @@ def commutator_oracle(Q, A, B) -> tuple[int, ...]:
         if new <= elems:
             return tuple(sorted(elems))
         elems |= new
+
+
+def least_commutative_group_kernel(Q):
+    """Least normal subloop with a commutative-group quotient, found by
+    forming the quotient by every normal subloop from all_normal_subloops
+    and keeping the least one whose quotient table is commutative and
+    associative.  Independent of loopkit.commutator.derived_subloop: it
+    never forms a commutator or associator element or a normal closure of
+    them."""
+    candidates = []
+    for N in all_normal_subloops(Q):
+        table, _ = quotient(Q, N)
+        if table.is_commutative and table.is_associative:
+            candidates.append(N)
+    candidates.sort(key=lambda s: (s.size, s.elements))
+    least = candidates[0]
+    least_set = set(least.elements)
+    if any(not least_set <= set(c.elements) for c in candidates):
+        raise AssertionError("derived subloop is not the least candidate")
+    return least
 
 
 def normal_subloop_pairs(Q):

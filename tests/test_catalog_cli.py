@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from loopkit import catalog, format_table, hierarchy_report
+from loopkit import build_extension, catalog, format_table, hierarchy_report
 from loopkit.catalog import (
     HEADER,
     CatalogRecord,
@@ -14,8 +14,10 @@ from loopkit.catalog import (
     record_for,
 )
 from loopkit.cli import main
+from loopkit.commutator import HierarchyReport
 from loopkit.core import fingerprint
 from loopkit.errors import Malformed
+from loopkit.extensions import AbelianGroupTable, iter_cocycles_random
 from loopkit.tables import cyclic, symmetric
 
 
@@ -77,11 +79,29 @@ def test_cli_analyze_malformed_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_analyze_above_enumeration_cap_exits_2(tmp_path, capsys):
-    path = write_table(tmp_path, "z128.table", cyclic(128))
+def test_cli_analyze_above_report_cap_exits_2(tmp_path, capsys):
+    path = write_table(tmp_path, "z256.table", cyclic(256))
     assert main(["analyze", path]) == 2
     err = capsys.readouterr().err
-    assert "128" in err and "64" in err
+    assert "256" in err and "128" in err
+
+
+def test_cli_analyze_order_64_with_huge_multiplication_group(
+    tmp_path, capsys, random_extensions
+):
+    # Z4 by a non-associative order-16 pool loop: |Mlt| = 2**59
+    F = next(
+        e.table for e in random_extensions
+        if e.table.order == 16 and not e.table.is_associative
+    )
+    A = AbelianGroupTable(cyclic(4))
+    gamma = next(iter(iter_cocycles_random(A, F, seed=0, budget=1)))
+    path = write_table(tmp_path, "o64.table", build_extension(gamma))
+    assert main(["analyze", path]) == 0
+    report = HierarchyReport.from_lines(capsys.readouterr().out)
+    report.check()
+    assert report.order == 64 and not report.associative
+    assert report.mlt_order == 64 * report.inn_order > 10**12
 
 
 def test_cli_analyze_missing_file_exits_4(tmp_path, capsys):

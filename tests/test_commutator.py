@@ -22,7 +22,12 @@ from loopkit import (
     supernilpotent_crosscheck,
     upper_central_series,
 )
-from loopkit.commutator import HierarchyReport, INNER_WORDS, commutator_generators
+from loopkit.commutator import (
+    HierarchyReport,
+    INNER_WORDS,
+    commutator_generators,
+    derived_subloop,
+)
 from loopkit.errors import NotNormal
 from loopkit.multgrp import inner_generator
 from loopkit.tables import cyclic, dihedral, klein, symmetric
@@ -32,6 +37,7 @@ from conftest import (
     group_commutator_oracle,
     group_derived_length,
     group_nilpotency_class,
+    least_commutative_group_kernel,
 )
 
 Z4 = cyclic(4)
@@ -143,6 +149,13 @@ def test_congruence_series_examples():
     assert cls == 2
     assert [s.elements for s in series] == [tuple(range(6)), (0, 3, 4), (0,)]
     assert congruence_derived_series(cyclic(1))[1] == 0
+
+
+def test_derived_subloop_matches_quotient_oracle(pool):
+    assert len(pool) == 290
+    for entry in pool:
+        want = least_commutative_group_kernel(entry.table).elements
+        assert derived_subloop(entry.table).elements == want, entry.tag
 
 
 def test_classical_series_matches_group_derived_series(groups):

@@ -14,7 +14,7 @@ from loopkit import (
     quotient,
     subloop_generated,
 )
-from loopkit.errors import NotNormal
+from loopkit.errors import CapExceeded, NotNormal
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 Z4 = cyclic(4)
@@ -123,6 +123,11 @@ def test_direct_decomposition_examples():
     assert len(pairs) == 1
     a, b = pairs[0]
     assert {a.size, b.size} == {2, 3}
+
+
+def test_direct_decomposition_above_enumeration_cap_names_order_and_cap():
+    with pytest.raises(CapExceeded, match="order 128 exceeds the normal-enumeration cap 64"):
+        direct_decomposition(cyclic(128))
 
 
 def test_direct_decomposition_rebuilds_the_loop():

@@ -11,7 +11,7 @@ from loopkit.multgrp import assoc_group
 from loopkit.perm import derived_series, group_order, lower_central_series
 from loopkit.util import INFINITE
 
-from test_perm import a5, d4, s3
+from test_perm import a5, d4, s3, s16
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -40,7 +40,7 @@ def loopkit_invariants(group):
     return group_order(group), derived.orders, derived.cls, lower.orders, lower.cls
 
 
-@pytest.mark.parametrize("factory", [s3, d4, a5])
+@pytest.mark.parametrize("factory", [s3, d4, a5, s16])
 def test_small_groups_match_sympy(factory):
     assert loopkit_invariants(factory()) == sympy_invariants(factory())
 
