@@ -41,6 +41,7 @@ from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
     center_subloop,
+    coset_representatives,
     cosets,
     direct_decomposition,
     is_normal,
@@ -56,9 +57,7 @@ REPORT_ORDER_CAP = 128
 
 def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS):
     """The deviations W_p(a) / W_{rep p}(a) whose normal closure is [A, B]."""
-    rep = np.empty(Q.order, dtype=np.int64)
-    for coset in cosets(Q, B):
-        rep[list(coset)] = coset[0]
+    rep = coset_representatives(Q, B)
     idx = np.fromiter(A.elements, dtype=np.int64)
     found: set[int] = set()
     for word in words:

@@ -8,7 +8,9 @@ with pair (a, x) encoded as index a + |A|*x, so fibers are contiguous
 blocks.  A *loop* cocycle pins the border cells (phi[y][1] = id,
 psi[1][y] = id, theta[1][y] = theta[y][1] = 0) which makes (0, 1) the
 neutral element.  Divisions have closed forms which the tests compare
-cell-by-cell against the built table.
+cell-by-cell against the built table.  The table, the closed forms and
+the extraction below are whole-array: all k^2 fiber blocks are formed in
+one gather over a (k, k, |A|, |A|) array, k = |F|.
 
 decompose_extension recovers a cocycle from a loop with a normal subloop
 satisfying the syntactic abelianess conditions: the transversal takes the
@@ -29,14 +31,16 @@ from .errors import (
     CapExceeded,
     CocycleInvalid,
     Malformed,
+    NoNeutral,
     NotAbelianGroup,
     NotAbelianIn,
+    NotLatin,
     NotNeutralAt,
     NotNormal,
 )
 from .multgrp import assoc_group, inner_maps
 from .perm import PermGroup, Permutation
-from .structure import Subloop, cosets, is_normal
+from .structure import Subloop, coset_representatives, is_normal
 from .util import SplitMix64
 
 AUTOMORPHISM_CAP = 10
@@ -142,10 +146,10 @@ def _enumerate_automorphisms(A: AbelianGroupTable) -> tuple[Permutation, ...]:
     return tuple(sorted(found, key=lambda p: p.images))
 
 
-def _is_additive(A: AbelianGroupTable, p: Permutation) -> bool:
-    img = np.asarray(p.images, dtype=np.int64)
+def _additive(A: AbelianGroupTable, images: np.ndarray) -> np.ndarray:
+    """Per row of an (m, |A|) array of maps of A: whether it is additive."""
     add = A.table.mul
-    return bool(np.array_equal(img[add], add[np.ix_(img, img)]))
+    return (images[:, add] == add[images[:, :, None], images[:, None, :]]).all(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -163,23 +167,30 @@ class Cocycle:
     theta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = self.F.order
+        k, na = self.F.order, self.A.order
         for name, grid in (("phi", self.phi), ("psi", self.psi)):
             if len(grid) != k or any(len(row) != k for row in grid):
                 raise CocycleInvalid(f"{name} grid has wrong shape")
         if len(self.theta) != k or any(len(row) != k for row in self.theta):
             raise CocycleInvalid("theta grid has wrong shape")
-        for name, grid in (("phi", self.phi), ("psi", self.psi)):
-            for x, row in enumerate(grid):
-                for y, p in enumerate(row):
-                    if p.degree != self.A.order or not _is_additive(self.A, p):
-                        raise CocycleInvalid(
-                            f"{name}[{x}][{y}] is not an automorphism of A"
-                        )
-        for row in self.theta:
-            for v in row:
-                if not 0 <= v < self.A.order:
-                    raise CocycleInvalid("theta entry out of range")
+        # each distinct map is checked once; they are listed in order of
+        # first cell (phi then psi, row-major), so the first bad one names
+        # the first bad cell
+        cells = [p for grid in (self.phi, self.psi) for row in grid for p in row]
+        maps = list(dict.fromkeys(cells))
+        ok = np.array([p.degree == na for p in maps])
+        if ok.any():
+            images = np.asarray([p.images for p in maps if p.degree == na], dtype=np.int64)
+            ok[ok] = _additive(self.A, images)
+        if not ok.all():
+            grid, cell = divmod(cells.index(maps[int(np.argmin(ok))]), k * k)
+            x, y = divmod(cell, k)
+            raise CocycleInvalid(
+                f"{('phi', 'psi')[grid]}[{x}][{y}] is not an automorphism of A"
+            )
+        theta = np.asarray(self.theta, dtype=np.int64)
+        if ((theta < 0) | (theta >= na)).any():
+            raise CocycleInvalid("theta entry out of range")
 
     def is_central(self) -> bool:
         return all(
@@ -216,18 +227,28 @@ def pair_index(gamma: Cocycle, a: int, x: int) -> int:
     return a + gamma.A.order * x
 
 
+def _grid_arrays(phi, psi, theta):
+    """The cocycle grids as arrays: (k, k, |A|) images of phi and of psi,
+    and the (k, k) theta."""
+    return (
+        np.asarray([[p.images for p in row] for row in phi], dtype=np.int64),
+        np.asarray([[p.images for p in row] for row in psi], dtype=np.int64),
+        np.asarray(theta, dtype=np.int64),
+    )
+
+
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The (k*|A|, k*|A|) table whose fiber block (x, y) is blocks[x, y]."""
+    k, _, na, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(k * na, k * na)
+
+
 def _extension_rows(A: AbelianGroupTable, f: np.ndarray, phi, psi, theta) -> np.ndarray:
     """Product table of the pairs over any Latin square f (loop or not)."""
-    na, nf = A.order, len(f)
     add = A.table.mul
-    table = np.empty((na * nf, na * nf), dtype=np.int64)
-    for x in range(nf):
-        for y in range(nf):
-            pa = np.asarray(phi[x][y].images, dtype=np.int64)
-            pb = np.asarray(psi[x][y].images, dtype=np.int64)
-            block = add[add[np.ix_(pa, pb)], theta[x][y]]
-            table[x * na : (x + 1) * na, y * na : (y + 1) * na] = block + na * int(f[x, y])
-    return table
+    pa, pb, th = _grid_arrays(phi, psi, theta)
+    blocks = add[add[pa[:, :, :, None], pb[:, :, None, :]], th[:, :, None, None]]
+    return _from_blocks(blocks + A.order * np.asarray(f)[:, :, None, None])
 
 
 def _raw_extension_table(gamma: Cocycle) -> np.ndarray:
@@ -245,29 +266,22 @@ def build_extension(gamma: Cocycle) -> LoopTable:
 def division_closed_forms(gamma: Cocycle):
     """(ldiv, rdiv) tables predicted by the closed-form expressions."""
     A, F = gamma.A, gamma.F
-    na, nf = A.order, F.order
-    sub = np.asarray(
-        [[A.sub(a, b) for b in range(na)] for a in range(na)], dtype=np.int64
-    )
-    ldiv = np.empty((na * nf, na * nf), dtype=np.int64)
-    rdiv = np.empty((na * nf, na * nf), dtype=np.int64)
-    arange = np.arange(na)
-    for x in range(nf):
-        for y in range(nf):
-            # (a,x) \ (b,y) = (psi_{x,x\y}^-1 (b - phi_{x,x\y}(a) - theta), x\y)
-            w = int(F.ldiv[x, y])
-            phi = np.asarray(gamma.phi[x][w].images, dtype=np.int64)
-            psi_inv = np.asarray(gamma.psi[x][w].inverse().images, dtype=np.int64)
-            t = gamma.theta[x][w]
-            block = psi_inv[sub[sub[arange[None, :], phi[arange][:, None]], t]]
-            ldiv[x * na : (x + 1) * na, y * na : (y + 1) * na] = block + na * w
-            # (a,x) / (b,y) = (phi_{x/y,y}^-1 (a - psi_{x/y,y}(b) - theta), x/y)
-            w2 = int(F.rdiv[x, y])
-            phi_inv = np.asarray(gamma.phi[w2][y].inverse().images, dtype=np.int64)
-            psi = np.asarray(gamma.psi[w2][y].images, dtype=np.int64)
-            t2 = gamma.theta[w2][y]
-            block2 = phi_inv[sub[sub[arange[:, None], psi[arange][None, :]], t2]]
-            rdiv[x * na : (x + 1) * na, y * na : (y + 1) * na] = block2 + na * w2
+    add = A.table.mul
+    sub = add[:, np.asarray(A.neg)]
+    phi, psi, theta = _grid_arrays(gamma.phi, gamma.psi, gamma.theta)
+    k, na = F.order, A.order
+    x, y, a = np.arange(k)[:, None], np.arange(k), np.arange(na)
+    X, Y = x[:, :, None, None], y[None, :, None, None]
+    # (a,x) \ (b,y) = (psi_{x,w}^-1 (b - phi_{x,w}(a) - theta_{x,w}), w), w = x\y
+    w = F.ldiv
+    inv = np.argsort(psi[x, w], axis=-1)
+    vals = sub[sub[a, phi[x, w][:, :, :, None]], theta[x, w][:, :, None, None]]
+    ldiv = _from_blocks(inv[X, Y, vals] + na * w[:, :, None, None])
+    # (a,x) / (b,y) = (phi_{w,y}^-1 (a - psi_{w,y}(b) - theta_{w,y}), w), w = x/y
+    w = F.rdiv
+    inv = np.argsort(phi[w, y], axis=-1)
+    vals = sub[sub[a[:, None], psi[w, y][:, :, None, :]], theta[w, y][:, :, None, None]]
+    rdiv = _from_blocks(inv[X, Y, vals] + na * w[:, :, None, None])
     return ldiv, rdiv
 
 
@@ -342,20 +356,6 @@ def normalize_cocycle(gamma: Cocycle, a: int) -> Cocycle:
 # -- decomposition -----------------------------------------------------------
 
 
-def _restriction(images_by_position: np.ndarray, pos) -> Permutation | None:
-    """Map fiber images (per element position) to the fiber's own index
-    space, or None when an image escapes the fiber or repeats."""
-    imgs = []
-    for v in images_by_position:
-        p = pos.get(int(v))
-        if p is None:
-            return None
-        imgs.append(p)
-    if sorted(imgs) != list(range(len(imgs))):
-        return None
-    return Permutation(imgs)
-
-
 def extract_cocycle(Q: LoopTable, A: Subloop):
     """Raw cocycle extraction against the canonical transversal.
 
@@ -363,68 +363,57 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     is not a commutative group, some map does not restrict to an
     automorphism of the fiber, the border conditions fail, or the rebuilt
     table does not match Q under (a, x) -> a*x.  Normality of A is
-    assumed (checked by the callers).
+    assumed (checked by the callers).  Every map is formed for all cells
+    at once, as (k, k, |A|) arrays over the k coset representatives.
     """
     try:
         fiber = AbelianGroupTable(A.induced_table())
     except NotAbelianGroup:
         return None
-    parts = cosets(Q, A)
-    reps = sorted(c[0] if Q.neutral not in c else Q.neutral for c in parts)
-    coset_of = {}
-    for c in parts:
-        rep = Q.neutral if Q.neutral in c else c[0]
-        for x in c:
-            coset_of[x] = rep
-    # F-table on the sorted transversal
-    fpos = {r: i for i, r in enumerate(reps)}
-    ftable = [[fpos[coset_of[Q.mul_at(r1, r2)]] for r2 in reps] for r1 in reps]
-    try:
-        F = LoopTable(ftable)
-    except Exception:
-        return None
-    elems = list(A.elements)
-    pos = {e: i for i, e in enumerate(elems)}
-    k = len(reps)
-    phi_rows, psi_rows, theta_rows = [], [], []
+    n, na = Q.order, fiber.order
     mul, rdiv = Q.mul, Q.rdiv
-    idx = np.fromiter(elems, dtype=np.int64)
-    r_maps = inner_maps(Q, "R", idx)
-    for x in reps:
-        phi_row, psi_row, theta_row = [], [], []
-        for y in reps:
-            xy = int(mul[x, y])
-            phi = _restriction(r_maps[y, x], pos)  # phi = R_{y,x}|_A
-            # psi = (R_{xy}^-1 L_x R_y)|_A : b -> (x (b y)) / (x y)
-            psi_imgs = rdiv[mul[x, mul[idx, y]], xy]
-            psi = _restriction(psi_imgs, pos)
-            xy_rep = coset_of[xy]
-            t = int(rdiv[xy, xy_rep])
-            if phi is None or psi is None or t not in pos:
-                return None
-            phi_row.append(phi)
-            psi_row.append(psi)
-            theta_row.append(pos[t])
-        phi_rows.append(tuple(phi_row))
-        psi_rows.append(tuple(psi_row))
-        theta_rows.append(tuple(theta_row))
+    idx = np.fromiter(A.elements, dtype=np.int64)
+    rep = coset_representatives(Q, A)
+    rep[rep == rep[Q.neutral]] = Q.neutral  # the neutral represents the fiber
+    reps = np.unique(rep)
+    k = len(reps)
+    xy = mul[np.ix_(reps, reps)]
     try:
-        gamma = Cocycle(fiber, F, tuple(phi_rows), tuple(psi_rows), tuple(theta_rows))
+        F = LoopTable(np.searchsorted(reps, rep[xy]))
+    except (NotLatin, NoNeutral):
+        return None
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[idx] = np.arange(na)
+    phi = inner_maps(Q, "R", idx)[np.ix_(reps, reps)].transpose(1, 0, 2)  # R_{y,x}
+    # psi = (R_{xy}^-1 L_x R_y)|_A : b -> (x (b y)) / (x y)
+    psi = rdiv[mul[reps[:, None, None], mul[idx][:, reps].T], xy[:, :, None]]
+    maps = pos[np.stack((phi, psi))]
+    theta = pos[rdiv[xy, rep[xy]]]
+    if (maps < 0).any() or (theta < 0).any():
+        return None  # an image escapes the fiber
+    if (np.sort(maps, axis=-1) != np.arange(na)).any():
+        return None  # a map is not a bijection of the fiber
+    rows = list(map(tuple, maps.reshape(-1, na).tolist()))
+    wrapped = {r: Permutation._wrap(r) for r in dict.fromkeys(rows)}  # once per map
+    perms = [wrapped[r] for r in rows]
+    phi_grid, psi_grid = (
+        tuple(tuple(perms[i : i + k]) for i in range(start, start + k * k, k))
+        for start in (0, k * k)
+    )
+    try:
+        gamma = Cocycle(fiber, F, phi_grid, psi_grid, tuple(map(tuple, theta.tolist())))
     except CocycleInvalid:
         return None
     if validate_cocycle(gamma):
         return None
     # verify the canonical map (a, x) -> a * x is an isomorphism, cell by cell
-    witness = np.empty(Q.order, dtype=np.int64)
-    na = fiber.order
-    for xi, x in enumerate(reps):
-        witness[xi * na : (xi + 1) * na] = mul[idx, x]
-    if len(set(witness.tolist())) != Q.order:
+    witness = mul[np.ix_(idx, reps)].T.ravel()
+    if len(np.unique(witness)) != n:
         return None
     built = _raw_extension_table(gamma)
     if not np.array_equal(witness[built], mul[np.ix_(witness, witness)]):
         return None
-    return gamma, reps
+    return gamma, reps.tolist()
 
 
 def decompose_extension(Q: LoopTable, A: Subloop):
@@ -485,9 +474,9 @@ def mlt_element_form(gamma: Cocycle, perm: Permutation) -> FiberAffineForm | Non
         twist = [A.sub(int(v), c_x) for v in fiber_part]
         if sorted(twist) != list(range(na)):
             return None
-        twist_perm = Permutation(twist)
-        if not _is_additive(A, twist_perm):
+        if not _additive(A, np.asarray([twist]))[0]:
             return None
+        twist_perm = Permutation(twist)
         shifts.append(c_x)
         twists.append(twist_perm)
     if sorted(base) != list(range(nf)):

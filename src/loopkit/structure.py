@@ -177,18 +177,21 @@ def cosets(Q: LoopTable, A: Subloop) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda c: c[0])
 
 
+def coset_representatives(Q: LoopTable, A: Subloop) -> np.ndarray:
+    """rep[x] = the least element of the right coset A*x of a normal
+    subloop A, for every x of Q."""
+    return Q.mul[np.fromiter(A.elements, dtype=np.int64)].min(axis=0)
+
+
 def quotient(Q: LoopTable, A: Subloop):
-    """Coset table and the projection Q -> Q/A (a homomorphism)."""
+    """Coset table and the projection Q -> Q/A (a homomorphism); coset i
+    is the one with the i-th least representative."""
     if not is_normal(Q, A):
         raise NotNormal("quotient requires a normal subloop")
-    parts = cosets(Q, A)
-    cls = np.empty(Q.order, dtype=np.int64)
-    for i, coset in enumerate(parts):
-        for x in coset:
-            cls[x] = i
-    reps = [c[0] for c in parts]
-    table = [[int(cls[Q.mul[r1, r2]]) for r2 in reps] for r1 in reps]
-    return LoopTable(table), [int(v) for v in cls]
+    rep = coset_representatives(Q, A)
+    reps = np.unique(rep)
+    cls = np.searchsorted(reps, rep)
+    return LoopTable(cls[Q.mul[np.ix_(reps, reps)]]), [int(v) for v in cls]
 
 
 def direct_decomposition(Q: LoopTable):

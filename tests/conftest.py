@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from loopkit import all_normal_subloops, quotient
-from loopkit.multgrp import inner_generator_family
+from loopkit.core import LoopTable
+from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
+from loopkit.extensions import AbelianGroupTable
+from loopkit.multgrp import inner_generator, inner_generator_family
+from loopkit.perm import Permutation
 from loopkit.pools import (
     central_cocycle_pool,
     exhaustive_small_extensions,
@@ -203,3 +207,83 @@ def least_commutative_group_kernel(Q):
 def normal_subloop_pairs(Q):
     subs = all_normal_subloops(Q)
     return [(A, B) for A in subs for B in subs]
+
+
+def extract_cocycle_oracle(Q, A):
+    """Cocycle extraction cell by cell from scalar operations, as
+    (phi, psi, theta, F rows, transversal) with phi and psi as grids of
+    image tuples, or None.  The transversal takes the least element of
+    each right coset, the neutral for the fiber, and
+
+        phi[x][y] = R_{y,x}|_A    psi[x][y] = (R_{xy}^-1 L_x R_y)|_A
+        theta[x][y] = (xy) / (x o y).
+
+    Independent of the array kernel in loopkit.extensions: phi comes from
+    the scalar word inner_generator, each map is validated by Permutation
+    and checked additive pair by pair, and the rebuilt table is formed
+    from the pair product formula cell by cell."""
+    try:
+        fiber = AbelianGroupTable(A.induced_table())
+    except NotAbelianGroup:
+        return None
+    add = fiber.table.rows
+    elems = A.elements
+    na = len(elems)
+    pos = {e: i for i, e in enumerate(elems)}
+    rep_of = {}
+    for x in range(Q.order):
+        coset = [Q.mul_at(a, x) for a in elems]
+        rep_of[x] = Q.neutral if Q.neutral in coset else min(coset)
+    reps = sorted(set(rep_of.values()))
+    fpos = {r: i for i, r in enumerate(reps)}
+    ftable = tuple(tuple(fpos[rep_of[Q.mul_at(x, y)]] for y in reps) for x in reps)
+    try:
+        one = LoopTable(ftable).neutral
+    except (NotLatin, NoNeutral):
+        return None
+
+    def restricted(images):
+        if any(v not in pos for v in images):
+            return None
+        try:
+            p = Permutation(pos[v] for v in images)
+        except ValueError:
+            return None
+        if any(p(add[a][b]) != add[p(a)][p(b)] for a in range(na) for b in range(na)):
+            return None
+        return p.images
+
+    phi, psi, theta = [], [], []
+    for x in reps:
+        phi.append([]), psi.append([]), theta.append([])
+        for y in reps:
+            xy = Q.mul_at(x, y)
+            r = inner_generator(Q, "R", (y, x))
+            phi[-1].append(restricted([r(a) for a in elems]))
+            psi[-1].append(restricted([Q.rdiv_at(Q.mul_at(x, Q.mul_at(b, y)), xy) for b in elems]))
+            theta[-1].append(pos.get(Q.rdiv_at(xy, rep_of[xy])))
+            if phi[-1][-1] is None or psi[-1][-1] is None or theta[-1][-1] is None:
+                return None
+    ident = tuple(range(na))
+    zero = pos[Q.neutral]
+    for i in range(len(reps)):
+        if phi[i][one] != ident or psi[one][i] != ident:
+            return None
+        if theta[one][i] != zero or theta[i][one] != zero:
+            return None
+    # (a, x) -> a * x must carry the pair product onto Q
+    witness = {(a, x): Q.mul_at(elems[a], reps[x]) for x in range(len(reps)) for a in range(na)}
+    if len(set(witness.values())) != Q.order:
+        return None
+    for (a, x), u in witness.items():
+        for (b, y), v in witness.items():
+            c = add[add[phi[x][y][a]][psi[x][y][b]]][theta[x][y]]
+            if witness[c, ftable[x][y]] != Q.mul_at(u, v):
+                return None
+    return (
+        tuple(map(tuple, phi)),
+        tuple(map(tuple, psi)),
+        tuple(map(tuple, theta)),
+        ftable,
+        reps,
+    )

@@ -11,6 +11,7 @@ from loopkit import (
     LoopTable,
     Permutation,
     Subloop,
+    all_normal_subloops,
     automorphisms,
     build_extension,
     decompose_extension,
@@ -28,14 +29,18 @@ from loopkit import (
 )
 from loopkit.cli import PRESETS
 from loopkit.errors import CapExceeded, CocycleInvalid, Malformed, NotAbelianGroup, NotNeutralAt
+from loopkit import extensions
 from loopkit.extensions import (
     cocycle_space_size,
+    extract_cocycle,
     iter_cocycles_exhaustive,
     iter_cocycles_random,
     pair_index,
 )
 from loopkit.multgrp import inner_generator
 from loopkit.tables import cyclic, elementary_abelian, klein, symmetric
+
+from conftest import extract_cocycle_oracle
 
 Z2 = AbelianGroupTable(cyclic(2))
 Z3 = AbelianGroupTable(cyclic(3))
@@ -117,6 +122,36 @@ def test_cocycle_entries_must_be_automorphisms():
     swap = Permutation((1, 0))  # moves zero: not additive on Z2? it is a bijection only
     with pytest.raises(CocycleInvalid):
         Cocycle(Z2, cyclic(2), ((swap, IDENT2), (IDENT2, IDENT2)), GRID2, ((0, 0), (0, 0)))
+
+
+def test_cocycle_names_a_single_bad_cell():
+    bad = Permutation((0, 1, 3, 2))  # fixes zero but 1 + 1 = 2 goes to 3
+    id4 = Permutation.identity(4)
+    grid = ((id4, id4), (id4, id4))
+    with pytest.raises(CocycleInvalid, match=r"^psi\[1\]\[0\] is not an automorphism"):
+        Cocycle(Z4, cyclic(2), grid, ((id4, id4), (bad, id4)), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "cells, first",
+    [
+        ({("psi", 0, 1), ("psi", 1, 0), ("phi", 1, 1)}, "phi[1][1]"),
+        ({("psi", 1, 1), ("psi", 0, 1)}, "psi[0][1]"),
+        ({("phi", 1, 0), ("phi", 0, 1), ("psi", 0, 0)}, "phi[0][1]"),
+    ],
+)
+def test_cocycle_names_first_bad_cell_phi_then_psi(cells, first):
+    bad = Permutation((0, 1, 3, 2))
+    id4 = Permutation.identity(4)
+    phi, psi = (
+        tuple(
+            tuple(bad if (name, x, y) in cells else id4 for y in range(2)) for x in range(2)
+        )
+        for name in ("phi", "psi")
+    )
+    with pytest.raises(CocycleInvalid) as err:
+        Cocycle(Z4, cyclic(2), phi, psi, ((0, 0), (0, 0)))
+    assert str(err.value) == f"{first} is not an automorphism of A"
 
 
 # -- building -------------------------------------------------------------------
@@ -244,6 +279,43 @@ def test_decompose_output_satisfies_extra_border():
     one = gamma.F.neutral
     for y in range(gamma.F.order):
         assert gamma.phi[one][y].is_identity()
+
+
+def _extraction_key(result):
+    if result is None:
+        return None
+    gamma, reps = result
+    return (
+        tuple(tuple(p.images for p in row) for row in gamma.phi),
+        tuple(tuple(p.images for p in row) for row in gamma.psi),
+        gamma.theta,
+        gamma.F.rows,
+        reps,
+    )
+
+
+def test_extract_cocycle_matches_scalar_oracle(pool):
+    checked = extracted = 0
+    for entry in pool:
+        Q = entry.table
+        for A in all_normal_subloops(Q):
+            want = extract_cocycle_oracle(Q, A)
+            assert _extraction_key(extract_cocycle(Q, A)) == want, (entry.tag, A.elements)
+            checked += 1
+            extracted += want is not None
+    assert extracted and extracted < checked  # both outcomes are exercised
+
+
+def test_extract_cocycle_propagates_programming_errors(monkeypatch):
+    # only a quotient that is not a loop means "no cocycle"; any other
+    # exception from building it is a fault and must surface
+    def broken(rows):
+        raise IndexError("broken table constructor")
+
+    q = build_extension(z4_cocycle())
+    monkeypatch.setattr(extensions, "LoopTable", broken)
+    with pytest.raises(IndexError):
+        extract_cocycle(q, Subloop(q, (0, 1)))
 
 
 # -- multiplication group element form ------------------------------------------------
