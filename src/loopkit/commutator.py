@@ -59,15 +59,15 @@ def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_
     """The deviations W_p(a) / W_{rep p}(a) whose normal closure is [A, B]."""
     rep = coset_representatives(Q, B)
     idx = np.fromiter(A.elements, dtype=np.int64)
-    found: set[int] = set()
+    found = np.zeros(Q.order, dtype=bool)
     for word in words:
         vals = inner_maps(Q, word, idx)
         at_rep = vals
         for axis in range(vals.ndim - 1):
             at_rep = at_rep.take(rep, axis=axis)
-        found.update(np.unique(Q.rdiv[vals, at_rep]).tolist())
-    found.discard(Q.neutral)
-    return found
+        found[Q.rdiv[vals, at_rep]] = True
+    found[Q.neutral] = False
+    return set(np.flatnonzero(found).tolist())
 
 
 def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS) -> Subloop:
@@ -248,8 +248,10 @@ def derived_subloop(Q: LoopTable) -> Subloop:
     x = np.arange(Q.order)
     commutators = rdiv[rdiv[mul.T, x], x[:, None]]  # at [x, y]: ((yx)/y)/x
     associators = rdiv[rdiv[mul[mul], mul], x[:, None, None]]  # at [x, y, z]
-    seeds = np.union1d(commutators, associators)
-    return normal_closure(Q, seeds.tolist())
+    seeds = np.zeros(Q.order, dtype=bool)
+    seeds[commutators] = True
+    seeds[associators] = True
+    return normal_closure(Q, np.flatnonzero(seeds).tolist())
 
 
 def classical_derived_series(Q: LoopTable):
@@ -265,7 +267,8 @@ def classical_derived_series(Q: LoopTable):
         current = series[-1]
         if current.is_trivial():
             return series, len(series) - 1
-        table = current.induced_table()
+        # Q itself for the whole loop: an induced copy would rebuild INN and its orbits
+        table = Q if current.is_whole() else current.induced_table()
         derived = derived_subloop(table)
         lifted = tuple(current.elements[i] for i in derived.elements)
         if lifted == current.elements:

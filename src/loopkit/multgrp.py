@@ -116,16 +116,28 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
 def _generated_group(Q: LoopTable, which: str) -> PermGroup:
     """The group of the word rows, each distinct row wrapped once in
     first-occurrence order, so PermGroup.generators is as for all rows."""
-    n = Q.order
-    if which == "MLT":
-        rows = _translation_rows(Q, "LR")
-    elif which == "TMLT":
-        rows = _translation_rows(Q, "LRM")
+    if which in ("MLT", "TMLT"):
+        rows = dict.fromkeys(_translation_rows(Q, "LR" if which == "MLT" else "LRM"))
     elif which in ("INN", "TINN"):
-        words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
-        rows = [
-            tuple(row) for word in words for row in inner_maps(Q, word).reshape(-1, n).tolist()
-        ]
+        rows = _distinct_word_rows(Q, INNER_WORDS if which == "INN" else TOT_INNER_WORDS)
     else:
         raise ValueError(f"unknown associated group {which!r}")
-    return PermGroup(n, [Permutation._wrap(r) for r in dict.fromkeys(rows)])
+    return PermGroup(Q.order, [Permutation._wrap(r) for r in rows])
+
+
+def _distinct_word_rows(Q: LoopTable, words) -> list[tuple]:
+    """The distinct rows of the words' maps in first-occurrence order.
+
+    Each word's rows are keyed by their bytes in the narrowest dtype that
+    holds the points, and only the first row of each key becomes a tuple.
+    """
+    n = Q.order
+    dtype = np.uint8 if n <= 256 else np.uint16
+    found: dict[bytes, np.ndarray] = {}
+    for word in words:
+        block = np.ascontiguousarray(inner_maps(Q, word).reshape(-1, n), dtype=dtype)
+        keys = block.view(np.dtype((np.void, block.itemsize * n))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        for i in np.sort(first).tolist():
+            found.setdefault(keys[i].tobytes(), block[i])
+    return [tuple(row.tolist()) for row in found.values()]

@@ -30,6 +30,16 @@ and the series and normal closures use only those.  This is exact:
   under conjugation by the generators is normal: it is the normal
   closure.
 
+A normal closure also stops at a known order: G' lies in G and
+[G, N] in N, so its chain is given |G| or |N| as a bound.  A chain's
+order, the product of its transversal lengths, never exceeds the order
+of the group its generators generate.  Once it reaches the bound, every
+transversal is a full orbit and the last stabilizer is trivial, so every
+remaining Schreier generator and every remaining conjugate would sift to
+the identity.  The chain then clears its pair queues and takes no more
+generators; its base, transversals, strong generators and grown list are
+those the full run gives.
+
 (Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
 
 A PermGroup builds its chain lazily on first query.  The fill is not
@@ -224,12 +234,20 @@ class _Level:
 
 class _Chain:
     """Mutable deterministic stabilizer chain over the internal form of
-    its degree.  grown lists the added generators whose sift grew it."""
+    its degree.  grown lists the added generators whose sift grew it.
 
-    def __init__(self, degree: int):
+    bound, when given, is the order of a group known to contain every
+    generator the chain will be given.  Once the order reaches it the
+    chain is complete (`full`): its pair queues are cleared and
+    add_generator returns False without sifting.
+    """
+
+    def __init__(self, degree: int, bound: int | None = None):
         self.ops = _ops(degree)
         self.levels: list[_Level] = []
         self.grown: list = []
+        self.bound = bound
+        self.full = False
 
     def strip(self, p, start: int = 0):
         then = self.ops.then
@@ -257,6 +275,8 @@ class _Chain:
     def add_generator(self, p) -> bool:
         """Sift p; if new, record it, install the residue and re-establish.
         True if grown."""
+        if self.full:
+            return False
         residue, where = self.strip(p)
         if residue == self.ops.identity:
             return False
@@ -286,6 +306,11 @@ class _Chain:
             u_q = level.transversal.get(q)
             if u_q is None:
                 level.add_point(q, g_u_p, invert(g_u_p))
+                if self.bound is not None and self.order() == self.bound:
+                    self.full = True
+                    for lv in self.levels:
+                        lv.pair_queue.clear()
+                    return
                 continue
             if g_u_p == u_q:
                 continue  # the Schreier generator is the identity
@@ -357,17 +382,18 @@ def normal_closure(group: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing seeds and closed under conjugation by group."""
     pack = _ops(group.degree).pack
     images = (s.images if isinstance(s, Permutation) else tuple(s) for s in seeds)
-    return _closure(group, [pack(s) for s in images])
+    return _closure(group, [pack(s) for s in images], group.order())
 
 
-def _closure(group: PermGroup, seeds: list) -> PermGroup:
+def _closure(group: PermGroup, seeds: list, bound: int) -> PermGroup:
     """Normal closure in group of seeds in the internal form, conjugating
-    by the generators that grew group's chain."""
-    chain = _Chain(group.degree)
+    by the generators that grew group's chain; bound is the order of a
+    subgroup of group known to contain the closure."""
+    chain = _Chain(group.degree, bound)
     then, invert = chain.ops.then, chain.ops.invert
     conjugators = [(g, invert(g)) for g in group._chain.grown]
     queue = deque(s for s in seeds if chain.add_generator(s))
-    while queue:
+    while queue and not chain.full:
         s = queue.popleft()
         for g, g_inv in conjugators:
             conj = then(then(g_inv, s), g)
@@ -392,7 +418,8 @@ def _commutators(ops: _Ops, pairs) -> list:
 def derived_subgroup(group: PermGroup) -> PermGroup:
     """Normal closure in group of the commutators of generator pairs."""
     chain = group._chain
-    return _closure(group, _commutators(chain.ops, combinations(chain.grown, 2)))
+    pairs = combinations(chain.grown, 2)
+    return _closure(group, _commutators(chain.ops, pairs), group.order())
 
 
 @dataclass(frozen=True)
@@ -418,7 +445,7 @@ def lower_central_series(group: PermGroup) -> SeriesResult:
     def step(current: PermGroup) -> PermGroup:
         top = group._chain
         pairs = product(top.grown, current._chain.grown)
-        return _closure(group, _commutators(top.ops, pairs))
+        return _closure(group, _commutators(top.ops, pairs), current.order())
 
     return _descend(group, step)
 

@@ -4,6 +4,13 @@ Coset representatives are least indices and all enumeration orders are
 lexicographic, so results are stable across runs.  Normal subloops are
 enumerated as the join-closure of singleton normal closures, never by
 subset enumeration.
+
+A subloop is normal iff it is invariant under the inner mapping group
+(Bruck, A Survey of Binary Systems, 1958).  The group's generators are
+permutations of a finite set, so that holds iff the subloop is a union
+of their orbits.  Each table memoises one orbit labelling
+(`inner_orbits`), so `is_normal` is O(n) and `normal_closure` alternates
+subloop closure with the union of the orbits the set meets.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import numpy as np
 
 from .core import LoopTable, direct_product
 from .errors import CapExceeded, NotNormal
-from .multgrp import INNER_WORDS, inner_maps
+from .multgrp import INNER_WORDS, assoc_group, inner_maps
 
 NORMAL_ENUM_CAP = 64
 
@@ -52,52 +59,84 @@ class Subloop:
         return f"Subloop({list(self.elements)})"
 
 
-def _close_subset(Q: LoopTable, seed) -> tuple[int, ...]:
-    """Least superset of seed + neutral closed under mul/ldiv/rdiv."""
-    current = set(seed)
-    current.add(Q.neutral)
+def _seed_mask(Q: LoopTable, seed) -> np.ndarray:
+    """The seed's elements as a boolean mask; ValueError for one out of range."""
+    member = np.zeros(Q.order, dtype=bool)
+    for x in seed:
+        member[Q.check_element(x)] = True
+    return member
+
+
+def _close_mask(Q: LoopTable, member: np.ndarray) -> np.ndarray:
+    """Mark in place the least superset of the marked elements + neutral
+    closed under mul/ldiv/rdiv, and return the mask."""
+    member[Q.neutral] = True
     while True:
-        idx = np.fromiter(sorted(current), dtype=np.int64)
+        idx = np.flatnonzero(member)
         grid = np.ix_(idx, idx)
-        new = set(Q.mul[grid].ravel().tolist())
-        new.update(Q.ldiv[grid].ravel().tolist())
-        new.update(Q.rdiv[grid].ravel().tolist())
-        if new <= current:
-            return tuple(sorted(current))
-        current |= new
+        for table in (Q.mul, Q.ldiv, Q.rdiv):
+            member[table[grid]] = True
+        if np.count_nonzero(member) == len(idx):
+            return member
 
 
 def subloop_generated(Q: LoopTable, seed) -> Subloop:
-    for x in seed:
-        Q.check_element(x)
-    return Subloop(Q, _close_subset(Q, seed))
+    member = _close_mask(Q, _seed_mask(Q, seed))
+    return Subloop(Q, tuple(np.flatnonzero(member).tolist()))
 
 
-def _inner_images(Q: LoopTable, elements: np.ndarray) -> np.ndarray:
-    """All images of the element set under the T, L, R generator families."""
-    return np.concatenate([inner_maps(Q, w, elements).ravel() for w in INNER_WORDS])
+def inner_orbits(Q: LoopTable) -> np.ndarray:
+    """root[x] = the least element of x's orbit under the inner mapping
+    group, computed once per table (read-only).
+
+    Labels propagate over the distinct T/L/R generator rows g, with
+    root[x] <- min(root[x], root[g(x)]) and pointer jumping
+    root <- root[root], until nothing changes.  Each label stays in its
+    element's orbit and only falls.  At the fixed point
+    root[x] <= root[g(x)] for every g and x, and g has finite order, so
+    the label is constant on each orbit; the orbit's least element keeps
+    its own label, so that constant is the least element.
+    """
+    return Q.memo("inner_orbits", lambda: _inner_orbit_roots(Q))
+
+
+def _inner_orbit_roots(Q: LoopTable) -> np.ndarray:
+    n = Q.order
+    gens = assoc_group(Q, "INN").generators
+    rows = np.array([g.images for g in gens], dtype=np.int64).reshape(-1, n)
+    root = np.arange(n)
+    while True:
+        step = np.minimum(root, root[rows].min(axis=0, initial=n))
+        step = step[step]
+        if np.array_equal(step, root):
+            root.setflags(write=False)
+            return root
+        root = step
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:
-    """True when every inner generator maps the element set onto itself."""
+    """True when the element set is a union of inner-mapping orbits."""
     if A.loop is not Q and A.loop != Q:
         raise ValueError("subloop belongs to a different table")
     member = np.zeros(Q.order, dtype=bool)
-    idx = np.fromiter(A.elements, dtype=np.int64)
-    member[idx] = True
-    return bool(member[_inner_images(Q, idx)].all())
+    member[list(A.elements)] = True
+    return bool((member == member[inner_orbits(Q)]).all())
 
 
 def normal_closure(Q: LoopTable, seed) -> Subloop:
     """Least normal subloop containing the seed: alternate subloop closure
-    and inner-generator image closure to a fixed point."""
-    current = set(_close_subset(Q, seed))
+    and the union of the inner-mapping orbits the set meets, to a fixed
+    point.  ValueError for a seed element out of range."""
+    root = inner_orbits(Q)
+    member = _seed_mask(Q, seed)
     while True:
-        idx = np.fromiter(sorted(current), dtype=np.int64)
-        images = set(_inner_images(Q, idx).tolist())
-        if images <= current:
-            return Subloop(Q, tuple(sorted(current)))
-        current = set(_close_subset(Q, current | images))
+        member = _close_mask(Q, member)
+        met = np.zeros(Q.order, dtype=bool)
+        met[root[member]] = True
+        orbits = met[root]
+        if np.array_equal(orbits, member):
+            return Subloop(Q, tuple(np.flatnonzero(member).tolist()))
+        member = orbits
 
 
 def center_subloop(Q: LoopTable) -> Subloop:

@@ -11,7 +11,7 @@ from loopkit import all_normal_subloops, quotient
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable
-from loopkit.multgrp import inner_generator, inner_generator_family
+from loopkit.multgrp import INNER_WORDS, inner_generator, inner_generator_family, inner_maps
 from loopkit.perm import Permutation
 from loopkit.pools import (
     central_cocycle_pool,
@@ -182,6 +182,34 @@ def commutator_oracle(Q, A, B) -> tuple[int, ...]:
         if new <= elems:
             return tuple(sorted(elems))
         elems |= new
+
+
+def _inner_images(Q, elements) -> set[int]:
+    idx = np.fromiter(elements, dtype=np.int64)
+    return set(np.concatenate([inner_maps(Q, w, idx).ravel() for w in INNER_WORDS]).tolist())
+
+
+def is_normal_oracle(Q, A) -> bool:
+    """True when every T, L and R map sends A's elements into A, from the
+    images of the whole set.  Independent of the Inn-orbit labels of
+    loopkit.structure.inner_orbits."""
+    return _inner_images(Q, A.elements) <= set(A.elements)
+
+
+def normal_closure_oracle(Q, seed) -> tuple[int, ...]:
+    """Least normal subloop containing the seed: alternate closure under
+    mul, ldiv and rdiv with the images under every T, L and R map, to a
+    fixed point.  Independent of loopkit.structure.inner_orbits."""
+    current = set(seed) | {Q.neutral}
+    while True:
+        idx = np.fromiter(sorted(current), dtype=np.int64)
+        grid = np.ix_(idx, idx)
+        new = _inner_images(Q, current)
+        for table in (Q.mul, Q.ldiv, Q.rdiv):
+            new.update(table[grid].ravel().tolist())
+        if new <= current:
+            return tuple(sorted(current))
+        current |= new
 
 
 def least_commutative_group_kernel(Q):

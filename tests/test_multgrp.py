@@ -4,7 +4,8 @@ import pytest
 
 from loopkit import LoopTable, assoc_group, inner_generator
 from loopkit.errors import ArityMismatch
-from loopkit.multgrp import TOT_INNER_WORDS, inner_generator_family, inner_maps
+from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
+from loopkit.multgrp import INNER_WORDS, TOT_INNER_WORDS, inner_generator_family, inner_maps
 from loopkit.perm import group_order
 from loopkit.structure import Subloop, normal_closure
 from loopkit.tables import cyclic, dihedral, klein, symmetric
@@ -121,3 +122,24 @@ def test_inner_maps_match_scalar_generators(pool):
             scalar = [g.images for g in inner_generator_family(q, (word,))]
             assert rows == scalar, (entry.tag, word)
             assert (inner_maps(q, word, points) == maps[..., points]).all()
+
+
+def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensions):
+    """INN and TINN get each distinct word row once, in first-occurrence
+    order, on the pool tables and on Z4 by a non-associative order-16 pool
+    loop (order 64)."""
+    F = next(
+        e.table for e in random_extensions
+        if e.table.order == 16 and not e.table.is_associative
+    )
+    gamma = next(iter(iter_cocycles_random(AbelianGroupTable(cyclic(4)), F, seed=0, budget=1)))
+    tables = [e.table for e in pool] + [build_extension(gamma)]
+    for q in tables:
+        for which, words in (("INN", INNER_WORDS), ("TINN", TOT_INNER_WORDS)):
+            rows = (
+                tuple(row) for word in words
+                for row in inner_maps(q, word).reshape(-1, q.order).tolist()
+            )
+            identity = tuple(range(q.order))  # PermGroup drops it
+            expected = [r for r in dict.fromkeys(rows) if r != identity]
+            assert [g.images for g in assoc_group(q, which).generators] == expected, which

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from conftest import is_normal_oracle, normal_closure_oracle
 
 from loopkit import (
     Subloop,
@@ -45,6 +47,34 @@ def test_normal_closure_examples():
     z = center_subloop(D4)
     for x in z.elements:
         assert normal_closure(D4, (x,)).elements == subloop_generated(D4, (x,)).elements
+
+
+def test_normal_closure_rejects_elements_out_of_range():
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            normal_closure(Z6, (0, bad))
+
+
+def test_normality_matches_image_oracle(pool):
+    """is_normal and normal_closure from the Inn-orbit labels against the
+    image-based oracle, on every normal subloop of the pool and on the
+    subloops generated by seeded 1-3-element seeds."""
+    rng = random.Random(0)
+    non_normal = 0
+    for entry in pool:
+        q = entry.table
+        for sub in all_normal_subloops(q):
+            assert is_normal(q, sub) and is_normal_oracle(q, sub), entry.tag
+            assert normal_closure(q, sub.elements).elements == sub.elements
+        for _ in range(8):
+            seed = rng.sample(range(q.order), min(q.order, rng.randint(1, 3)))
+            sub = subloop_generated(q, seed)
+            normal = is_normal_oracle(q, sub)
+            non_normal += not normal
+            assert is_normal(q, sub) == normal, (entry.tag, seed)
+            assert normal_closure(q, seed).elements == normal_closure_oracle(q, seed)
+            assert normal_closure(q, sub.elements).elements == normal_closure_oracle(q, seed)
+    assert non_normal > 100
 
 
 def test_center_examples():
