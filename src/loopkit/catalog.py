@@ -170,14 +170,19 @@ def _record_value(record: CatalogRecord, field_name: str):
     return getattr(record.report, field_name)
 
 
-def _coerce(raw: str, sample):
+def _coerce(field_name: str, raw: str, sample):
     if isinstance(sample, bool):
         if raw not in ("true", "false"):
-            raise Malformed(f"boolean field needs true/false, got {raw!r}")
+            raise Malformed(f"boolean field {field_name} needs true/false, got {raw!r}")
         return parse_value(raw)
     if isinstance(sample, str):
         return raw
-    return parse_class(raw)
+    try:
+        return parse_class(raw)
+    except ValueError:
+        raise Malformed(
+            f"field {field_name} needs a decimal integer or inf, got {raw!r}"
+        ) from None
 
 
 def query(records, filters) -> list[CatalogRecord]:
@@ -187,7 +192,7 @@ def query(records, filters) -> list[CatalogRecord]:
         keep = True
         for field_name, op, raw in filters:
             have = _record_value(record, field_name)
-            want = _coerce(raw, have)
+            want = _coerce(field_name, raw, have)
             if not op(have, want):
                 keep = False
                 break

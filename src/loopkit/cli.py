@@ -73,8 +73,8 @@ def cmd_decompose(args) -> int:
         elements = tuple(int(tok) for tok in args.fiber.split(","))
     except ValueError:
         raise Malformed(f"bad fiber list {args.fiber!r}") from None
-    for x in elements:
-        Q.check_element(x)
+    if not all(0 <= x < Q.order for x in elements):
+        raise Malformed(f"fiber {args.fiber!r} has an element out of range 0..{Q.order - 1}")
     sub = subloop_generated(Q, elements)
     if sub.elements != tuple(sorted(set(elements) | {Q.neutral})):
         raise NotNormal("listed elements do not form a subloop")
@@ -255,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     padd.add_argument("--source", default="")
     padd.set_defaults(func=cmd_catalog_add)
     pq = csub.add_parser("query", help="filter records on report fields")
-    pq.add_argument("filters", nargs="*", help="field=value (inf-aware, also != <= >= < >)")
+    pq.add_argument(
+        "filters",
+        nargs="*",
+        help="field=value (inf-aware, also != <= >= < >); fingerprint values are decimal",
+    )
     pq.add_argument("--catalog", required=True)
     pq.set_defaults(func=cmd_catalog_query)
     return parser

@@ -3,9 +3,7 @@
 The commutator [A,B] is the smallest normal subloop containing all
 deviations W_p(a) / W_q(a), where W runs over the five tot-inner word
 families T, U, L, R, M, a over A, and the argument tuples p and q are
-B-congruent entry by entry (u ~ v when u/v in B).  The inner-only word
-family {T, L, R} is available as a diagnostic but nothing is asserted
-about it.
+B-congruent entry by entry (u ~ v when u/v in B).
 
 Only the deviations W_p(a) / W_{rep p}(a) are formed, where rep p
 replaces each entry of p by the least element of its B-coset.  They have
@@ -36,13 +34,12 @@ import numpy as np
 from .core import LoopTable
 from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
-from .multgrp import INNER_WORDS, TOT_INNER_WORDS, assoc_group, inner_maps
+from .multgrp import TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
 from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
     center_subloop,
     coset_representatives,
-    cosets,
     direct_decomposition,
     is_normal,
     normal_closure,
@@ -55,12 +52,12 @@ _log = logging.getLogger(__name__)
 REPORT_ORDER_CAP = 128
 
 
-def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS):
+def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop):
     """The deviations W_p(a) / W_{rep p}(a) whose normal closure is [A, B]."""
     rep = coset_representatives(Q, B)
     idx = np.fromiter(A.elements, dtype=np.int64)
     found = np.zeros(Q.order, dtype=bool)
-    for word in words:
+    for word in TOT_INNER_WORDS:
         vals = inner_maps(Q, word, idx)
         at_rep = vals
         for axis in range(vals.ndim - 1):
@@ -70,14 +67,14 @@ def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_
     return set(np.flatnonzero(found).tolist())
 
 
-def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop, words=TOT_INNER_WORDS) -> Subloop:
+def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop) -> Subloop:
     """[A, B]: normal closure of the word deviations under B-congruent
     substitutions applied to elements of A."""
     if not is_normal(Q, A):
         raise NotNormal("first argument is not normal")
     if not is_normal(Q, B):
         raise NotNormal("second argument is not normal")
-    gens = commutator_generators(Q, A, B, words)
+    gens = commutator_generators(Q, A, B)
     if not gens:
         return Subloop(Q, (Q.neutral,))
     escaped = gens - set(A.elements)
@@ -113,7 +110,8 @@ def _restricts_to_automorphisms(Q: LoopTable, A: Subloop, images: np.ndarray) ->
 
 
 def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
-    """The six syntactic sub-conditions of the abelianess characterization.
+    """The six syntactic sub-conditions of the abelianess characterization
+    of a normal subloop A (NotNormal otherwise).
 
     i    inner generators restrict to automorphisms of A
     ii   [a,b] = 1
@@ -122,13 +120,15 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     v    [x,a,b] = 1
     vi   [a,x,u] = [a,x,v] whenever u/v in A
     """
-    mul = Q.mul
+    if not is_normal(Q, A):
+        raise NotNormal("subloop is not normal")
+    mul, rdiv = Q.mul, Q.rdiv
+    n = Q.order
     idx = np.fromiter(A.elements, dtype=np.int64)
-    # one first argument at a time: never all generators x |A|^2 at once
-    cond_i = _restricts_to_automorphisms(Q, A, inner_maps(Q, "T", idx)) and all(
-        _restricts_to_automorphisms(Q, A, block)
-        for word in ("L", "R")
-        for block in inner_maps(Q, word, idx)
+    # INN's distinct maps on A, n at a time: never n^2 maps x |A|^2 at once
+    maps = word_rows(Q, "INN")[:, idx]
+    cond_i = all(
+        _restricts_to_automorphisms(Q, A, maps[i : i + n]) for i in range(0, len(maps), n)
     )
     sub = mul[np.ix_(idx, idx)]
     cond_ii = bool(np.array_equal(sub, sub.T))
@@ -136,24 +136,14 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     cond_iii = bool(
         np.array_equal(mul[sub], mul[idx[:, None, None], BA[None, :, :]])
     )
-    cond_iv = bool(
-        np.array_equal(mul[BA][:, :, idx], BA[:, mul[:, idx]])
-    )
+    BAX = mul[BA]  # BAX[i, x, u] = (a_i x) u
+    cond_iv = bool(np.array_equal(BAX[:, :, idx], BA[:, mul[:, idx]]))
     cond_v = bool(
         np.array_equal(mul[mul[:, idx]][:, :, idx], mul[:, sub])
     )
-    cond_vi = True
-    parts = cosets(Q, A)
-    rdiv = Q.rdiv
-    for a in A.elements:
-        W = rdiv[rdiv[mul[mul[a], :], mul], a]  # W[x, u] = [a, x, u]
-        for coset in parts:
-            cols = np.fromiter(coset, dtype=np.int64)
-            if not (W[:, cols] == W[:, cols[:1]]).all():
-                cond_vi = False
-                break
-        if not cond_vi:
-            break
+    # u/v in A iff u and v share a right coset Av, that is rep u = rep v
+    W = rdiv[rdiv[BAX, mul], idx[:, None, None]]  # W[i, x, u] = [a_i, x, u]
+    cond_vi = bool(np.array_equal(W, W[:, :, coset_representatives(Q, A)]))
     return {
         "i": cond_i,
         "ii": cond_ii,
@@ -165,8 +155,6 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
 
 
 def is_abelian_in_A3(Q: LoopTable, A: Subloop) -> bool:
-    if not is_normal(Q, A):
-        raise NotNormal("subloop is not normal")
     return all(a3_subconditions(Q, A).values())
 
 
@@ -195,7 +183,7 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
     if mode == "C1":
         return commutator_subloop(Q, A, _whole(Q)).is_trivial()
     if mode == "C3":
-        return all((inner_maps(Q, word, idx) == idx).all() for word in INNER_WORDS)
+        return bool((word_rows(Q, "INN")[:, idx] == idx).all())
     if mode == "C3prime":
         if not np.array_equal(mul[idx, :], mul[:, idx].T):
             return False

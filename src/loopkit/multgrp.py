@@ -11,6 +11,11 @@ and the groups are generated from these explicit word families over all
 argument tuples (not by a stabilizer computation inside the
 multiplication group, so the stabilizer identity |MLT| = n * |INN| stays
 a genuine cross-check).
+
+Each table keeps one array per group, `word_rows`: the distinct maps of
+its generating family.  `assoc_group` wraps it as a PermGroup, and the
+Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
+their arguments come from `inner_maps`.
 """
 
 from __future__ import annotations
@@ -79,18 +84,6 @@ def inner_maps(Q: LoopTable, word: str, points=None) -> np.ndarray:
     raise ArityMismatch(f"unknown inner generator {word!r}")
 
 
-def _translation_rows(Q: LoopTable, kinds) -> list[tuple]:
-    rows = []
-    for kind in kinds:
-        if kind == "L":
-            rows.extend(Q.rows)
-        elif kind == "R":
-            rows.extend(tuple(int(v) for v in Q.mul[:, x]) for x in range(Q.order))
-        else:
-            rows.extend(tuple(int(v) for v in Q.ldiv[:, x]) for x in range(Q.order))
-    return rows
-
-
 def inner_generator_family(Q: LoopTable, names) -> list[Permutation]:
     """All generators of the given families over all argument tuples."""
     out = []
@@ -107,37 +100,35 @@ def inner_generator_family(Q: LoopTable, names) -> list[Permutation]:
     return out
 
 
-def assoc_group(Q: LoopTable, which: str) -> PermGroup:
-    """MLT, INN, TMLT or TINN of the loop as a permutation group, built
-    once per table."""
-    return Q.memo(("assoc_group", which), lambda: _generated_group(Q, which))
+def word_rows(Q: LoopTable, which: str) -> np.ndarray:
+    """The distinct maps of MLT, INN, TMLT or TINN's generating family as
+    a read-only (k, n) array in first-occurrence order, identity included;
+    uint8 up to 256 points, else uint16.  Computed once per table."""
+    return Q.memo(("word_rows", which), lambda: _word_rows(Q, which))
 
 
-def _generated_group(Q: LoopTable, which: str) -> PermGroup:
-    """The group of the word rows, each distinct row wrapped once in
-    first-occurrence order, so PermGroup.generators is as for all rows."""
+def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
+    n = Q.order
     if which in ("MLT", "TMLT"):
-        rows = dict.fromkeys(_translation_rows(Q, "LR" if which == "MLT" else "LRM"))
+        blocks = (Q.mul, Q.mul.T, Q.ldiv.T)[: 2 if which == "MLT" else 3]
     elif which in ("INN", "TINN"):
-        rows = _distinct_word_rows(Q, INNER_WORDS if which == "INN" else TOT_INNER_WORDS)
+        words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
+        blocks = (inner_maps(Q, w).reshape(-1, n) for w in words)  # one at a time
     else:
         raise ValueError(f"unknown associated group {which!r}")
-    return PermGroup(Q.order, [Permutation._wrap(r) for r in rows])
+    dtype = np.dtype(np.uint8 if n <= 256 else np.uint16)
+    key = np.dtype((np.void, dtype.itemsize * n))
+    found: dict[bytes, None] = {}
+    for block in blocks:  # rows keyed by their bytes; dict keeps the first of each
+        found.update(dict.fromkeys(np.ascontiguousarray(block, dtype).view(key).ravel().tolist()))
+    return np.frombuffer(b"".join(found), dtype=dtype).reshape(-1, n)
 
 
-def _distinct_word_rows(Q: LoopTable, words) -> list[tuple]:
-    """The distinct rows of the words' maps in first-occurrence order.
+def assoc_group(Q: LoopTable, which: str) -> PermGroup:
+    """MLT, INN, TMLT or TINN of the loop as a permutation group over its
+    distinct generating maps (word_rows), built once per table."""
+    def build():
+        rows = word_rows(Q, which).tolist()
+        return PermGroup(Q.order, [Permutation._wrap(tuple(r)) for r in rows])
 
-    Each word's rows are keyed by their bytes in the narrowest dtype that
-    holds the points, and only the first row of each key becomes a tuple.
-    """
-    n = Q.order
-    dtype = np.uint8 if n <= 256 else np.uint16
-    found: dict[bytes, np.ndarray] = {}
-    for word in words:
-        block = np.ascontiguousarray(inner_maps(Q, word).reshape(-1, n), dtype=dtype)
-        keys = block.view(np.dtype((np.void, block.itemsize * n))).ravel()
-        _, first = np.unique(keys, return_index=True)
-        for i in np.sort(first).tolist():
-            found.setdefault(keys[i].tobytes(), block[i])
-    return [tuple(row.tolist()) for row in found.values()]
+    return Q.memo(("assoc_group", which), build)

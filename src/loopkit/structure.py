@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import LoopTable, direct_product
 from .errors import CapExceeded, NotNormal
-from .multgrp import INNER_WORDS, assoc_group, inner_maps
+from .multgrp import word_rows
 
 NORMAL_ENUM_CAP = 64
 
@@ -45,9 +45,6 @@ class Subloop:
 
     def is_whole(self) -> bool:
         return self.size == self.loop.order
-
-    def contains(self, x: int) -> bool:
-        return x in set(self.elements)
 
     def induced_table(self) -> LoopTable:
         return self.loop.subtable(self.elements)
@@ -89,8 +86,8 @@ def inner_orbits(Q: LoopTable) -> np.ndarray:
     """root[x] = the least element of x's orbit under the inner mapping
     group, computed once per table (read-only).
 
-    Labels propagate over the distinct T/L/R generator rows g, with
-    root[x] <- min(root[x], root[g(x)]) and pointer jumping
+    Labels propagate over INN's word rows g (T, L, R, identity included),
+    with root[x] <- min over g of root[g(x)] and pointer jumping
     root <- root[root], until nothing changes.  Each label stays in its
     element's orbit and only falls.  At the fixed point
     root[x] <= root[g(x)] for every g and x, and g has finite order, so
@@ -101,12 +98,10 @@ def inner_orbits(Q: LoopTable) -> np.ndarray:
 
 
 def _inner_orbit_roots(Q: LoopTable) -> np.ndarray:
-    n = Q.order
-    gens = assoc_group(Q, "INN").generators
-    rows = np.array([g.images for g in gens], dtype=np.int64).reshape(-1, n)
-    root = np.arange(n)
+    rows = word_rows(Q, "INN")
+    root = np.arange(Q.order)
     while True:
-        step = np.minimum(root, root[rows].min(axis=0, initial=n))
+        step = root[rows].min(axis=0)
         step = step[step]
         if np.array_equal(step, root):
             root.setflags(write=False)
@@ -143,7 +138,8 @@ def center_subloop(Q: LoopTable) -> Subloop:
     """Elements commuting and associating with everything.
 
     Computed twice, from the defining identities and as the fixed set of
-    the inner generator families; the two answers are asserted equal.
+    the inner generator maps (INN's word rows); the two answers are
+    asserted equal.
     """
     mul = Q.mul
     n = Q.order
@@ -161,9 +157,7 @@ def center_subloop(Q: LoopTable) -> Subloop:
             continue
         if not np.array_equal(mul[mul, a], mul[:, mul[:, a]]):
             ok[a] = False
-    fixed = np.ones(n, dtype=bool)
-    for w in INNER_WORDS:
-        fixed &= (inner_maps(Q, w).reshape(-1, n) == np.arange(n)).all(axis=0)
+    fixed = (word_rows(Q, "INN") == np.arange(n)).all(axis=0)
     if not np.array_equal(ok, fixed):
         raise AssertionError("center characterizations disagree; table corrupt?")
     return Subloop(Q, tuple(int(v) for v in np.nonzero(ok)[0]))
@@ -200,20 +194,6 @@ def _normal_subloop_elements(Q: LoopTable) -> tuple[tuple[int, ...], ...]:
                     fresh.append(joined)
         frontier = fresh
     return tuple(sorted(found, key=lambda e: (len(e), e)))
-
-
-def cosets(Q: LoopTable, A: Subloop) -> list[tuple[int, ...]]:
-    """Right cosets A*x of a normal subloop, sorted by least member."""
-    idx = np.fromiter(A.elements, dtype=np.int64)
-    seen = set()
-    out = []
-    for x in range(Q.order):
-        if x in seen:
-            continue
-        coset = tuple(int(v) for v in np.sort(Q.mul[idx, x]))
-        seen.update(coset)
-        out.append(coset)
-    return sorted(out, key=lambda c: c[0])
 
 
 def coset_representatives(Q: LoopTable, A: Subloop) -> np.ndarray:

@@ -156,6 +156,24 @@ def test_cli_decompose_non_subloop_exits_3(tmp_path, capsys):
     assert main(["decompose", path, "--fiber", "0,1"]) == 3
 
 
+def test_cli_decompose_fiber_out_of_range_exits_2(tmp_path, capsys):
+    path = write_table(tmp_path, "s3.table", symmetric(3))
+    assert main(["decompose", path, "--fiber", "0,9"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_catalog_query_bad_value_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.tsv"
+    assert main(["catalog", "add", write_table(tmp_path, "s3.table", symmetric(3)),
+                 "--catalog", str(cat)]) == 0
+    hex_fp = capsys.readouterr().out.split()[1]  # add prints hex; query takes decimal
+    for bad in ("order=abc", f"fingerprint={hex_fp}"):
+        assert main(["catalog", "query", bad, "--catalog", str(cat)]) == 2, bad
+        assert "error:" in capsys.readouterr().err
+    assert main(["catalog", "query", f"fingerprint={int(hex_fp, 16)}", "--catalog", str(cat)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_cli_catalog_roundtrip(tmp_path, capsys):
     cat = tmp_path / "cat.tsv"
     path = write_table(tmp_path, "z2.table", cyclic(2))

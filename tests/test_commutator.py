@@ -23,8 +23,8 @@ from loopkit import (
     upper_central_series,
 )
 from loopkit.commutator import (
+    a3_subconditions,
     HierarchyReport,
-    INNER_WORDS,
     commutator_generators,
     derived_subloop,
 )
@@ -91,16 +91,6 @@ def test_commutator_requires_normal_arguments():
         commutator_subloop(S3, Subloop(S3, (0, 1)), whole(S3))
 
 
-def test_inner_word_family_gives_subset():
-    # the inner-only diagnostic uses fewer words, so its generator set
-    # is contained in the tot-inner one; nothing stronger is asserted
-    for q in (S3, D4):
-        for a in all_normal_subloops(q):
-            tot = commutator_generators(q, a, a)
-            inn = commutator_generators(q, a, a, words=INNER_WORDS)
-            assert inn <= tot
-
-
 def test_abelian_in_known_cases():
     assert is_abelian_in_A1(S3, A3)
     assert is_abelian_in_A3(S3, A3)
@@ -116,9 +106,13 @@ def test_central_subloops_are_abelian_in():
         assert is_abelian_in_A1(q, z)
 
 
-def test_noncommutative_group_fails_only_commuting_condition():
-    from loopkit import a3_subconditions
+def test_a3_subconditions_require_a_normal_subloop():
+    # condition (vi) quantifies over the cosets of a normal subloop
+    with pytest.raises(NotNormal):
+        a3_subconditions(S3, Subloop(S3, (0, 1)))
 
+
+def test_noncommutative_group_fails_only_commuting_condition():
     sub = a3_subconditions(S3, whole(S3))
     assert not sub["ii"]
     assert sub["i"] and sub["iii"] and sub["iv"] and sub["v"] and sub["vi"]

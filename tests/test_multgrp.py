@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from loopkit import LoopTable, assoc_group, inner_generator
 from loopkit.errors import ArityMismatch
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import INNER_WORDS, TOT_INNER_WORDS, inner_generator_family, inner_maps
+from loopkit.multgrp import TOT_INNER_WORDS, inner_generator_family, inner_maps, word_rows
 from loopkit.perm import group_order
 from loopkit.structure import Subloop, normal_closure
 from loopkit.tables import cyclic, dihedral, klein, symmetric
@@ -125,9 +126,10 @@ def test_inner_maps_match_scalar_generators(pool):
 
 
 def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensions):
-    """INN and TINN get each distinct word row once, in first-occurrence
-    order, on the pool tables and on Z4 by a non-associative order-16 pool
-    loop (order 64)."""
+    """word_rows holds each distinct generating map once, in first-occurrence
+    order, read-only, as the identity followed by the group's generators:
+    the translations for MLT/TMLT and the words for INN/TINN, on the pool
+    tables and on Z4 by a non-associative order-16 pool loop (order 64)."""
     F = next(
         e.table for e in random_extensions
         if e.table.order == 16 and not e.table.is_associative
@@ -135,11 +137,31 @@ def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensio
     gamma = next(iter(iter_cocycles_random(AbelianGroupTable(cyclic(4)), F, seed=0, budget=1)))
     tables = [e.table for e in pool] + [build_extension(gamma)]
     for q in tables:
-        for which, words in (("INN", INNER_WORDS), ("TINN", TOT_INNER_WORDS)):
-            rows = (
+        n = q.order
+        translations = {
+            "MLT": (q.left_translation, q.right_translation),
+            "TMLT": (q.left_translation, q.right_translation, q.middle_translation),
+        }
+        families = {
+            which: (t(x).images for t in kinds for x in range(n))
+            for which, kinds in translations.items()
+        }
+        for which, words in (("INN", "TLR"), ("TINN", "TULRM")):
+            families[which] = (
                 tuple(row) for word in words
-                for row in inner_maps(q, word).reshape(-1, q.order).tolist()
+                for row in inner_maps(q, word).reshape(-1, n).tolist()
             )
-            identity = tuple(range(q.order))  # PermGroup drops it
-            expected = [r for r in dict.fromkeys(rows) if r != identity]
-            assert [g.images for g in assoc_group(q, which).generators] == expected, which
+        for which, maps in families.items():
+            rows = word_rows(q, which)
+            assert not rows.flags.writeable
+            assert [tuple(r) for r in rows.tolist()] == list(dict.fromkeys(maps)), which
+            # the neutral is 0, so the identity comes first; PermGroup drops it
+            gens = [g.images for g in assoc_group(q, which).generators]
+            assert [tuple(r) for r in rows.tolist()] == [tuple(range(n))] + gens, which
+
+
+def test_word_rows_above_256_points_are_uint16():
+    q = cyclic(257)
+    rows = word_rows(q, "MLT")
+    assert rows.dtype == np.uint16
+    assert rows.tolist() == [list(q.left_translation(x).images) for x in range(257)]
