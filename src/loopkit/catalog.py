@@ -28,6 +28,7 @@ from .util import parse_class, parse_value
 HEADER = "# loopkit-catalog v2"
 
 _REPORT_FIELDS = [f.name for f in fields(HierarchyReport)]
+_BOOL_FIELDS = {f.name for f in fields(HierarchyReport) if f.type in (bool, "bool")}
 
 _log = logging.getLogger(__name__)
 
@@ -146,7 +147,9 @@ _OPS = {
 
 def parse_filter(text: str):
     """One filter 'field OP value' with OP in  = != <= >= < >  and
-    inf-aware values."""
+    inf-aware values, as (field, operator, value).  The value is coerced
+    to the field's type here, so a bad one raises Malformed before any
+    catalog is read."""
     for op_text in ("<=", ">=", "!=", "=", "<", ">"):
         if op_text in text:
             field_name, _, raw = text.partition(op_text)
@@ -157,7 +160,7 @@ def parse_filter(text: str):
         raise Malformed(f"no comparison operator in filter {text!r}")
     if field_name not in _REPORT_FIELDS and field_name not in ("order", "source", "fingerprint"):
         raise Malformed(f"unknown field {field_name!r}")
-    return field_name, _OPS[op_text], raw
+    return field_name, _OPS[op_text], _coerce(field_name, raw)
 
 
 def _record_value(record: CatalogRecord, field_name: str):
@@ -170,12 +173,12 @@ def _record_value(record: CatalogRecord, field_name: str):
     return getattr(record.report, field_name)
 
 
-def _coerce(field_name: str, raw: str, sample):
-    if isinstance(sample, bool):
+def _coerce(field_name: str, raw: str):
+    if field_name in _BOOL_FIELDS:
         if raw not in ("true", "false"):
             raise Malformed(f"boolean field {field_name} needs true/false, got {raw!r}")
         return parse_value(raw)
-    if isinstance(sample, str):
+    if field_name == "source":
         return raw
     try:
         return parse_class(raw)
@@ -186,16 +189,11 @@ def _coerce(field_name: str, raw: str, sample):
 
 
 def query(records, filters) -> list[CatalogRecord]:
-    """Records matching every filter, sorted by fingerprint."""
-    out = []
-    for record in records:
-        keep = True
-        for field_name, op, raw in filters:
-            have = _record_value(record, field_name)
-            want = _coerce(field_name, raw, have)
-            if not op(have, want):
-                keep = False
-                break
-        if keep:
-            out.append(record)
+    """Records matching every filter (from parse_filter), sorted by
+    fingerprint."""
+    out = [
+        record
+        for record in records
+        if all(op(_record_value(record, name), want) for name, op, want in filters)
+    ]
     return sorted(out, key=lambda r: r.fingerprint)

@@ -114,7 +114,11 @@ def _predicate_inn_nonsolvable(Q: LoopTable) -> bool:
 
 
 def _predicate_problem35(Q: LoopTable) -> bool:
-    # hunt: Inn Q solvable but Mlt Q not (open problem; no hit is expected)
+    # hunt: Inn Q solvable but Mlt Q not.  This holds on every
+    # non-associative loop of order 5 (Mlt = S5, Inn = S4), none of which
+    # is congruence solvable; the question is open only among congruence
+    # solvable loops, and the preset's extensions of Z2^3 by Z2 are all
+    # congruence solvable (abelian fiber, abelian factor)
     if not is_finite(solvable_class(assoc_group(Q, "INN"))):
         return False
     return not is_finite(solvable_class(assoc_group(Q, "MLT")))

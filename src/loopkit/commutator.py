@@ -43,7 +43,6 @@ from .structure import (
     direct_decomposition,
     is_normal,
     normal_closure,
-    quotient,
 )
 from .util import INFINITE, Infinite, format_value, is_finite, is_prime_power, parse_value
 
@@ -265,20 +264,28 @@ def classical_derived_series(Q: LoopTable):
 
 
 def upper_central_series(Q: LoopTable):
-    """Z0 = 1, Z_{i+1} = preimage of the center of Q/Z_i."""
+    """Z0 = 1, Z_{i+1} = preimage of the center of Q/Z_i.
+
+    Z_{i+1} is the set of a with g(a) Z_i = a Z_i for every row g of
+    INN's word rows: one gather per step, and no table of Q/Z_i.  A word
+    in translations of Q induces the same word in translations of Q/Z_i
+    (xa Z_i = xZ_i aZ_i), so the T, L and R words of Q induce the T, L
+    and R words of Q/Z_i over all its argument tuples.  These generate
+    Inn(Q/Z_i), and the center of a loop is the fixed set of its inner
+    mapping group (Bruck 1958), so the cosets every row fixes are
+    exactly Z(Q/Z_i).
+    """
+    rows = word_rows(Q, "INN")
     series = [Subloop(Q, (Q.neutral,))]
     while True:
         Z = series[-1]
         if Z.is_whole():
             return series, len(series) - 1
-        table, proj = quotient(Q, Z)
-        C = center_subloop(table)
-        if C.is_trivial():
+        rep = coset_representatives(Q, Z).astype(rows.dtype)  # uint8 gather up to 256 points
+        fixed = np.flatnonzero((rep[rows] == rep).all(axis=0))
+        if len(fixed) == Z.size:
             return series, INFINITE
-        cset = set(C.elements)
-        series.append(
-            Subloop(Q, tuple(x for x in range(Q.order) if proj[x] in cset))
-        )
+        series.append(Subloop(Q, tuple(fixed.tolist())))
 
 
 def nilpotency_class_loop(Q: LoopTable) -> int | Infinite:

@@ -38,7 +38,7 @@ from .errors import (
     NotNeutralAt,
     NotNormal,
 )
-from .multgrp import assoc_group, inner_maps
+from .multgrp import assoc_group
 from .perm import PermGroup, Permutation
 from .structure import Subloop, coset_representatives, is_normal
 from .util import SplitMix64
@@ -384,9 +384,11 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
         return None
     pos = np.full(n, -1, dtype=np.int64)
     pos[idx] = np.arange(na)
-    phi = inner_maps(Q, "R", idx)[np.ix_(reps, reps)].transpose(1, 0, 2)  # R_{y,x}
+    by = mul[idx][:, reps].T  # by[y, b] = b y
+    # phi = R_{y,x}|_A : b -> ((b x) y) / (x y), at the representatives only
+    phi = rdiv[mul[by[:, None, :], reps[:, None]], xy[:, :, None]]
     # psi = (R_{xy}^-1 L_x R_y)|_A : b -> (x (b y)) / (x y)
-    psi = rdiv[mul[reps[:, None, None], mul[idx][:, reps].T], xy[:, :, None]]
+    psi = rdiv[mul[reps[:, None, None], by], xy[:, :, None]]
     maps = pos[np.stack((phi, psi))]
     theta = pos[rdiv[xy, rep[xy]]]
     if (maps < 0).any() or (theta < 0).any():

@@ -42,9 +42,12 @@ those the full run gives.
 
 (Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
 
-A PermGroup builds its chain lazily on first query.  The fill is not
-locked; force it with order() before sharing a group between workers.
-After that every query is read-only.
+A PermGroup builds its chain lazily on first query, and its derived
+subgroup G' on first use; G' is kept on the group, so the derived
+series and the lower central series (whose second term [G, G] is G')
+build it once.  Neither fill is locked; force them with order() and
+derived_subgroup() before sharing a group between workers.  After that
+every query is read-only.
 """
 
 from __future__ import annotations
@@ -340,6 +343,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain_cache = _chain
+        self._derived: PermGroup | None = None
 
     @property
     def _chain(self) -> _Chain:
@@ -416,10 +420,13 @@ def _commutators(ops: _Ops, pairs) -> list:
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Normal closure in group of the commutators of generator pairs."""
-    chain = group._chain
-    pairs = combinations(chain.grown, 2)
-    return _closure(group, _commutators(chain.ops, pairs), group.order())
+    """Normal closure in group of the commutators of generator pairs,
+    computed once per group."""
+    if group._derived is None:
+        chain = group._chain
+        pairs = combinations(chain.grown, 2)
+        group._derived = _closure(group, _commutators(chain.ops, pairs), group.order())
+    return group._derived
 
 
 @dataclass(frozen=True)
@@ -443,6 +450,8 @@ def derived_series(group: PermGroup) -> SeriesResult:
 
 def lower_central_series(group: PermGroup) -> SeriesResult:
     def step(current: PermGroup) -> PermGroup:
+        if current is group:  # gamma_2 = [G, G] = G', kept on the group
+            return derived_subgroup(group)
         top = group._chain
         pairs = product(top.grown, current._chain.grown)
         return _closure(group, _commutators(top.ops, pairs), current.order())

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loopkit import all_normal_subloops, quotient
+from loopkit import INFINITE, Subloop, all_normal_subloops, center_subloop, quotient
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable
@@ -230,6 +230,22 @@ def least_commutative_group_kernel(Q):
     if any(not least_set <= set(c.elements) for c in candidates):
         raise AssertionError("derived subloop is not the least candidate")
     return least
+
+
+def upper_central_oracle(Q):
+    """(element tuples of Z0, Z1, ..., class or INFINITE) of the upper
+    central series, each Z_{i+1} the preimage of center_subloop of the
+    coset table Q/Z_i.  Independent of the gather over Q's own Inn rows
+    in loopkit.commutator.upper_central_series: it builds every quotient
+    table and its center."""
+    series = [(Q.neutral,)]
+    while len(series[-1]) < Q.order:
+        table, proj = quotient(Q, Subloop(Q, series[-1]))
+        center = set(center_subloop(table).elements)
+        if len(center) == 1:
+            return series, INFINITE
+        series.append(tuple(x for x in range(Q.order) if proj[x] in center))
+    return series, len(series) - 1
 
 
 def normal_subloop_pairs(Q):

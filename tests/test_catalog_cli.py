@@ -13,12 +13,15 @@ from loopkit.catalog import (
     query,
     record_for,
 )
-from loopkit.cli import main
-from loopkit.commutator import HierarchyReport
-from loopkit.core import fingerprint
+from loopkit.cli import _predicate_problem35, main
+from loopkit.commutator import HierarchyReport, congruence_derived_series
+from loopkit.core import LoopTable, fingerprint
 from loopkit.errors import Malformed
 from loopkit.extensions import AbelianGroupTable, iter_cocycles_random
+from loopkit.multgrp import assoc_group
+from loopkit.perm import group_order
 from loopkit.tables import cyclic, symmetric
+from loopkit.util import INFINITE
 
 
 def write_table(tmp_path, name, table):
@@ -174,6 +177,19 @@ def test_cli_catalog_query_bad_value_exits_2(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("contents", [None, "", HEADER + "\n"])
+def test_cli_catalog_query_bad_value_exits_2_without_records(tmp_path, capsys, contents):
+    cat = tmp_path / "cat.tsv"  # missing, empty, or header only
+    if contents is not None:
+        cat.write_text(contents)
+    for bad in ("order=abc", "commutative=yes", "nilpotency_class<=x"):
+        assert main(["catalog", "query", bad, "--catalog", str(cat)]) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    assert main(["catalog", "query", "order=2", "--catalog", str(cat)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_catalog_roundtrip(tmp_path, capsys):
     cat = tmp_path / "cat.tsv"
     path = write_table(tmp_path, "z2.table", cyclic(2))
@@ -297,6 +313,19 @@ def test_cli_search_is_deterministic(tmp_path):
 
 def test_cli_search_unknown_preset(tmp_path, capsys):
     assert main(["search", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+
+def test_problem35_predicate_holds_on_an_order_5_loop():
+    # Mlt = S5 is not solvable, Inn = S4 is; the loop is not congruence
+    # solvable, so it says nothing about the open question the hunt asks
+    Q = LoopTable(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    )
+    assert not Q.is_associative
+    assert group_order(assoc_group(Q, "MLT")) == 120
+    assert group_order(assoc_group(Q, "INN")) == 24
+    assert congruence_derived_series(Q)[1] is INFINITE
+    assert _predicate_problem35(Q)
 
 
 def test_cli_search_open_problem_hunt_runs(tmp_path, capsys):

@@ -29,7 +29,9 @@ from loopkit.commutator import (
     derived_subloop,
 )
 from loopkit.errors import NotNormal
+from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import inner_generator
+from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 from conftest import (
@@ -38,6 +40,7 @@ from conftest import (
     group_derived_length,
     group_nilpotency_class,
     least_commutative_group_kernel,
+    upper_central_oracle,
 )
 
 Z4 = cyclic(4)
@@ -186,6 +189,24 @@ def test_upper_central_series_of_d4():
     series, cls = upper_central_series(D4)
     assert cls == 2
     assert [s.size for s in series] == [1, 2, 8]
+
+
+def test_upper_central_series_matches_quotient_oracle(pool):
+    """Every term, as an element set, against the quotient-table route on
+    the pool (the groups fixture first), an order-32 extension (Z8 by K4)
+    and an order-64 product (the first order-16 pool table times Z4)."""
+    gamma = next(iter(iter_cocycles_random(
+        AbelianGroupTable(cyclic(8)), klein(), seed=POOL_MASTER_SEED, budget=1
+    )))
+    o16 = next(e.table for e in pool if e.table.order == 16)
+    larger = [build_extension(gamma), direct_product(o16, cyclic(4))]
+    assert [Q.order for Q in larger] == [32, 64]
+    classes = []
+    for Q in [e.table for e in pool] + larger:
+        series, cls = upper_central_series(Q)
+        assert ([s.elements for s in series], cls) == upper_central_oracle(Q), Q
+        classes.append(cls)
+    assert INFINITE in classes and any(is_finite(c) and c > 1 for c in classes)
 
 
 def test_supernilpotence_examples():

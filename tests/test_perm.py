@@ -3,6 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopkit import perm as perm_module
+from loopkit.multgrp import assoc_group
 from loopkit.perm import (
     PermGroup,
     Permutation,
@@ -179,6 +181,38 @@ def test_derived_subgroup_is_normal():
 )
 def test_solvable_class(factory, expected):
     assert solvable_class(factory()) == expected
+
+
+def test_derived_subgroup_is_built_once_and_is_gamma_2(monkeypatch, pool):
+    """G' is one closure per group, kept on it, and the second term of
+    the lower central series; on every pool Mlt gamma_2 has |G'|."""
+    closures = []
+    real = perm_module._closure
+    monkeypatch.setattr(
+        perm_module, "_closure", lambda *args: closures.append(args) or real(*args)
+    )
+
+    def steps(result):  # series steps computed, the stalling one included
+        return len(result.orders) - 1 + (result.cls is INFINITE)
+
+    groups = [s3(), d4(), a5(), s16()]
+    groups += [
+        PermGroup(e.table.order, assoc_group(e.table, "MLT").generators) for e in pool
+    ]
+    for group in (g for g in groups if g.order() > 1):
+        closures.clear()
+        lower = lower_central_series(group)
+        assert len(closures) == steps(lower)
+        derived = derived_subgroup(group)
+        assert derived_subgroup(group) is derived and len(closures) == steps(lower)
+        gamma_2 = lower.orders[1] if len(lower.orders) > 1 else lower.orders[0]  # G perfect
+        assert derived.order() == gamma_2
+        if len(lower.groups) > 1:
+            assert lower.groups[1] is derived
+        derived_series_ = derived_series(group)
+        assert len(closures) == steps(lower) + steps(derived_series_) - 1
+        if len(derived_series_.groups) > 1:
+            assert derived_series_.groups[1] is derived
 
 
 def test_solvable_class_recursion():
