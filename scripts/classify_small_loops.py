@@ -7,9 +7,10 @@ by canonical fingerprint, and prints one classification row per type.
 Usage: python3 scripts/classify_small_loops.py
 """
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from loopkit import fingerprint, hierarchy_report
 from loopkit.pools import exhaustive_small_extensions, group_pool

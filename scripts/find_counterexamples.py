@@ -16,29 +16,24 @@ witness found:
 Usage: python3 scripts/find_counterexamples.py [seed]
 """
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from loopkit import (
-    INFINITE,
     AbelianGroupTable,
     Subloop,
     a3_subconditions,
-    assoc_group,
     build_extension,
-    classical_derived_series,
-    congruence_derived_series,
     g_oplus,
     hierarchy_report,
-    is_abelian_in_A1,
-    is_finite,
     is_supernilpotent,
     nilpotency_class_loop,
-    solvable_class,
     supernilpotent_crosscheck,
 )
+from loopkit.cli import PRESETS
 from loopkit.extensions import iter_cocycles_exhaustive, iter_cocycles_random
 from loopkit.tables import cyclic, elementary_abelian, latin_squares
 
@@ -63,25 +58,22 @@ def nonsolvable_inn(seed):
     stream = iter_cocycles_random(
         AbelianGroupTable(elementary_abelian(2, 3)), cyclic(2), seed=seed, budget=100_000
     )
+    inn_nonsolvable = PRESETS["z2cubed-nonsolvable-inn"]["predicate"]
     for i, gamma in enumerate(stream):
         q = build_extension(gamma)
-        if not is_finite(solvable_class(assoc_group(q, "INN"))):
+        if inn_nonsolvable(q):
             print(f"   (hit at candidate {i})")
             return q
     raise SystemExit("no non-solvable-Inn hit in budget (unexpected)")
 
 
 def mlt_solvable_not_congruence_solvable():
+    # the preset's test on the Z4 fiber 0..3: not abelian in Q, not
+    # congruence solvable, classically solvable, Mlt solvable
+    separates = PRESETS["z4-by-z2-nonabelian"]["predicate"]
     for oplus in latin_squares(4):
         q = g_oplus(cyclic(4), oplus)
-        fiber = Subloop(q, (0, 1, 2, 3))
-        if is_abelian_in_A1(q, fiber):
-            continue
-        if congruence_derived_series(q)[1] is not INFINITE:
-            continue
-        if not is_finite(classical_derived_series(q)[1]):
-            continue
-        if is_finite(solvable_class(assoc_group(q, "MLT"))):
+        if separates(q):
             return q
     raise SystemExit("no block-extension witness (unexpected)")
 

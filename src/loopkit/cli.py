@@ -171,6 +171,9 @@ PRESETS = {
 def cmd_search(args) -> int:
     if args.preset not in PRESETS:
         raise Malformed(f"unknown preset {args.preset!r}; known: {sorted(PRESETS)}")
+    for flag, value in (("--budget", args.budget), ("--max-hits", args.max_hits)):
+        if value is not None and value < 1:
+            raise Malformed(f"{flag} must be at least 1, got {value}")
     preset = PRESETS[args.preset]
     A = AbelianGroupTable(preset["A"]())
     F = preset["F"]()
@@ -183,7 +186,7 @@ def cmd_search(args) -> int:
         preset["predicate"],
         mode=preset["mode"],
         seed=args.seed,
-        budget=budget or 0,
+        budget=budget,
         central=preset["central"],
     )
     log_path = os.path.join(args.out, f"{args.preset}.log")

@@ -376,6 +376,8 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
         raise CapExceeded(f"order {Q.order} exceeds the report cap {REPORT_ORDER_CAP}")
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
+    # orders before classes: with the chain built, solvable_class closes G'
+    # from its grown generators under the |G| bound, not per constituent
     report = HierarchyReport(
         order=Q.order,
         commutative=Q.is_commutative,

@@ -22,6 +22,7 @@ least index of each right coset (the neutral represents the fiber), and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,8 +564,6 @@ def iter_cocycles_exhaustive(A: AbelianGroupTable, F: LoopTable, central: bool =
     ranges = [range(naut)] * (len(phi_cells) + len(psi_cells)) + [
         range(A.order)
     ] * len(theta_cells)
-    import itertools
-
     for values in itertools.product(*ranges):
         yield _assemble(A, F, auts, phi_cells, psi_cells, theta_cells, values)
 
@@ -589,14 +588,18 @@ def search_cocycles(
     predicate,
     mode: str = "exhaustive",
     seed: int = 0,
-    budget: int = 0,
+    budget: int | None = None,
     central: bool = False,
 ):
-    """Stream of (cocycle, built table) hits satisfying the predicate."""
+    """Stream of (cocycle, built table) hits satisfying the predicate.
+
+    budget caps the candidates: the first budget cocycles of the
+    exhaustive order (all when None), or budget random draws (none when
+    None)."""
     if mode == "exhaustive":
-        candidates = iter_cocycles_exhaustive(A, F, central)
+        candidates = itertools.islice(iter_cocycles_exhaustive(A, F, central), budget)
     elif mode == "random":
-        candidates = iter_cocycles_random(A, F, seed, budget, central)
+        candidates = iter_cocycles_random(A, F, seed, budget or 0, central)
     else:
         raise ValueError(f"unknown search mode {mode!r}")
     for gamma in candidates:

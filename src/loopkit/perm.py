@@ -40,6 +40,20 @@ the identity.  The chain then clears its pair queues and takes no more
 generators; its base, transversals, strong generators and grown list are
 those the full run gives.
 
+The derived length of a chainless intransitive group is read off its
+transitive constituents (`solvable_class`).  Let O_1..O_r be the orbits
+of more than one point and p_i the restriction to O_i.  Then
+g -> (p_i(g))_i is injective and p_i(G^(k)) = p_i(G)^(k), so G^(k) = 1
+iff every p_i(G)^(k) = 1: the derived length of G is the largest one of
+its constituents, subdirect products (|G| < prod |p_i(G)|) included,
+and G is not solvable as soon as one constituent is not.  A constituent
+acts on fewer points and is often smaller by far than G, so a
+non-solvable group is decided without G's chain.  The split is taken
+only when the group has no chain yet and at least two such orbits: once
+the chain exists, G's own derived series reuses its grown generators
+and its order as the closures' bound, and constituents rebuilt from
+the generators would cost more than that.
+
 (Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
 
 A PermGroup builds its chain lazily on first query, and its derived
@@ -56,6 +70,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .util import INFINITE, Infinite
 
@@ -472,9 +488,63 @@ def _descend(group: PermGroup, step) -> SeriesResult:
     return SeriesResult(tuple(groups), tuple(orders), len(orders) - 1)
 
 
+def orbit_roots(images: np.ndarray) -> np.ndarray:
+    """root[x] = the least point of x's orbit under the group generated by
+    the rows of a (k, n) image array (k >= 1), as a read-only array.
+
+    Labels propagate with root[x] <- min(root[x], min over rows g of
+    root[g(x)]) and pointer jumping root <- root[root], until nothing
+    changes.  Each label stays in its point's orbit and only falls.  At
+    the fixed point root[x] <= root[g(x)] for every g and x, and g has
+    finite order, so the label is constant on each orbit; the orbit's
+    least point keeps its own label, so that constant is the least point.
+    """
+    root = np.arange(images.shape[1])
+    while True:
+        step = np.minimum(root, root[images].min(axis=0))
+        step = step[step]
+        if np.array_equal(step, root):
+            root.setflags(write=False)
+            return root
+        root = step
+
+
+def _constituents(group: PermGroup) -> list[PermGroup]:
+    """The restrictions of group to its orbits of more than one point, in
+    order of least point, each relabeled 0..m-1 in increasing order;
+    empty when there are fewer than two such orbits."""
+    if not group.generators:
+        return []
+    images = np.array([g.images for g in group.generators])
+    root = orbit_roots(images)
+    roots, sizes = np.unique(root, return_counts=True)
+    if np.count_nonzero(sizes > 1) < 2:
+        return []
+    out = []
+    for r in roots[sizes > 1]:
+        orbit = np.flatnonzero(root == r)
+        label = np.empty(group.degree, dtype=np.int64)
+        label[orbit] = np.arange(len(orbit))
+        rows = label[images[:, orbit]].tolist()
+        out.append(PermGroup(len(orbit), [Permutation._wrap(tuple(row)) for row in rows]))
+    return out
+
+
 def solvable_class(group: PermGroup) -> int | Infinite:
-    """Length of the derived series down to the trivial group."""
-    return derived_series(group).cls
+    """Length of the derived series down to the trivial group.
+
+    A group with no chain yet and two or more nontrivial orbits gives the
+    largest class of its transitive constituents, INFINITE at the first
+    one that is not solvable; otherwise the group's own derived series
+    (module docstring)."""
+    parts = _constituents(group) if group._chain_cache is None else []
+    best = 0
+    for part in parts:
+        cls = derived_series(part).cls
+        if cls is INFINITE:
+            return INFINITE
+        best = max(best, cls)
+    return best if parts else derived_series(group).cls
 
 
 def nilpotency_class_group(group: PermGroup) -> int | Infinite:

@@ -22,6 +22,7 @@ import numpy as np
 from .core import LoopTable, direct_product
 from .errors import CapExceeded, NotNormal
 from .multgrp import word_rows
+from .perm import orbit_roots
 
 NORMAL_ENUM_CAP = 64
 
@@ -84,29 +85,9 @@ def subloop_generated(Q: LoopTable, seed) -> Subloop:
 
 def inner_orbits(Q: LoopTable) -> np.ndarray:
     """root[x] = the least element of x's orbit under the inner mapping
-    group, computed once per table (read-only).
-
-    Labels propagate over INN's word rows g (T, L, R, identity included),
-    with root[x] <- min over g of root[g(x)] and pointer jumping
-    root <- root[root], until nothing changes.  Each label stays in its
-    element's orbit and only falls.  At the fixed point
-    root[x] <= root[g(x)] for every g and x, and g has finite order, so
-    the label is constant on each orbit; the orbit's least element keeps
-    its own label, so that constant is the least element.
-    """
-    return Q.memo("inner_orbits", lambda: _inner_orbit_roots(Q))
-
-
-def _inner_orbit_roots(Q: LoopTable) -> np.ndarray:
-    rows = word_rows(Q, "INN")
-    root = np.arange(Q.order)
-    while True:
-        step = root[rows].min(axis=0)
-        step = step[step]
-        if np.array_equal(step, root):
-            root.setflags(write=False)
-            return root
-        root = step
+    group, computed once per table (read-only) by `perm.orbit_roots` over
+    INN's word rows."""
+    return Q.memo("inner_orbits", lambda: orbit_roots(word_rows(Q, "INN")))
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from loopkit import INFINITE, Subloop, all_normal_subloops, center_subloop, quotient
+from loopkit.cli import PRESETS
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
-from loopkit.extensions import AbelianGroupTable
+from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import INNER_WORDS, inner_generator, inner_generator_family, inner_maps
 from loopkit.perm import Permutation
 from loopkit.pools import (
@@ -45,6 +46,16 @@ def pool(groups, small_extensions, random_extensions):
 @pytest.fixture(scope="session")
 def central_pool():
     return central_cocycle_pool(100)
+
+
+def hunt_candidates(seed: int, count: int):
+    """The first `count` candidate tables of the mltq-solvability-hunt
+    preset at the seed, as `loopkit search` draws and builds them."""
+    preset = PRESETS["mltq-solvability-hunt"]
+    stream = iter_cocycles_random(
+        AbelianGroupTable(preset["A"]()), preset["F"](), seed, count, preset["central"]
+    )
+    return [build_extension(gamma) for gamma in stream]
 
 
 # -- independent oracles -------------------------------------------------------

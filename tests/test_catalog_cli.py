@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -13,11 +14,11 @@ from loopkit.catalog import (
     query,
     record_for,
 )
-from loopkit.cli import _predicate_problem35, main
+from loopkit.cli import PRESETS, _predicate_problem35, main
 from loopkit.commutator import HierarchyReport, congruence_derived_series
 from loopkit.core import LoopTable, fingerprint
 from loopkit.errors import Malformed
-from loopkit.extensions import AbelianGroupTable, iter_cocycles_random
+from loopkit.extensions import AbelianGroupTable, iter_cocycles_exhaustive, iter_cocycles_random
 from loopkit.multgrp import assoc_group
 from loopkit.perm import group_order
 from loopkit.tables import cyclic, symmetric
@@ -313,6 +314,32 @@ def test_cli_search_is_deterministic(tmp_path):
 
 def test_cli_search_unknown_preset(tmp_path, capsys):
     assert main(["search", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-hits"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_search_count_below_one_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    argv = ["search", "--preset", "order6-nilpotent", flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()  # nothing scanned, nothing written
+
+
+def test_cli_search_budget_caps_an_exhaustive_preset(tmp_path, capsys):
+    preset = PRESETS["order6-nilpotent"]
+    first = itertools.islice(
+        iter_cocycles_exhaustive(AbelianGroupTable(preset["A"]()), preset["F"](), True), 3
+    )
+    expected = sum(preset["predicate"](build_extension(gamma)) for gamma in first)
+    assert expected == 2  # of the 12 hits among all 16 cocycles
+    argv = ["search", "--preset", "order6-nilpotent", "--budget", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    log = (tmp_path / "order6-nilpotent.log").read_text().splitlines()
+    assert len(log) == expected and all("\tbudget=3\t" in line for line in log)
+    assert capsys.readouterr().out.endswith(f"hits={expected}\n")
+    assert len(list(tmp_path.glob("*.table"))) == expected
 
 
 def test_problem35_predicate_holds_on_an_order_5_loop():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from loopkit import perm as perm_module
 from loopkit import (
     INFINITE,
     Subloop,
@@ -28,9 +29,11 @@ from loopkit.commutator import (
     commutator_generators,
     derived_subloop,
 )
+from loopkit.core import LoopTable
 from loopkit.errors import NotNormal
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import inner_generator
+from loopkit.multgrp import assoc_group, inner_generator
+from loopkit.perm import PermGroup
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
@@ -39,6 +42,7 @@ from conftest import (
     group_commutator_oracle,
     group_derived_length,
     group_nilpotency_class,
+    hunt_candidates,
     least_commutative_group_kernel,
     upper_central_oracle,
 )
@@ -279,3 +283,18 @@ def test_hierarchy_cross_implications(groups, small_extensions):
         if is_finite(rep.mlt_nilpotency_class):
             assert is_finite(rep.nilpotency_class)
         assert rep.supernilpotent == is_finite(rep.mlt_nilpotency_class)
+
+
+def test_hierarchy_report_never_splits_into_constituents(monkeypatch, pool):
+    """The report asks for each group's order before its class, so the
+    class comes from the group's own derived series and its chain."""
+    tables = [LoopTable(e.table.mul) for e in pool[::10]]
+    tables += hunt_candidates(seed=0, count=3)
+    inns = [PermGroup(Q.order, assoc_group(Q, "INN").generators) for Q in tables]
+    assert sum(bool(perm_module._constituents(g)) for g in inns) >= 3  # the split would apply
+    splits = []
+    real = perm_module._constituents
+    monkeypatch.setattr(perm_module, "_constituents", lambda g: splits.append(g) or real(g))
+    for Q in tables:
+        hierarchy_report(Q)
+    assert splits == []

@@ -19,7 +19,7 @@ from loopkit.perm import (
 )
 from loopkit.util import INFINITE
 
-from conftest import closure_order
+from conftest import closure_order, hunt_candidates
 
 
 def perm(*cycles, degree):
@@ -72,11 +72,12 @@ def test_group_order_known(gens, expected):
     assert group_order(PermGroup(degree, gens)) == expected
 
 
-@given(
-    st.integers(2, 6).flatmap(
-        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
-    )
+gen_lists = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
 )
+
+
+@given(gen_lists)
 @settings(max_examples=60, deadline=None)
 def test_group_order_matches_bfs_closure(gen_lists):
     gens = [Permutation(g) for g in gen_lists]
@@ -250,3 +251,103 @@ def test_normal_closure_of_transposition_in_s4():
     s4 = PermGroup(4, [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)])
     assert normal_closure(s4, [perm((0, 1), degree=4)]).order() == 24
     assert normal_closure(s4, [perm((0, 1), (2, 3), degree=4)]).order() == 4
+
+
+# -- solvable_class on transitive constituents ----------------------------------
+
+
+def derived_length_oracle(group):
+    """derived_series(..).cls on a separate copy of group built from the
+    same generators: never split into constituents."""
+    return derived_series(PermGroup(group.degree, group.generators)).cls
+
+
+def side_by_side(degree, *blocks):
+    """Generator i acts as the i-th generator of each (shift, gens) block
+    on the points from shift on, as the identity past a block's list."""
+    count = max(len(gens) for _, gens in blocks)
+    out = []
+    for i in range(count):
+        images = list(range(degree))
+        for shift, gens in blocks:
+            if i < len(gens):
+                for x, v in enumerate(gens[i]):
+                    images[x + shift] = v + shift
+        out.append(Permutation(images))
+    return out
+
+
+S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+S3_GENS = [(1, 0, 2), (1, 2, 0)]
+A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "degree, blocks, order, expected",
+    [
+        # S4 on {0..3} x Z3 on {4, 5, 6}
+        (7, [(0, S4_GENS), (4, [(1, 2, 0)])], 72, 3),
+        # S3 acting diagonally on {0, 1, 2} and {3, 4, 5}: |G| = 6, not 36
+        (6, [(0, S3_GENS), (3, S3_GENS)], 6, 2),
+        # Z2 on {0, 1}, then A5 on {2..6}: the second orbit decides
+        (7, [(0, [(1, 0)]), (2, A5_GENS)], 120, INFINITE),
+        # the trivial group
+        (5, [(0, [])], 1, 0),
+    ],
+)
+def test_solvable_class_on_constituents_hand_made(degree, blocks, order, expected):
+    gens = side_by_side(degree, *blocks)
+    group = PermGroup(degree, gens)
+    assert solvable_class(group) == expected
+    assert derived_length_oracle(group) == expected
+    assert PermGroup(degree, gens).order() == order
+
+
+def test_constituents_are_the_orbit_images_in_order_of_least_point():
+    gens = side_by_side(7, (0, [(1, 0)]), (2, A5_GENS))
+    parts = perm_module._constituents(PermGroup(7, gens))
+    assert [(p.degree, p.order()) for p in parts] == [(2, 2), (5, 60)]
+    assert derived_series(parts[0]).cls == 1 and derived_series(parts[1]).cls is INFINITE
+    transitive_on_its_support = PermGroup(5, [perm((1, 2, 3), degree=5)])
+    assert perm_module._constituents(transitive_on_its_support) == []
+
+
+@given(gen_lists, gen_lists, st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_solvable_class_matches_the_whole_group_series(left, right, gap):
+    """Two blocks side by side (direct or subdirect products), with gap
+    fixed points between them."""
+    shift = len(left[0]) + gap
+    degree = shift + len(right[0])
+    gens = side_by_side(degree, (0, left), (shift, right))
+    group = PermGroup(degree, gens)
+    assert solvable_class(group) == derived_length_oracle(group)
+    single = PermGroup(len(left[0]), [Permutation(g) for g in left])
+    assert solvable_class(single) == derived_length_oracle(single)
+
+
+def test_solvable_class_of_fresh_pool_groups(pool):
+    for entry in pool:
+        for which in ("MLT", "INN", "TMLT", "TINN"):
+            group = assoc_group(entry.table, which)
+            fresh = PermGroup(group.degree, group.generators)
+            assert solvable_class(fresh) == derived_length_oracle(group), (entry.tag, which)
+
+
+def test_solvable_class_of_fresh_hunt_inns():
+    split = 0
+    for Q in hunt_candidates(seed=5, count=200):
+        inn = assoc_group(Q, "INN")
+        fresh = PermGroup(inn.degree, inn.generators)
+        split += bool(perm_module._constituents(fresh))
+        assert solvable_class(fresh) == derived_length_oracle(inn)
+    assert split >= 100
+
+
+def test_non_solvable_hunt_inn_is_decided_without_its_chain():
+    for Q in hunt_candidates(seed=0, count=20):
+        inn = assoc_group(Q, "INN")
+        if solvable_class(inn) is INFINITE:
+            assert inn._chain_cache is None
+            return
+    pytest.fail("no non-solvable Inn among the first 20 candidates")
