@@ -60,6 +60,7 @@ from .perm import (
     contains,
     derived_subgroup,
     group_order,
+    is_solvable,
     nilpotency_class_group,
     normal_closure as group_normal_closure,
     solvable_class,

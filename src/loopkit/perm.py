@@ -54,6 +54,14 @@ the chain exists, G's own derived series reuses its grown generators
 and its order as the closures' bound, and constituents rebuilt from
 the generators would cost more than that.
 
+Where only solvability is asked (`is_solvable`), each constituent, or
+the group itself when the split is not taken, is first settled by its
+order: a group whose order has at most two prime divisors is solvable
+(Burnside's p^a q^b theorem).  The chain that gives the order is the
+one the derived series would build first, so an order with three or
+more prime divisors costs a trial division by 2..degree and nothing
+else.  The derived series decides the rest.
+
 (Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
 
 A PermGroup builds its chain lazily on first query, and its derived
@@ -73,7 +81,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .util import INFINITE, Infinite
+from .util import INFINITE, Infinite, prime_divisors
 
 _ID = bytes(range(256))
 
@@ -530,6 +538,12 @@ def _constituents(group: PermGroup) -> list[PermGroup]:
     return out
 
 
+def _split_or_whole(group: PermGroup) -> list[PermGroup]:
+    """The constituents of a chainless group with two or more nontrivial
+    orbits, else [group]."""
+    return (_constituents(group) if group._chain_cache is None else []) or [group]
+
+
 def solvable_class(group: PermGroup) -> int | Infinite:
     """Length of the derived series down to the trivial group.
 
@@ -537,14 +551,28 @@ def solvable_class(group: PermGroup) -> int | Infinite:
     largest class of its transitive constituents, INFINITE at the first
     one that is not solvable; otherwise the group's own derived series
     (module docstring)."""
-    parts = _constituents(group) if group._chain_cache is None else []
     best = 0
-    for part in parts:
+    for part in _split_or_whole(group):
         cls = derived_series(part).cls
         if cls is INFINITE:
             return INFINITE
         best = max(best, cls)
-    return best if parts else derived_series(group).cls
+    return best
+
+
+def is_solvable(group: PermGroup) -> bool:
+    """Whether the derived series reaches the trivial group.
+
+    Each transitive constituent of a chainless group with two or more
+    nontrivial orbits, or else the group itself, is settled by its order
+    when that has at most two prime divisors, and by its derived series
+    otherwise (module docstring)."""
+    for part in _split_or_whole(group):
+        if len(prime_divisors(part.order(), part.degree)) <= 2:
+            continue
+        if derived_series(part).cls is INFINITE:
+            return False
+    return True
 
 
 def nilpotency_class_group(group: PermGroup) -> int | Infinite:

@@ -115,6 +115,22 @@ def hash_tokens(tokens) -> int:
     return h
 
 
+def prime_divisors(n: int, limit: int) -> tuple[int, ...]:
+    """The primes dividing n >= 1 in increasing order, given that none
+    exceeds limit (the order of a group of degree d divides d!, so d
+    will do).  Trial division by 2..limit removes each prime before any
+    of its multiples is tried."""
+    out = []
+    for p in range(2, limit + 1):
+        if n == 1:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    return tuple(out)
+
+
 def is_prime_power(n: int) -> bool:
     if n < 2:
         return False

@@ -12,12 +12,13 @@ from loopkit.perm import (
     derived_series,
     derived_subgroup,
     group_order,
+    is_solvable,
     lower_central_series,
     nilpotency_class_group,
     normal_closure,
     solvable_class,
 )
-from loopkit.util import INFINITE
+from loopkit.util import INFINITE, prime_divisors
 
 from conftest import closure_order, hunt_candidates
 
@@ -348,6 +349,112 @@ def test_non_solvable_hunt_inn_is_decided_without_its_chain():
     for Q in hunt_candidates(seed=0, count=20):
         inn = assoc_group(Q, "INN")
         if solvable_class(inn) is INFINITE:
+            assert inn._chain_cache is None
+            return
+    pytest.fail("no non-solvable Inn among the first 20 candidates")
+
+
+# -- is_solvable: constituents, then Burnside's p^a q^b ----------------------------
+
+
+def solvable_oracle(group):
+    return derived_length_oracle(group) is not INFINITE
+
+
+def agl1(p, a):
+    """AGL(1, p)'s subgroup x -> a^k x + b on 0..p-1."""
+    return PermGroup(p, [Permutation([(x + 1) % p for x in range(p)]),
+                         Permutation([a * x % p for x in range(p)])])
+
+
+@pytest.mark.parametrize(
+    "n, limit, expected",
+    [(1, 5, ()), (2, 2, (2,)), (24, 4, (2, 3)), (60, 5, (2, 3, 5)),
+     (168, 7, (2, 3, 7)), (20922789888000, 16, (2, 3, 5, 7, 11, 13))],
+)
+def test_prime_divisors(n, limit, expected):
+    assert prime_divisors(n, limit) == expected
+
+
+@pytest.mark.parametrize(
+    "factory, expected, by_order",
+    [
+        (s3, True, True),
+        (d4, True, True),
+        (lambda: PermGroup(4, [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]), True, True),
+        (a5, False, False),
+        (s16, False, False),
+        # order 42 = 2 * 3 * 7: solvable, but only the series can tell
+        (lambda: agl1(7, 3), True, False),
+        (lambda: PermGroup(5, []), True, True),
+    ],
+)
+def test_is_solvable_examples(factory, expected, by_order):
+    """A transitive group (or the trivial one) whose order has at most two
+    prime divisors is settled without building G'."""
+    group = factory()
+    assert is_solvable(group) is expected
+    assert (group._derived is None) is by_order
+    assert solvable_oracle(group) is expected
+
+
+@pytest.mark.parametrize(
+    "degree, blocks, expected",
+    [
+        (7, [(0, S4_GENS), (4, [(1, 2, 0)])], True),
+        (6, [(0, S3_GENS), (3, S3_GENS)], True),
+        (7, [(0, [(1, 0)]), (2, A5_GENS)], False),
+    ],
+)
+def test_is_solvable_on_constituents_hand_made(degree, blocks, expected):
+    """Two nontrivial orbits: no chain on the whole degree is built."""
+    group = PermGroup(degree, side_by_side(degree, *blocks))
+    assert is_solvable(group) is expected
+    assert group._chain_cache is None
+
+
+@given(gen_lists, gen_lists, st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_is_solvable_matches_the_whole_group_series(left, right, gap):
+    shift = len(left[0]) + gap
+    degree = shift + len(right[0])
+    group = PermGroup(degree, side_by_side(degree, (0, left), (shift, right)))
+    assert is_solvable(group) == solvable_oracle(group)
+    single = PermGroup(len(left[0]), [Permutation(g) for g in left])
+    assert is_solvable(single) == solvable_oracle(single)
+
+
+def test_is_solvable_of_pool_groups(pool):
+    """Chainless copies take the constituent route where they can, the
+    pool's own groups (chains built by the earlier oracle) never do."""
+    for entry in pool:
+        for which in ("MLT", "INN", "TMLT", "TINN"):
+            group = assoc_group(entry.table, which)
+            want = solvable_oracle(group)
+            assert is_solvable(PermGroup(group.degree, group.generators)) == want, (entry.tag, which)
+            group.order()
+            assert is_solvable(group) == want, (entry.tag, which)
+
+
+def test_is_solvable_of_hunt_groups():
+    """Inn and Mlt of hunt candidates, the groups the hunt's predicate asks
+    about.  At seed 0 both a solvable and a non-solvable Inn occur, and
+    candidates 21 and 30 have a solvable Mlt whose order has two and
+    three prime divisors."""
+    seen = set()
+    for Q in hunt_candidates(seed=0, count=40):
+        for which in ("INN", "MLT"):
+            group = assoc_group(Q, which)
+            got = is_solvable(PermGroup(group.degree, group.generators))
+            assert got == solvable_oracle(group)
+            seen.add((which, got))
+    assert seen == {("INN", True), ("INN", False), ("MLT", True), ("MLT", False)}
+
+
+def test_non_solvable_hunt_inn_is_decided_by_is_solvable_without_its_chain():
+    for Q in hunt_candidates(seed=0, count=20):
+        inn = assoc_group(Q, "INN")
+        if not is_solvable(inn):
             assert inn._chain_cache is None
             return
     pytest.fail("no non-solvable Inn among the first 20 candidates")

@@ -8,7 +8,14 @@ Pool tables stop at order 8: sympy takes minutes on order-16 Mlts.
 import pytest
 
 from loopkit.multgrp import assoc_group
-from loopkit.perm import PermGroup, derived_series, group_order, lower_central_series, solvable_class
+from loopkit.perm import (
+    PermGroup,
+    derived_series,
+    group_order,
+    is_solvable,
+    lower_central_series,
+    solvable_class,
+)
 from loopkit.util import INFINITE
 
 from test_perm import a5, d4, s3, s16
@@ -64,6 +71,17 @@ def test_solvable_class_of_fresh_small_pool_groups_matches_sympy(pool):
             group = assoc_group(Q, which)
             fresh = PermGroup(group.degree, group.generators)
             assert solvable_class(fresh) == sympy_derived_length(group), (Q, which)
+
+
+def test_is_solvable_of_fresh_small_pool_groups_matches_sympy(pool):
+    tables = [entry.table for entry in pool if entry.table.order <= 8]
+    for Q in tables:
+        for which in ("MLT", "INN", "TMLT", "TINN"):
+            group = assoc_group(Q, which)
+            fresh = PermGroup(group.degree, group.generators)
+            gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
+            want = not gens or combinatorics.PermutationGroup(gens).is_solvable
+            assert is_solvable(fresh) == want, (Q, which)
 
 
 def sympy_derived_length(group):
