@@ -11,6 +11,8 @@ so that data lives and dies with the table.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .errors import CapExceeded, Malformed, NoNeutral, NotAbelianGroup, NotLatin
@@ -42,7 +44,10 @@ class LoopTable:
     __slots__ = ("order", "rows", "neutral", "mul", "ldiv", "rdiv", "_hash", "_memo")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise Malformed("entries must be integers") from None
         n = len(rows)
         if n == 0:
             raise Malformed("empty table")

@@ -30,6 +30,50 @@ and the series and normal closures use only those.  This is exact:
   under conjugation by the generators is normal: it is the normal
   closure.
 
+Level k of a chain holds generators S_k of a group H_k, all fixing the
+base points b_0..b_{k-1}.  The chain is complete when each transversal
+is the orbit of b_k under H_k and H_{k+1} is the stabilizer of b_k in
+H_k.  By Schreier's lemma, for any generating set S of H and a
+transversal u of the orbit of b with u_b = 1, that stabilizer is
+generated by the Schreier generators u_p g u_{g(p)}^-1, g in S.  The
+chain leaves out five pieces of the textbook run's work (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, CRC 2005, sec. 4.4.2),
+each exactly:
+
+(a) A residue r found while level k is established joins levels
+    k+1..where, not 0..where (`where` is the level its sift stopped at;
+    r fixes b_0..b_{where-1} and moves b_where).  r is a Schreier
+    generator of level k times inverse representatives of deeper levels,
+    so it lies in H_k.  Each generator joins consecutive levels
+    first..where, and level first - 1, if any, already generates it, so
+    H_{m+1} <= H_m holds throughout and r lies in every H_m with m <= k.
+    Adding r to levels 0..k would change no H_m, and by Schreier's lemma
+    the Schreier generators of the generators already there suffice.
+    So level 0 holds exactly the residues of add_generator, one per
+    grown generator.
+(b) The pair (b_k, g) with g(b_k) = b_k is skipped: its Schreier
+    generator is g itself.  Every generator moves the base point of the
+    deepest level it joins, so g's deepest level lies past k, and g
+    joined every level in between, level k + 1 included, where it sifts
+    to the identity.
+(c) strip composes only where the base point moves: the representative
+    of b_k is the identity.
+(d) A normal closure sifts each distinct seed or conjugate once.  A
+    candidate sifted once lies in the chain's group from then on, so a
+    second sift would end at the identity and grow nothing.
+(e) While one generator is added, a Schreier generator s sifted from
+    level j + 1 is not sifted again from a level k + 1 <= j + 1.  The
+    first sift either ended at the identity, so that s is a product of
+    representatives of levels j + 1 onward, or installed its residue
+    from level j + 1 on.  Either way s lies in H_{j+1} <= H_{k+1} from
+    then on, which is all Schreier's lemma asks of it at level k.
+
+A generator grows a chain iff it lies outside the group of those before
+it, so none of the five changes an order or a grown list, and no term of
+a series gets other generators.  Transversals are discovered along fewer
+generators, so a base may differ from the textbook run's; it stays
+deterministic.
+
 A normal closure also stops at a known order: G' lies in G and
 [G, N] in N, so its chain is given |G| or |N| as a bound.  A chain's
 order, the product of its transversal lengths, never exceeds the order
@@ -37,8 +81,11 @@ of the group its generators generate.  Once it reaches the bound, every
 transversal is a full orbit and the last stabilizer is trivial, so every
 remaining Schreier generator and every remaining conjugate would sift to
 the identity.  The chain then clears its pair queues and takes no more
-generators; its base, transversals, strong generators and grown list are
-those the full run gives.
+generators.  What it leaves is what the same rules leave without the
+bound: the same base, transversals, strong generators and grown list.
+A seed of `normal_closure` outside the group it is closed under voids
+that bound, so the public closure uses it only when every seed sifts
+into the group's chain.
 
 The derived length of a chainless intransitive group is read off its
 transitive constituents (`solvable_class`).  Let O_1..O_r be the orbits
@@ -77,6 +124,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import lcm
+from operator import index
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,7 +181,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        try:
+            images = tuple(map(index, images))
+        except TypeError:
+            raise ValueError("images must be integers") from None
         if sorted(images) != list(range(len(images))):
             raise ValueError("images do not form a permutation")
         object.__setattr__(self, "images", images)
@@ -191,12 +243,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        result = 1
-        for cycle in self.cycles():
-            k = len(cycle)
-            g = _gcd(result, k)
-            result = result // g * k
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def to_line(self) -> str:
         return " ".join(str(v) for v in self.images)
@@ -219,18 +266,12 @@ class Permutation:
         return f"Permutation({text})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class _Level:
     """One stabilizer-chain level.
 
-    gens is the full strong generator list for the stabilizer of the
-    previous base points (deeper levels' generators are repeated here, so
-    orbits never miss a generator).  Transversal entries are never
+    gens generates the level's group, a subgroup of the stabilizer of the
+    previous base points that contains every deeper level's group (rule
+    (a) of the module docstring).  Transversal entries are never
     replaced once written, which keeps previously processed Schreier
     generators valid; inverses holds their inverses.  Both are keyed in
     orbit discovery order.  pair_queue holds (point, gen index) pairs that
@@ -249,14 +290,12 @@ class _Level:
     def add_gen(self, g):
         self.gens.append(g)
         gi = len(self.gens) - 1
-        for p in self.transversal:
-            self.pair_queue.append((p, gi))
+        self.pair_queue.extend((p, gi) for p in self.transversal)
 
     def add_point(self, q: int, rep, rep_inverse):
         self.transversal[q] = rep
         self.inverses[q] = rep_inverse
-        for gi in range(len(self.gens)):
-            self.pair_queue.append((q, gi))
+        self.pair_queue.extend((q, gi) for gi in range(len(self.gens)))
 
 
 class _Chain:
@@ -280,7 +319,10 @@ class _Chain:
         then = self.ops.then
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            u_inv = level.inverses.get(p[level.base])
+            x = p[level.base]
+            if x == level.base:
+                continue  # rule (c): the representative is the identity
+            u_inv = level.inverses.get(x)
             if u_inv is None:
                 return p, i
             p = then(p, u_inv)
@@ -309,28 +351,35 @@ class _Chain:
             return False
         self.grown.append(p)
         self._install(residue, where)
+        sifted: dict = {}
         for k in range(len(self.levels) - 1, -1, -1):
-            self._establish(k)
+            self._establish(k, sifted)
         return True
 
-    def _install(self, residue, where: int):
-        """Add residue (which fixes the first `where` base points) to levels 0..where."""
+    def _install(self, residue, where: int, first: int = 0):
+        """Add residue (which fixes the first `where` base points) to levels
+        first..where."""
         if where == len(self.levels):
             base = next(i for i, v in enumerate(residue) if v != i)
             self.levels.append(_Level(base, self.ops.identity))
-        for m in range(where + 1):
+        for m in range(first, where + 1):
             self.levels[m].add_gen(residue)
 
-    def _establish(self, k: int):
-        """Drain level k's pair queue; deeper levels are re-established on demand."""
+    def _establish(self, k: int, sifted: dict):
+        """Drain level k's pair queue; deeper levels are re-established on
+        demand.  sifted maps each Schreier generator sifted since the last
+        add_generator to the deepest level its sift started at."""
         level = self.levels[k]
         identity, then, invert = self.ops.identity, self.ops.then, self.ops.invert
-        while level.pair_queue:
-            p, gi = level.pair_queue.popleft()
-            g = level.gens[gi]
+        queue, gens, transversal = level.pair_queue, level.gens, level.transversal
+        while queue:
+            p, gi = queue.popleft()
+            g = gens[gi]
             q = g[p]
-            g_u_p = then(level.transversal[p], g)
-            u_q = level.transversal.get(q)
+            if q == p == level.base:
+                continue  # rule (b): the Schreier generator is g, on level k + 1
+            g_u_p = then(transversal[p], g)
+            u_q = transversal.get(q)
             if u_q is None:
                 level.add_point(q, g_u_p, invert(g_u_p))
                 if self.bound is not None and self.order() == self.bound:
@@ -341,12 +390,25 @@ class _Chain:
                 continue
             if g_u_p == u_q:
                 continue  # the Schreier generator is the identity
-            residue, where = self.strip(then(g_u_p, level.inverses[q]), k + 1)
+            schreier = then(g_u_p, level.inverses[q])
+            if sifted.get(schreier, 0) > k:
+                continue  # rule (e): it already lies in level k + 1's group
+            sifted[schreier] = k + 1
+            residue, where = self.strip(schreier, k + 1)
             if residue == identity:
                 continue
-            self._install(residue, where)
+            self._install(residue, where, k + 1)  # rule (a)
             for m in range(min(where, len(self.levels) - 1), k, -1):
-                self._establish(m)
+                self._establish(m, sifted)
+
+
+def _as_permutation(g, degree: int) -> Permutation:
+    """g as a Permutation of the given degree; ValueError if it is not one."""
+    if not isinstance(g, Permutation):
+        g = Permutation(g)
+    if len(g.images) != degree:
+        raise ValueError("generator degree mismatch")
+    return g
 
 
 class PermGroup:
@@ -355,11 +417,7 @@ class PermGroup:
     def __init__(self, degree: int, generators, _chain: _Chain | None = None):
         gens = []
         seen = {tuple(range(degree))}  # the identity is dropped too
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if len(g.images) != degree:
-                raise ValueError("generator degree mismatch")
+        for g in (_as_permutation(g, degree) for g in generators):
             if g.images in seen:
                 continue
             seen.add(g.images)
@@ -407,25 +465,36 @@ def contains(group: PermGroup, p: Permutation) -> bool:
 
 
 def normal_closure(group: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup containing seeds and closed under conjugation by group."""
-    pack = _ops(group.degree).pack
-    images = (s.images if isinstance(s, Permutation) else tuple(s) for s in seeds)
-    return _closure(group, [pack(s) for s in images], group.order())
+    """Smallest subgroup containing seeds and closed under conjugation by
+    group.  Seeds are checked as generators are (ValueError).  The closure
+    is bounded by |group| only when every seed lies in group."""
+    chain = group._chain
+    packed = [chain.ops.pack(_as_permutation(s, group.degree).images) for s in seeds]
+    inside = all(chain.contains(s) for s in packed)
+    return _closure(group, packed, group.order() if inside else None)
 
 
-def _closure(group: PermGroup, seeds: list, bound: int) -> PermGroup:
+def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
     """Normal closure in group of seeds in the internal form, conjugating
-    by the generators that grew group's chain; bound is the order of a
-    subgroup of group known to contain the closure."""
+    by the generators that grew group's chain; bound, if not None, is the
+    order of a subgroup of group known to contain the closure."""
     chain = _Chain(group.degree, bound)
     then, invert = chain.ops.then, chain.ops.invert
     conjugators = [(g, invert(g)) for g in group._chain.grown]
-    queue = deque(s for s in seeds if chain.add_generator(s))
+    sifted = set()
+
+    def grows(candidate) -> bool:  # rule (d): each distinct candidate once
+        if candidate in sifted:
+            return False
+        sifted.add(candidate)
+        return chain.add_generator(candidate)
+
+    queue = deque(s for s in seeds if grows(s))
     while queue and not chain.full:
         s = queue.popleft()
         for g, g_inv in conjugators:
             conj = then(then(g_inv, s), g)
-            if chain.add_generator(conj):
+            if grows(conj):
                 queue.append(conj)
     degree = group.degree
     kept = [Permutation._wrap(tuple(p[:degree])) for p in chain.grown]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +84,153 @@ def closure_order(generators, cap=200_000) -> int:
                         raise RuntimeError("closure oracle cap exceeded")
         frontier = nxt
     return len(seen)
+
+
+def _then(q: tuple, p: tuple) -> tuple:
+    """p after q on image tuples."""
+    return tuple(p[x] for x in q)
+
+
+def _invert(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+class _TextbookLevel:
+    def __init__(self, base: int, identity: tuple):
+        self.base = base
+        self.gens = []
+        self.transversal = {base: identity}
+        self.inverses = {base: identity}
+        self.queue = collections.deque()
+
+
+class TextbookChain:
+    """The deterministic Schreier-Sims chain without `perm._Chain`'s
+    reductions, on image tuples: every residue joins levels 0..where, no
+    Schreier pair is skipped and strip composes at every level.  It
+    follows the same discovery order, so its orders and grown lists must
+    equal the engine's; it shares none of the engine's primitives."""
+
+    def __init__(self, degree: int, bound: int | None = None):
+        self.identity = tuple(range(degree))
+        self.levels = []
+        self.grown = []
+        self.bound = bound
+        self.full = False
+
+    def order(self) -> int:
+        return math.prod(len(level.transversal) for level in self.levels)
+
+    def strip(self, p, start=0):
+        for i in range(start, len(self.levels)):
+            level = self.levels[i]
+            u_inv = level.inverses.get(p[level.base])
+            if u_inv is None:
+                return p, i
+            p = _then(p, u_inv)
+        return p, len(self.levels)
+
+    def add_generator(self, p) -> bool:
+        if self.full:
+            return False
+        residue, where = self.strip(p)
+        if residue == self.identity:
+            return False
+        self.grown.append(p)
+        self._install(residue, where)
+        for k in reversed(range(len(self.levels))):
+            self._establish(k)
+        return True
+
+    def _install(self, residue, where):
+        if where == len(self.levels):
+            base = next(i for i, v in enumerate(residue) if v != i)
+            self.levels.append(_TextbookLevel(base, self.identity))
+        for level in self.levels[:where + 1]:
+            level.gens.append(residue)
+            level.queue.extend((p, len(level.gens) - 1) for p in level.transversal)
+
+    def _establish(self, k):
+        level = self.levels[k]
+        while level.queue:
+            p, gi = level.queue.popleft()
+            g = level.gens[gi]
+            g_u_p = _then(level.transversal[p], g)
+            u_q = level.transversal.get(g[p])
+            if u_q is None:
+                level.transversal[g[p]] = g_u_p
+                level.inverses[g[p]] = _invert(g_u_p)
+                level.queue.extend((g[p], j) for j in range(len(level.gens)))
+                if self.bound is not None and self.order() == self.bound:
+                    self.full = True
+                    for lv in self.levels:
+                        lv.queue.clear()
+                    return
+                continue
+            if g_u_p == u_q:
+                continue
+            residue, where = self.strip(_then(g_u_p, level.inverses[g[p]]), k + 1)
+            if residue == self.identity:
+                continue
+            self._install(residue, where)
+            for m in range(min(where, len(self.levels) - 1), k, -1):
+                self._establish(m)
+
+
+def textbook_closure(conjugators, seeds, degree, bound) -> TextbookChain:
+    """Normal closure of seeds under the conjugators, sifting every
+    candidate, bounded at bound (None for no bound)."""
+    chain = TextbookChain(degree, bound)
+    pairs = [(g, _invert(g)) for g in conjugators]
+    queue = collections.deque(s for s in seeds if chain.add_generator(s))
+    while queue and not chain.full:
+        s = queue.popleft()
+        for g, g_inv in pairs:
+            conj = _then(_then(g_inv, s), g)
+            if chain.add_generator(conj):
+                queue.append(conj)
+    return chain
+
+
+def textbook_series(degree, generators):
+    """(order, grown list, derived series terms, lower central terms) of
+    the group the image tuples generate, each term as (order, grown list),
+    by `TextbookChain` and the engine's choice of seeds and conjugators."""
+    top = TextbookChain(degree)
+    for g in generators:
+        top.add_generator(tuple(g))
+
+    def commutators(pairs):
+        out = []
+        for a, b in pairs:
+            c = _then(_then(_then(_invert(b), _invert(a)), b), a)
+            if c != top.identity:
+                out.append(c)
+        return out
+
+    def derived(chain):
+        seeds = commutators(itertools.combinations(chain.grown, 2))
+        return textbook_closure(chain.grown, seeds, degree, chain.order())
+
+    def lower(chain):
+        if chain is top:
+            return derived(top)
+        seeds = commutators(itertools.product(top.grown, chain.grown))
+        return textbook_closure(top.grown, seeds, degree, chain.order())
+
+    def descend(step):
+        chains = [top]
+        while chains[-1].order() > 1:
+            nxt = step(chains[-1])
+            if nxt.order() == chains[-1].order():
+                break
+            chains.append(nxt)
+        return [(c.order(), c.grown) for c in chains]
+
+    return top.order(), top.grown, descend(derived), descend(lower)
 
 
 def group_inverse(Q, x: int) -> int:

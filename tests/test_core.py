@@ -71,6 +71,19 @@ def test_parse_rejects_malformed(text):
         parse_table(text)
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0.5]], [[0, 1], [1, 0.0]], [[0, 1], [1, "0"]]])
+def test_table_rejects_non_integer_entries(rows):
+    """A float is never truncated into an entry."""
+    with pytest.raises(Malformed):
+        LoopTable(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_table_accepts_numpy_integer_arrays(dtype):
+    q = LoopTable(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=dtype))
+    assert q == Z3 and all(type(v) is int for row in q.rows for v in row)
+
+
 def test_parse_skips_comments_and_roundtrips():
     text = "# a comment\n3\n0 1 2\n# interior comment\n1 2 0\n2 0 1\n"
     q = parse_table(text)

@@ -1,9 +1,12 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopkit import perm as perm_module
+from loopkit.core import direct_product
+from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import assoc_group
 from loopkit.perm import (
     PermGroup,
@@ -18,9 +21,11 @@ from loopkit.perm import (
     normal_closure,
     solvable_class,
 )
+from loopkit.pools import POOL_MASTER_SEED
+from loopkit.tables import cyclic, klein
 from loopkit.util import INFINITE, prime_divisors
 
-from conftest import closure_order, hunt_candidates
+from conftest import closure_order, hunt_candidates, textbook_series
 
 
 def perm(*cycles, degree):
@@ -254,6 +259,34 @@ def test_normal_closure_of_transposition_in_s4():
     assert normal_closure(s4, [perm((0, 1), (2, 3), degree=4)]).order() == 4
 
 
+def test_normal_closure_of_a_seed_outside_the_group():
+    """(0 1) is not in Z4 = <(0 1 2 3)>; its conjugates (0 1), (1 2),
+    (2 3), (3 0) generate S4, so |Z4| is no bound."""
+    z4 = PermGroup(4, [perm((0, 1, 2, 3), degree=4)])
+    assert normal_closure(z4, [perm((0, 1), degree=4)]).order() == 24
+    assert normal_closure(z4, [(1, 0, 2, 3), perm((0, 2), (1, 3), degree=4)]).order() == 24
+    assert normal_closure(z4, [perm((0, 2), (1, 3), degree=4)]).order() == 2
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [(1, 0), (1, 0, 2, 3, 4), (0, 0, 1, 2), (1.0, 0, 2, 3), (1.9, 0.2, 2, 3), "1023"],
+)
+def test_normal_closure_rejects_bad_seeds(seed):
+    """Short, long, non-bijective and non-integer seeds, as for generators."""
+    with pytest.raises(ValueError):
+        normal_closure(d4(), [seed])
+    with pytest.raises(ValueError):
+        PermGroup(4, [seed])
+
+
+def test_permutation_rejects_non_integer_images():
+    with pytest.raises(ValueError):
+        Permutation([1.9, 0.2])
+    assert Permutation(np.array([1, 0, 2], dtype=np.uint8)).images == (1, 0, 2)
+    assert Permutation(np.arange(3)[::-1]).images == (2, 1, 0)
+
+
 # -- solvable_class on transitive constituents ----------------------------------
 
 
@@ -458,3 +491,96 @@ def test_non_solvable_hunt_inn_is_decided_by_is_solvable_without_its_chain():
             assert inn._chain_cache is None
             return
     pytest.fail("no non-solvable Inn among the first 20 candidates")
+
+
+# -- the reduced chain against the textbook one ------------------------------------
+
+
+def engine_series(group):
+    """What `textbook_series` gives, read off the engine."""
+    degree = group.degree
+
+    def terms(result):  # the top term's generators are the given ones
+        return [(h.order(), [g.images for g in h.generators]) for h in result.groups[1:]]
+
+    grown = [tuple(p[:degree]) for p in group._chain.grown]
+    derived, lower = derived_series(group), lower_central_series(group)
+    return group.order(), grown, terms(derived), terms(lower)
+
+
+def assert_matches_textbook(group):
+    got = engine_series(group)
+    want = textbook_series(group.degree, [g.images for g in group.generators])
+    assert got[:2] == want[:2]
+    for got_terms, want_terms in zip(got[2:], want[2:]):
+        assert got_terms == want_terms[1:]
+
+
+def test_chain_matches_textbook_on_pool_groups(pool):
+    """Same orders, grown lists and series generators as the chain that
+    installs every residue at 0..where, skips nothing and sifts every
+    candidate, on Mlt and Inn of every pool table."""
+    for entry in pool:
+        for which in ("MLT", "INN"):
+            group = assoc_group(entry.table, which)
+            assert_matches_textbook(PermGroup(group.degree, group.generators))
+
+
+def test_chain_matches_textbook_on_analyze_tables(random_extensions):
+    """The order-32 and order-64 tables that open the analyze corpus."""
+    o32 = build_extension(next(iter(iter_cocycles_random(
+        AbelianGroupTable(cyclic(8)), klein(), seed=POOL_MASTER_SEED, budget=1
+    ))))
+    o64 = direct_product(next(e.table for e in random_extensions if e.table.order == 16), cyclic(4))
+    for Q in (o32, o64):
+        for which in ("MLT", "INN"):
+            group = assoc_group(Q, which)
+            assert_matches_textbook(PermGroup(group.degree, group.generators))
+
+
+@given(gen_lists)
+@settings(max_examples=60, deadline=None)
+def test_chain_matches_textbook_on_random_generators(gen_lists):
+    assert_matches_textbook(PermGroup(len(gen_lists[0]), gen_lists))
+
+
+def test_level_zero_holds_one_generator_per_grown(monkeypatch, pool):
+    """Rule (a): level 0 holds only the residues of add_generator; rule
+    (d): a closure sifts each distinct candidate at most once."""
+    sifted = []
+    real = perm_module._Chain.add_generator
+
+    def add_generator(chain, p):
+        sifted.append((chain, p))  # holding the chain keeps its id unique
+        return real(chain, p)
+
+    monkeypatch.setattr(perm_module._Chain, "add_generator", add_generator)
+    for entry in pool:
+        for which in ("MLT", "INN"):
+            group = assoc_group(entry.table, which)
+            group = PermGroup(group.degree, group.generators)
+            sifted.clear()
+            results = (derived_series(group), lower_central_series(group))
+            assert len(sifted) == len(set(sifted))
+            for term in {h for result in results for h in result.groups}:
+                chain = term._chain
+                assert len(chain.levels[0].gens if chain.levels else []) == len(chain.grown)
+
+
+def test_strip_skips_fixed_base_points(monkeypatch):
+    """Rule (c): strip composes once per level whose base point moves."""
+    group = s16()
+    chain = group._chain
+    calls = []
+    then = chain.ops.then
+    monkeypatch.setattr(chain, "ops", chain.ops._replace(
+        then=lambda q, p: calls.append(1) or then(q, p)))
+    p = chain.ops.pack(perm((2, 3, 4), degree=16).images)
+    assert chain.contains(p)
+    moved_bases = 0
+    for level in chain.levels:
+        if p[level.base] != level.base:
+            moved_bases += 1
+            p = then(p, level.inverses[p[level.base]])
+    assert p == chain.ops.identity
+    assert len(calls) == moved_bases < len(chain.levels)

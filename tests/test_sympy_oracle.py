@@ -6,6 +6,7 @@ Pool tables stop at order 8: sympy takes minutes on order-16 Mlts.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopkit.multgrp import assoc_group
 from loopkit.perm import (
@@ -14,11 +15,12 @@ from loopkit.perm import (
     group_order,
     is_solvable,
     lower_central_series,
+    normal_closure,
     solvable_class,
 )
 from loopkit.util import INFINITE
 
-from test_perm import a5, d4, s3, s16
+from test_perm import a5, d4, gen_lists, s3, s16
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -90,3 +92,25 @@ def sympy_derived_length(group):
         return 0
     orders = [h.order() for h in combinatorics.PermutationGroup(gens).derived_series()]
     return len(orders) - 1 if orders[-1] == 1 else INFINITE
+
+
+closure_inputs = gen_lists.flatmap(lambda gens: st.tuples(
+    st.just(gens), st.lists(st.permutations(range(len(gens[0]))), min_size=1, max_size=2)
+))
+
+
+@given(closure_inputs)
+@settings(max_examples=40, deadline=None)
+def test_normal_closure_matches_sympy(inputs):
+    """The subgroup generated by every conjugate of the seeds by every
+    element of the group, seeds inside the group or not; sympy's own
+    normal_closure where they all lie inside."""
+    group_gens, seeds = inputs
+    degree = len(group_gens[0])
+    group = PermGroup(degree, group_gens)
+    got = normal_closure(group, seeds).order()
+    G = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in group_gens])
+    S = [combinatorics.Permutation(list(s)) for s in seeds]
+    assert got == combinatorics.PermutationGroup([s ^ g for s in S for g in G.elements]).order()
+    if all(G.contains(s) for s in S):
+        assert got == G.normal_closure(S).order()
