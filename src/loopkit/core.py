@@ -55,9 +55,12 @@ class LoopTable:
             raise CapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
         if any(len(row) != n for row in rows):
             raise Malformed("table is not square")
-        if any(v < 0 or v >= n for row in rows for v in row):
+        try:
+            mul = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            raise Malformed("entry out of range") from None
+        if mul.min() < 0 or mul.max() >= n:
             raise Malformed("entry out of range")
-        mul = np.asarray(rows, dtype=np.int64)
         neutral = latin_neutral(mul)
         if neutral is None:
             raise NoNeutral("no two-sided neutral element")
@@ -232,8 +235,6 @@ def parse_table(text: str) -> LoopTable:
             raise Malformed(f"bad token in row {ln!r}") from None
         if len(row) != n:
             raise Malformed(f"row has {len(row)} entries, expected {n}")
-        if any(v < 0 or v >= n for v in row):
-            raise Malformed("entry out of range")
         rows.append(row)
     return LoopTable(rows)
 

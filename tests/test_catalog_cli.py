@@ -1,10 +1,12 @@
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from loopkit import build_extension, catalog, format_table, hierarchy_report
+from loopkit import build_extension, catalog, cli, format_table, hierarchy_report
 from loopkit.catalog import (
     HEADER,
     CatalogRecord,
@@ -29,6 +31,16 @@ def write_table(tmp_path, name, table):
     path = tmp_path / name
     path.write_text(format_table(table))
     return str(path)
+
+
+def run_fresh(argv):
+    """`python -m loopkit.cli argv` in a new process, loopkit on its path."""
+    env = dict(os.environ)
+    paths = [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run(
+        [sys.executable, "-m", "loopkit.cli", *argv], env=env, capture_output=True, timeout=120
+    )
 
 
 def test_record_roundtrip():
@@ -365,15 +377,59 @@ def test_cli_search_open_problem_hunt_runs(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("hits=0")
 
 
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    path = write_table(tmp_path, "s3.table", symmetric(3))
+
+    def no_parser():
+        raise AssertionError("parser built per call")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == hierarchy_report(symmetric(3)).to_lines()
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is shared by every main() call, argparse errors included
+    table = write_table(tmp_path, "s3.table", symmetric(3))
+
+    def commands(root):
+        root.mkdir()
+        cat = str(root / "cat.tsv")
+        return [
+            ["analyze", table],
+            ["catalog"],
+            ["catalog", "add", table, "--catalog", cat, "--source", "t"],
+            ["catalog", "query", "order=6", "--catalog", cat],
+            ["search", "--preset", "order6-nilpotent", "--budget", "3", "--out", str(root / "out")],
+        ]
+
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for argv, fresh_argv in zip(commands(here), commands(fresh)):
+        if argv == ["catalog"]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+            assert code == 2
+        else:
+            code = main(argv)
+        captured = capsys.readouterr()
+        proc = run_fresh(fresh_argv)
+        assert code == proc.returncode, argv
+        assert captured.out.encode() == proc.stdout, argv
+        assert captured.err.encode() == proc.stderr, argv
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert files(here) == files(fresh)
+    assert len(files(here)) == 6  # cat.tsv, the log, two hits of two files each
+
+
 def test_console_entry_point(tmp_path):
     path = write_table(tmp_path, "z3.table", cyclic(3))
-    proc = subprocess.run(
-        [sys.executable, "-m", "loopkit.cli", "analyze", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_fresh(["analyze", path])
     assert proc.returncode == 0
-    assert "order: 3" in proc.stdout
+    assert b"order: 3" in proc.stdout
 
 
 def test_fingerprints_collide_exactly_for_isomorphic_tables():

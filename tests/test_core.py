@@ -78,6 +78,15 @@ def test_table_rejects_non_integer_entries(rows):
         LoopTable(rows)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 2**63, 2**70, -(2**70)])
+def test_table_rejects_entries_out_of_range(bad):
+    """Entries beyond int64 are out of range too, not an OverflowError."""
+    with pytest.raises(Malformed, match="entry out of range"):
+        LoopTable([[0, 1], [1, bad]])
+    with pytest.raises(Malformed, match="entry out of range"):
+        parse_table(f"2\n0 1\n1 {bad}\n")
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 def test_table_accepts_numpy_integer_arrays(dtype):
     q = LoopTable(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=dtype))
