@@ -5,12 +5,16 @@ detected, not required to be index 0; canonicalize() relabels it to 0 and
 picks, for catalog storage, the least table among the labelings grown by
 products from an isomorphism-invariant set of generator tuples.  All
 tables are immutable after construction and every operation here is a
-pure function.  A table memoizes data derived from it (LoopTable.memo),
-so that data lives and dies with the table.
+pure function.  A table is its read-only int64 arrays mul, ldiv and
+rdiv, validated in numpy from lists or any integer array and copied, so
+it never aliases its caller's array; it hashes and compares on the bytes
+of mul.  A table memoizes data derived from it (LoopTable.memo), such as
+`rows` (tuples of Python ints), so that data lives and dies with it.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import index
 
 import numpy as np
@@ -26,41 +30,56 @@ CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes, each O(n^2) work
 
 def latin_neutral(mul: np.ndarray) -> int | None:
     """Check that a square array over 0..n-1 is a Latin square (raising
-    NotLatin at the first bad row or column) and return its least
-    two-sided neutral element, or None for a quasigroup without one."""
-    full = np.arange(len(mul))
-    bad_row = (np.sort(mul, axis=1) != full).any(axis=1)
-    bad_col = (np.sort(mul, axis=0) != full[:, None]).any(axis=0)
-    if (bad_row | bad_col).any():
-        i = int(np.argmax(bad_row | bad_col))
-        raise NotLatin(f"{'row' if bad_row[i] else 'column'} {i} repeats a value")
-    fixes = (mul == full).all(axis=1) & (mul == full[:, None]).all(axis=0)
-    return int(np.argmax(fixes)) if fixes.any() else None
+    NotLatin at the first bad row or column) and return its two-sided
+    neutral element (the only x with x * 0 = 0), or None if it has none."""
+    full = np.arange(n := len(mul))
+    lines = np.concatenate((mul, mul.T))  # the rows, then the columns
+    ok = np.sort(lines, axis=1) == full
+    if not ok.all():
+        bad = ~ok.all(axis=1)
+        i = int(np.argmax(bad[:n] | bad[n:]))
+        raise NotLatin(f"{'row' if bad[i] else 'column'} {i} repeats a value")
+    e = mul[:, 0].tolist().index(0)
+    return e if (lines[[e, n + e]] == full).all() else None
+
+
+def _integer_square(rows) -> np.ndarray:
+    """rows as a new C-ordered int64 (n, n) array over 0..n-1, else the
+    first problem: a non-integer entry, an empty, oversized or non-square
+    table, an entry out of range.  What numpy does not type as a 2-D
+    integer array goes through operator.index entry by entry."""
+    try:
+        arr = rows if isinstance(rows, np.ndarray) else np.array(rows := list(rows))
+    except (TypeError, ValueError):  # not iterable, or ragged rows
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.dtype.kind not in "iu":
+        try:
+            arr = np.array([list(map(index, row)) for row in rows], dtype=object)
+        except TypeError:
+            raise Malformed("entries must be integers") from None
+    n = len(arr)
+    if n == 0:
+        raise Malformed("empty table")
+    if n > ORDER_CAP:
+        raise CapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
+    if arr.shape != (n, n):
+        raise Malformed("table is not square")
+    try:
+        mul = arr.astype(np.int64, order="C")
+    except OverflowError:
+        raise Malformed("entry out of range") from None
+    if mul.min() < 0 or mul.max() >= n:
+        raise Malformed("entry out of range")
+    return mul
 
 
 class LoopTable:
     """A finite loop: an n x n Latin square with a two-sided neutral element."""
 
-    __slots__ = ("order", "rows", "neutral", "mul", "ldiv", "rdiv", "_hash", "_memo")
+    __slots__ = ("order", "neutral", "mul", "ldiv", "rdiv", "_memo")
 
     def __init__(self, rows):
-        try:
-            rows = tuple(tuple(map(index, row)) for row in rows)
-        except TypeError:
-            raise Malformed("entries must be integers") from None
-        n = len(rows)
-        if n == 0:
-            raise Malformed("empty table")
-        if n > ORDER_CAP:
-            raise CapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
-        if any(len(row) != n for row in rows):
-            raise Malformed("table is not square")
-        try:
-            mul = np.asarray(rows, dtype=np.int64)
-        except OverflowError:
-            raise Malformed("entry out of range") from None
-        if mul.min() < 0 or mul.max() >= n:
-            raise Malformed("entry out of range")
+        mul = _integer_square(rows)
         neutral = latin_neutral(mul)
         if neutral is None:
             raise NoNeutral("no two-sided neutral element")
@@ -68,14 +87,12 @@ class LoopTable:
         rdiv = np.argsort(mul, axis=0)
         for a in (mul, ldiv, rdiv):
             a.setflags(write=False)
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "order", len(mul))
         object.__setattr__(self, "neutral", neutral)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "ldiv", ldiv)
         object.__setattr__(self, "rdiv", rdiv)
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_hash", hash((n, rows)))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -103,13 +120,11 @@ class LoopTable:
 
     def right_translation(self, x: int) -> Permutation:
         """y -> y * x (the x-th column)."""
-        self.check_element(x)
-        return Permutation._wrap(tuple(int(v) for v in self.mul[:, x]))
+        return Permutation._wrap(tuple(self.mul[:, self.check_element(x)].tolist()))
 
     def middle_translation(self, x: int) -> Permutation:
         """y -> y \\ x."""
-        self.check_element(x)
-        return Permutation._wrap(tuple(int(v) for v in self.ldiv[:, x]))
+        return Permutation._wrap(tuple(self.ldiv[:, self.check_element(x)].tolist()))
 
     # -- derived data -------------------------------------------------------
 
@@ -123,6 +138,13 @@ class LoopTable:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @property
+    def rows(self) -> tuple:  # tuples of Python ints, built on first use
+        return self.memo("rows", lambda: tuple(map(tuple, self.mul.tolist())))
+
+    def _key(self) -> bytes:
+        return self.memo("key", self.mul.tobytes)
 
     @property
     def is_commutative(self) -> bool:
@@ -140,13 +162,14 @@ class LoopTable:
 
     def subtable(self, elements) -> "LoopTable":
         """The induced table on a multiplication-closed subset."""
-        elements = sorted(elements)
-        pos = {e: i for i, e in enumerate(elements)}
-        try:
-            rows = [[pos[int(self.mul[a, b])] for b in elements] for a in elements]
-        except KeyError as exc:
-            raise Malformed(f"subset not closed under multiplication: {exc}") from None
-        return LoopTable(rows)
+        elements = np.sort(np.fromiter(elements, dtype=np.int64))
+        products = self.mul[np.ix_(elements, elements)]
+        pos = np.full(self.order, -1, dtype=np.int64)
+        pos[elements] = np.arange(len(elements))
+        table = pos[products]
+        if (table < 0).any():
+            raise Malformed(f"subset not closed under multiplication: {products[table < 0][0]}")
+        return LoopTable(table)
 
     def relabel(self, images) -> "LoopTable":
         """Apply the bijection x -> images[x] to the table."""
@@ -159,10 +182,10 @@ class LoopTable:
         return LoopTable(sigma[self.mul[np.ix_(inv, inv)]])
 
     def __eq__(self, other):
-        return isinstance(other, LoopTable) and self.rows == other.rows
+        return isinstance(other, LoopTable) and self._key() == other._key()
 
     def __hash__(self):
-        return self._hash
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopTable is immutable")
@@ -253,13 +276,8 @@ def direct_product(Q1: LoopTable, Q2: LoopTable) -> LoopTable:
     n1, n2 = Q1.order, Q2.order
     if n1 * n2 > ORDER_CAP:
         raise CapExceeded(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
-    m1, m2 = Q1.mul, Q2.mul
-    table = np.empty((n1 * n2, n1 * n2), dtype=np.int64)
-    for x2 in range(n2):
-        for y2 in range(n2):
-            block = m1 + n1 * m2[x2, y2]
-            table[x2 * n1 : (x2 + 1) * n1, y2 * n1 : (y2 + 1) * n1] = block
-    return LoopTable(table)
+    blocks = Q1.mul[None, :, None, :] + n1 * Q2.mul[:, None, :, None]  # [x2, x1, y2, y1]
+    return LoopTable(blocks.reshape(n1 * n2, n1 * n2))
 
 
 def g_oplus(G: LoopTable, oplus) -> LoopTable:
@@ -286,15 +304,26 @@ def g_oplus(G: LoopTable, oplus) -> LoopTable:
 
 
 def _profiles(Q: LoopTable):
-    """Per-element relabeling-invariant profile used for pruning."""
-    out = []
-    for x in range(Q.order):
-        lo = Q.left_translation(x).order()
-        ro = Q.right_translation(x).order()
-        sq = 1 if Q.mul_at(x, x) == x else 0
-        comm = int(np.count_nonzero(Q.mul[x] == Q.mul[:, x]))
-        out.append((lo, ro, sq, comm))
-    return out
+    """Per-element relabeling-invariant profile used for pruning: the
+    orders of L_x and R_x, whether x*x = x, and how many y commute with x.
+
+    All translations at once, as one flat array of successors: after
+    round r of p <- p o p, root[y] is the least of y's first 2^r images,
+    so after ceil(log2 n) rounds the least of its cycle, whose length is
+    the number of points with that root.  Up to n = 256 an order fits in
+    int64 (Landau's function, Massias 1984: g(n) <= exp(1.05313 sqrt(n ln n)))."""
+    n, mul = Q.order, Q.mul
+    step = (np.concatenate((mul, mul.T)) + n * np.arange(2 * n)[:, None]).ravel()
+    root = np.arange(2 * n * n)  # row x: L_x, row n + x: R_x
+    for _ in range((n - 1).bit_length()):
+        root = np.minimum(root, root[step])
+        step = step[step]
+    lengths = np.bincount(root)[root].reshape(2 * n, n)
+    orders = (np.lcm.reduce(lengths, axis=1).tolist() if n <= 256
+              else [lcm(*set(row)) for row in lengths.tolist()])
+    sq = [int(v == x) for x, v in enumerate(mul.diagonal().tolist())]
+    comm = np.count_nonzero(mul == mul.T, axis=1).tolist()
+    return list(zip(orders[:n], orders[n:], sq, comm))
 
 
 def is_isomorphic(Q1: LoopTable, Q2: LoopTable):
@@ -486,7 +515,4 @@ def canonicalize(Q: LoopTable) -> LoopTable:
 def fingerprint(Q: LoopTable) -> int:
     """64-bit relabeling-invariant fingerprint: hash of the canonical table."""
     canon = canonicalize(Q)
-    tokens = [canon.order]
-    for row in canon.rows:
-        tokens.extend(row)
-    return hash_tokens(tokens)
+    return hash_tokens([canon.order, *canon.mul.ravel().tolist()])

@@ -59,7 +59,7 @@ def inner_generator(Q: LoopTable, name: str, args) -> Permutation:
     else:  # M
         x, y = args
         images = rdiv[ldiv[y, x], ldiv[ldiv[z, y], x]]
-    return Permutation._wrap(tuple(int(v) for v in images))
+    return Permutation._wrap(tuple(images.tolist()))
 
 
 def inner_maps(Q: LoopTable, word: str, points=None) -> np.ndarray:
@@ -82,22 +82,6 @@ def inner_maps(Q: LoopTable, word: str, points=None) -> np.ndarray:
     if word == "M":  # (y \ x) / ((z \ y) \ x)
         return rdiv[ldiv.T[:, :, None], ldiv.T[:, ldiv[z].T]]
     raise ArityMismatch(f"unknown inner generator {word!r}")
-
-
-def inner_generator_family(Q: LoopTable, names) -> list[Permutation]:
-    """All generators of the given families over all argument tuples."""
-    out = []
-    n = Q.order
-    for name in names:
-        if INNER_ARITY[name] == 1:
-            out.extend(inner_generator(Q, name, (x,)) for x in range(n))
-        else:
-            out.extend(
-                inner_generator(Q, name, (x, y))
-                for x in range(n)
-                for y in range(n)
-            )
-    return out
 
 
 def word_rows(Q: LoopTable, which: str) -> np.ndarray:
@@ -126,9 +110,6 @@ def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
 
 def assoc_group(Q: LoopTable, which: str) -> PermGroup:
     """MLT, INN, TMLT or TINN of the loop as a permutation group over its
-    distinct generating maps (word_rows), built once per table."""
-    def build():
-        rows = word_rows(Q, which).tolist()
-        return PermGroup(Q.order, [Permutation._wrap(tuple(r)) for r in rows])
-
-    return Q.memo(("assoc_group", which), build)
+    distinct generating maps (word_rows, identity dropped), built once per
+    table."""
+    return Q.memo(("assoc_group", which), lambda: PermGroup(Q.order, word_rows(Q, which)))

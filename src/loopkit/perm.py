@@ -14,8 +14,11 @@ bytes.maketrans(p, _ID) and the identity test is p == _ID, one C call
 each.  Degrees 257..512 (up to ORDER_CAP) keep image tuples and the same
 three primitives written in Python.  The degree alone picks the form
 (`_ops`); everything above the primitives has one code path.
-`Permutation` keeps its image tuple.  Each transversal representative is
-stored with its inverse, so sifting composes and never inverts.
+`Permutation` keeps its image tuple; a PermGroup keeps only the internal
+forms of its generators, packed in numpy from Permutations or from an
+image array (`_pack`), and rebuilds Permutations when asked.  Each
+transversal representative is stored with its inverse, so sifting
+composes and never inverts.
 
 Each chain records the generators whose sift grew it (`_Chain.grown`),
 and the series and normal closures use only those.  This is exact:
@@ -123,6 +126,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import index
@@ -133,6 +137,11 @@ import numpy as np
 from .util import INFINITE, Infinite, prime_divisors
 
 _ID = bytes(range(256))
+
+
+@lru_cache(maxsize=None)
+def _identity_images(degree: int) -> tuple:
+    return tuple(range(degree))
 
 
 def _tuple_then(q: tuple, p: tuple) -> tuple:
@@ -151,28 +160,23 @@ def _bytes_invert(p: bytes) -> bytes:
     return bytes.maketrans(p, _ID)
 
 
-def _bytes_pack(images: tuple) -> bytes:
-    return bytes(images) + _ID[len(images):]
-
-
 class _Ops(NamedTuple):
     """The primitives on one degree's internal form.  then(q, p) is p
-    after q; pack turns an image tuple into the internal form, and
+    after q; _pack turns images into the internal form, and
     tuple(p[:degree]) turns it back."""
 
     identity: bytes | tuple
     then: Callable
     invert: Callable
-    pack: Callable
 
 
-_BYTES_OPS = _Ops(_ID, bytes.translate, _bytes_invert, _bytes_pack)
+_BYTES_OPS = _Ops(_ID, bytes.translate, _bytes_invert)
 
 
 def _ops(degree: int) -> _Ops:
     if degree <= len(_ID):
         return _BYTES_OPS
-    return _Ops(tuple(range(degree)), _tuple_then, _tuple_invert, tuple)
+    return _Ops(tuple(range(degree)), _tuple_then, _tuple_invert)
 
 
 class Permutation:
@@ -197,7 +201,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._wrap(tuple(range(degree)))
+        return cls._wrap(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -224,7 +228,7 @@ class Permutation:
         return Permutation._wrap(_tuple_invert(self.images))
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def cycles(self):
         seen = [False] * len(self.images)
@@ -411,28 +415,50 @@ def _as_permutation(g, degree: int) -> Permutation:
     return g
 
 
-class PermGroup:
-    """A permutation group given by generators, with a cached chain."""
+def _pack(degree: int, generators) -> list:
+    """Permutations or image sequences of the degree, or a (k, degree)
+    integer array of image rows, in the internal form of the degree;
+    ValueError for anything that is not such a permutation."""
+    rows = generators
+    if not isinstance(rows, np.ndarray):
+        images = [_as_permutation(g, degree).images for g in generators]
+        rows = np.array(images, dtype=np.int64).reshape(len(images), degree)
+    if rows.ndim != 2 or rows.shape[1] != degree or rows.dtype.kind not in "iu":
+        raise ValueError(f"generator rows must be integer arrays of degree {degree}")
+    if not (np.sort(rows, axis=1) == np.arange(degree)).all():
+        raise ValueError("images do not form a permutation")
+    if degree > len(_ID):
+        return list(map(tuple, rows.tolist()))
+    full = np.empty((len(rows), len(_ID)), dtype=np.uint8)
+    full[:, :degree] = rows
+    full[:, degree:] = np.arange(degree, len(_ID))
+    return full.view((np.void, len(_ID))).ravel().tolist()  # one bytes per row
 
-    def __init__(self, degree: int, generators, _chain: _Chain | None = None):
-        gens = []
-        seen = {tuple(range(degree))}  # the identity is dropped too
-        for g in (_as_permutation(g, degree) for g in generators):
-            if g.images in seen:
-                continue
-            seen.add(g.images)
-            gens.append(g)
+
+class PermGroup:
+    """A permutation group given by generators (as _pack takes them), with
+    a cached chain.  `_gens` holds them in the internal form, each once
+    and the identity dropped; `generators` rebuilds the Permutations.
+    A group made with _chain is that chain's group, grown list and all."""
+
+    def __init__(self, degree: int, generators=(), _chain: _Chain | None = None):
+        store = dict.fromkeys(_pack(degree, generators) if _chain is None else _chain.grown)
+        store.pop(_ops(degree).identity, None)
         self.degree = degree
-        self.generators = tuple(gens)
+        self._gens = tuple(store)
         self._chain_cache = _chain
         self._derived: PermGroup | None = None
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation._wrap(tuple(p[: self.degree])) for p in self._gens)
 
     @property
     def _chain(self) -> _Chain:
         if self._chain_cache is None:
             chain = _Chain(self.degree)
-            for g in self.generators:
-                chain.add_generator(chain.ops.pack(g.images))
+            for g in self._gens:
+                chain.add_generator(g)
             self._chain_cache = chain
         return self._chain_cache
 
@@ -443,16 +469,15 @@ class PermGroup:
         return self._chain.base_sequence()
 
     def is_trivial(self) -> bool:
-        return not self.generators
+        return not self._gens
 
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch in membership test")
-        chain = self._chain
-        return chain.contains(chain.ops.pack(p.images))
+        return self._chain.contains(_pack(self.degree, [p])[0])
 
     def __repr__(self):
-        return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
+        return f"PermGroup(degree={self.degree}, ngens={len(self._gens)})"
 
 
 def group_order(group: PermGroup) -> int:
@@ -469,7 +494,7 @@ def normal_closure(group: PermGroup, seeds) -> PermGroup:
     group.  Seeds are checked as generators are (ValueError).  The closure
     is bounded by |group| only when every seed lies in group."""
     chain = group._chain
-    packed = [chain.ops.pack(_as_permutation(s, group.degree).images) for s in seeds]
+    packed = _pack(group.degree, seeds)
     inside = all(chain.contains(s) for s in packed)
     return _closure(group, packed, group.order() if inside else None)
 
@@ -496,9 +521,7 @@ def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
             conj = then(then(g_inv, s), g)
             if grows(conj):
                 queue.append(conj)
-    degree = group.degree
-    kept = [Permutation._wrap(tuple(p[:degree])) for p in chain.grown]
-    return PermGroup(degree, kept, _chain=chain)
+    return PermGroup(group.degree, _chain=chain)
 
 
 def _commutators(ops: _Ops, pairs) -> list:
@@ -590,20 +613,23 @@ def _constituents(group: PermGroup) -> list[PermGroup]:
     """The restrictions of group to its orbits of more than one point, in
     order of least point, each relabeled 0..m-1 in increasing order;
     empty when there are fewer than two such orbits."""
-    if not group.generators:
+    if not group._gens:
         return []
-    images = np.array([g.images for g in group.generators])
+    degree = group.degree
+    if degree > len(_ID):
+        images = np.array(group._gens)
+    else:  # uint8 rows
+        images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))[:, :degree]
     root = orbit_roots(images)
-    roots, sizes = np.unique(root, return_counts=True)
-    if np.count_nonzero(sizes > 1) < 2:
+    roots = np.flatnonzero(np.bincount(root) > 1)  # a root is its orbit's least point
+    if len(roots) < 2:
         return []
     out = []
-    for r in roots[sizes > 1]:
+    for r in roots:
         orbit = np.flatnonzero(root == r)
-        label = np.empty(group.degree, dtype=np.int64)
+        label = np.empty(degree, dtype=images.dtype)
         label[orbit] = np.arange(len(orbit))
-        rows = label[images[:, orbit]].tolist()
-        out.append(PermGroup(len(orbit), [Permutation._wrap(tuple(row)) for row in rows]))
+        out.append(PermGroup(len(orbit), label[images[:, orbit]]))
     return out
 
 

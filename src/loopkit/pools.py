@@ -98,10 +98,6 @@ def random_extension_pool(count: int = 200, master_seed: int = POOL_MASTER_SEED)
     return out
 
 
-def full_pool(random_count: int = 200) -> list[PoolEntry]:
-    return group_pool() + exhaustive_small_extensions() + random_extension_pool(random_count)
-
-
 _CENTRAL_SHAPES = [
     ("Z2", lambda: cyclic(2), "Z2", lambda: cyclic(2)),
     ("Z2", lambda: cyclic(2), "Z3", lambda: cyclic(3)),

@@ -14,12 +14,11 @@ from loopkit.cli import PRESETS
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import INNER_WORDS, inner_generator, inner_generator_family, inner_maps
-from loopkit.perm import Permutation
+from loopkit.multgrp import INNER_ARITY, INNER_WORDS, inner_generator, inner_maps, word_rows
+from loopkit.perm import PermGroup, Permutation
 from loopkit.pools import (
     central_cocycle_pool,
     exhaustive_small_extensions,
-    full_pool,
     group_pool,
     random_extension_pool,
 )
@@ -84,6 +83,56 @@ def closure_order(generators, cap=200_000) -> int:
                         raise RuntimeError("closure oracle cap exceeded")
         frontier = nxt
     return len(seen)
+
+
+def profiles_oracle(Q):
+    """core._profiles from scalar walks: the orders of L_x and R_x by
+    Permutation.order, whether x*x = x, and the y with x*y = y*x."""
+    n = Q.order
+    return [
+        (
+            Q.left_translation(x).order(),
+            Q.right_translation(x).order(),
+            int(Q.mul_at(x, x) == x),
+            sum(Q.mul_at(x, y) == Q.mul_at(y, x) for y in range(n)),
+        )
+        for x in range(n)
+    ]
+
+
+def permutation_group_oracle(Q, which) -> PermGroup:
+    """The associated group built from one Permutation per row of
+    word_rows, the path groups took before they were fed arrays."""
+    return PermGroup(Q.order, [Permutation(row) for row in word_rows(Q, which).tolist()])
+
+
+def constituents_oracle(group) -> list[tuple]:
+    """The generator image tuples of each transitive constituent, as
+    perm._constituents should give them: orbits of more than one point
+    by breadth-first search, in order of least point, each relabeled
+    0..m-1 in increasing order, each image kept once, identity dropped;
+    [] when there are fewer than two such orbits."""
+    gens = [g.images for g in group.generators]
+    seen, orbits = set(), []
+    for start in range(group.degree):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            frontier = [g[x] for x in frontier for g in gens if g[x] not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        if len(orbit) > 1:
+            orbits.append(sorted(orbit))
+    if len(orbits) < 2:
+        return []
+    out = []
+    for orbit in orbits:
+        label = {p: i for i, p in enumerate(orbit)}
+        images = dict.fromkeys(tuple(label[g[p]] for p in orbit) for g in gens)
+        images.pop(tuple(range(len(orbit))), None)
+        out.append(tuple(images))
+    return out
 
 
 def _then(q: tuple, p: tuple) -> tuple:
@@ -298,6 +347,17 @@ def group_nilpotency_class(Q) -> int | None:
         current = nxt
         length += 1
     return length
+
+
+def inner_generator_family(Q, names) -> list[Permutation]:
+    """All generators of the given inner word families over all argument
+    tuples, one scalar inner_generator call each: the oracle for the
+    array kernels inner_maps and word_rows."""
+    out = []
+    for name in names:
+        tuples = itertools.product(range(Q.order), repeat=INNER_ARITY[name])
+        out.extend(inner_generator(Q, name, args) for args in tuples)
+    return out
 
 
 def condition_i_oracle(Q, A) -> bool:

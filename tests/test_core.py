@@ -26,7 +26,7 @@ from loopkit.pools import POOL_MASTER_SEED, random_extension_pool
 from loopkit.tables import cyclic, dihedral, elementary_abelian, klein, latin_squares, symmetric
 from loopkit.util import SplitMix64
 
-from conftest import group_inverse
+from conftest import group_inverse, profiles_oracle
 
 
 Z2 = cyclic(2)
@@ -91,6 +91,91 @@ def test_table_rejects_entries_out_of_range(bad):
 def test_table_accepts_numpy_integer_arrays(dtype):
     q = LoopTable(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=dtype))
     assert q == Z3 and all(type(v) is int for row in q.rows for v in row)
+
+
+def _integer_inputs():
+    """S3 as each kind of input a table takes, by name."""
+    base = np.array(S3.rows)
+    spread = np.zeros((12, 12), dtype=np.int64)
+    spread[::2, ::2] = base
+    return {
+        "list": [list(row) for row in S3.rows],
+        "int64": base.astype(np.int64),
+        "uint8": base.astype(np.uint8),
+        "uint16": base.astype(np.uint16),
+        ">u2": base.astype(">u2"),
+        "strided": spread[::2, ::2],
+        "fortran": np.asfortranarray(base),
+        "transposed": base.T.copy().T,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_integer_inputs()))
+def test_every_integer_input_gives_one_table(kind):
+    """Lists and integer arrays of any dtype, byte order or layout give
+    equal tables with equal hashes and the same rows."""
+    q = LoopTable(_integer_inputs()[kind])
+    assert q == S3 and hash(q) == hash(S3) and q.rows == S3.rows
+    assert q.mul.dtype == np.int64 and q.mul.flags.c_contiguous
+    assert not (q.mul.flags.writeable or q.ldiv.flags.writeable or q.rdiv.flags.writeable)
+
+
+@pytest.mark.parametrize("kind", ["int64", "uint8", "strided"])
+def test_table_never_aliases_the_callers_array(kind):
+    a = _integer_inputs()[kind]
+    q = LoopTable(a)
+    assert not np.shares_memory(q.mul, a)
+    a[[0, 1]] = a[[1, 0]]  # still a Latin square, with another neutral
+    assert q == S3 and q.rows == S3.rows and q.neutral == S3.neutral
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[0, 1], [1, 0.0]], Malformed, "entries must be integers"),
+        (np.array([[0, 1], [1, 0]], dtype=float), Malformed, "entries must be integers"),
+        ([["0", "1"], ["1", "0"]], Malformed, "entries must be integers"),
+        (["01", "10"], Malformed, "entries must be integers"),
+        ([[0, 1], [1, 2**70]], Malformed, "entry out of range"),
+        (np.array([[0, 2**70], [1, 0]], dtype=object), Malformed, "entry out of range"),
+        ([[0, 1], [1, 2**63]], Malformed, "entry out of range"),
+        (np.array([[0, 2**64 - 1], [1, 0]], dtype=np.uint64), Malformed, "entry out of range"),
+        (np.array([[True, False], [False, True]]), Malformed, "entries must be integers"),
+        (np.zeros((2, 2, 2), dtype=np.int64), Malformed, "entries must be integers"),
+        ([[[0]]], Malformed, "entries must be integers"),
+        ([0], Malformed, "entries must be integers"),
+        (5, Malformed, "entries must be integers"),
+        (None, Malformed, "entries must be integers"),
+        ([[0, 1], [1]], Malformed, "table is not square"),
+        ([[0, 1.5], [1]], Malformed, "entries must be integers"),
+        (np.zeros((2, 3), dtype=np.int64), Malformed, "table is not square"),
+        ([[]], Malformed, "table is not square"),
+        ([], Malformed, "empty table"),
+        (np.zeros((0, 0), dtype=np.int64), Malformed, "empty table"),
+        ([[0]] * 600, CapExceeded, "order 600 exceeds cap 512"),
+        ([[0]] * 599 + [[0, 1]], CapExceeded, "order 600 exceeds cap 512"),
+    ],
+)
+def test_table_rejects_irregular_input(rows, error, message):
+    """Each kind of bad input keeps its exception class and message."""
+    with pytest.raises(error) as info:
+        LoopTable(rows)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_table_takes_python_bools_and_any_iterable_of_rows():
+    q = LoopTable([[True, False], [False, True]])
+    assert q.rows == ((1, 0), (0, 1)) and q.neutral == 1
+    assert LoopTable(row for row in Z3.rows) == Z3
+    assert LoopTable(np.array(Z3.rows, dtype=object)) == Z3
+
+
+def test_subtable_is_one_gather_with_the_same_error():
+    q = direct_product(Z2, Z3)
+    sub = q.subtable([4, 0, 2])
+    assert sub == Z3 and sub.rows == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    with pytest.raises(Malformed, match="^subset not closed under multiplication: 4$"):
+        q.subtable([3, 0])  # (1, 1) squared is (0, 2)
 
 
 def test_parse_skips_comments_and_roundtrips():
@@ -276,6 +361,16 @@ def test_isomorphism_is_symmetric_and_transitive():
 
 
 # -- canonical form / fingerprint -------------------------------------------------
+
+
+def test_profiles_match_the_scalar_oracle(pool):
+    """Cycle types read from the arrays equal Permutation.order's, as
+    Python ints, on every pool table and on one above 256 points, where
+    the orders are taken in Python integers."""
+    for Q in [entry.table for entry in pool] + [cyclic(258)]:
+        profile = core._profiles(Q)
+        assert profile == profiles_oracle(Q)
+        assert all(type(v) is int for row in profile for v in row)
 
 
 def test_canonical_form_is_idempotent():

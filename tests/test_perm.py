@@ -280,6 +280,32 @@ def test_normal_closure_rejects_bad_seeds(seed):
         PermGroup(4, [seed])
 
 
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.one_of(st.just(list(range(n))), st.permutations(range(n)))
+))
+def test_is_identity_is_one_comparison_with_the_identity_tuple(images):
+    p = Permutation(images)
+    assert p.is_identity() == (p.images == tuple(range(p.degree)))
+    assert Permutation.identity(p.degree).is_identity()
+
+
+def test_groups_fed_arrays_check_them_as_generators():
+    rows = np.array([[1, 0, 2], [0, 1, 2], [1, 0, 2]], dtype=np.uint8)
+    group = PermGroup(3, rows)
+    assert [g.images for g in group.generators] == [(1, 0, 2)]
+    assert group.generators == PermGroup(3, [perm((0, 1), degree=3)]).generators
+    with pytest.raises(ValueError, match="do not form a permutation"):
+        PermGroup(3, np.array([[0, 0, 1]]))
+    with pytest.raises(ValueError, match="integer arrays of degree 4"):
+        PermGroup(4, rows)
+    with pytest.raises(ValueError, match="integer arrays of degree 3"):
+        PermGroup(3, rows.astype(float))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        PermGroup(4, [perm((0, 1), degree=3)])
+    high = PermGroup(260, np.array([np.roll(np.arange(260), 1)]))
+    assert high.order() == 260 and high.generators[0].images[:3] == (259, 0, 1)
+
+
 def test_permutation_rejects_non_integer_images():
     with pytest.raises(ValueError):
         Permutation([1.9, 0.2])
@@ -575,7 +601,7 @@ def test_strip_skips_fixed_base_points(monkeypatch):
     then = chain.ops.then
     monkeypatch.setattr(chain, "ops", chain.ops._replace(
         then=lambda q, p: calls.append(1) or then(q, p)))
-    p = chain.ops.pack(perm((2, 3, 4), degree=16).images)
+    p = perm_module._pack(16, [perm((2, 3, 4), degree=16)])[0]
     assert chain.contains(p)
     moved_bases = 0
     for level in chain.levels:
