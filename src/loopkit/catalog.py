@@ -20,7 +20,7 @@ import logging
 import operator
 from dataclasses import dataclass, fields
 
-from .commutator import HierarchyReport, hierarchy_report
+from .commutator import HierarchyReport, check_report_order, hierarchy_report
 from .core import LoopTable, fingerprint
 from .errors import Malformed
 from .util import parse_class, parse_value
@@ -126,7 +126,9 @@ def append_record(path, record: CatalogRecord) -> bool:
 
 def add_table(path, Q: LoopTable, source: str = "") -> tuple[bool, int]:
     """(added, fingerprint) for adding Q's record; the catalog is read
-    once, and the report is built only for a new fingerprint."""
+    once, and the report is built only for a new fingerprint.  An order
+    above the report cap raises CapExceeded before any of that."""
+    check_report_order(Q)
     fp = fingerprint(Q)
 
     def record() -> CatalogRecord:

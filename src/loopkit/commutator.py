@@ -366,14 +366,19 @@ class HierarchyReport:
         return cls.from_values(values)
 
 
+def check_report_order(Q: LoopTable) -> None:
+    """Raise CapExceeded when Q's order exceeds REPORT_ORDER_CAP."""
+    if Q.order > REPORT_ORDER_CAP:
+        raise CapExceeded(f"order {Q.order} exceeds the report cap {REPORT_ORDER_CAP}")
+
+
 def hierarchy_report(Q: LoopTable) -> HierarchyReport:
     """Every invariant of the report; raises CapExceeded before any work
     when the order exceeds REPORT_ORDER_CAP.  No part of the report
     enumerates normal subloops, and the group orders are exact integers;
     the cap bounds time and memory (the words over argument triples take
     n**3 entries)."""
-    if Q.order > REPORT_ORDER_CAP:
-        raise CapExceeded(f"order {Q.order} exceeds the report cap {REPORT_ORDER_CAP}")
+    check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
     # orders before classes: with the chain built, solvable_class closes G'

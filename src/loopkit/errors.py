@@ -18,7 +18,8 @@ class NoNeutral(LoopkitError):
 
 
 class CapExceeded(LoopkitError):
-    """A size or budget cap was exceeded (order > 512, report order > 128, ...)."""
+    """A size or budget cap was exceeded (table order > 512, group degree > 256,
+    report order > 128, ...)."""
 
 
 class ArityMismatch(LoopkitError):

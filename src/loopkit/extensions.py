@@ -5,12 +5,14 @@ An extension multiplies pairs over a cocycle (phi, psi, theta):
     (a, x) * (b, y) = (phi[x][y](a) + psi[x][y](b) + theta[x][y], x*y)
 
 with pair (a, x) encoded as index a + |A|*x, so fibers are contiguous
-blocks.  A *loop* cocycle pins the border cells (phi[y][1] = id,
-psi[1][y] = id, theta[1][y] = theta[y][1] = 0) which makes (0, 1) the
-neutral element.  Divisions have closed forms which the tests compare
-cell-by-cell against the built table.  The table, the closed forms and
-the extraction below are whole-array: all k^2 fiber blocks are formed in
-one gather over a (k, k, |A|, |A|) array, k = |F|.
+blocks.  A Cocycle holds phi and psi as (k, k, |A|) image arrays, so
+phi[x][y](a) is phi[x, y, a], and theta as a (k, k) array.  A *loop*
+cocycle pins the border cells (phi[y][1] = id, psi[1][y] = id,
+theta[1][y] = theta[y][1] = 0) which makes (0, 1) the neutral element.
+Divisions have closed forms which the tests compare cell-by-cell against
+the built table.  The table, the closed forms and the extraction below
+are whole-array: all k^2 fiber blocks are formed in one gather over a
+(k, k, |A|, |A|) array, k = |F|.
 
 decompose_extension recovers a cocycle from a loop with a normal subloop
 satisfying the syntactic abelianess conditions: the transversal takes the
@@ -40,7 +42,7 @@ from .errors import (
     NotNormal,
 )
 from .multgrp import assoc_group
-from .perm import PermGroup, Permutation
+from .perm import Permutation
 from .structure import Subloop, coset_representatives, is_normal
 from .util import SplitMix64
 
@@ -85,18 +87,23 @@ class AbelianGroupTable:
 
 
 def automorphisms(A: AbelianGroupTable) -> list[Permutation]:
-    """All additive bijections fixing zero, in lexicographic image order,
-    enumerated once per table."""
-    return list(A.table.memo("automorphisms", lambda: _enumerate_automorphisms(A)))
+    """All additive bijections fixing zero, in lexicographic image order."""
+    return [Permutation._wrap(tuple(images)) for images in _automorphism_images(A).tolist()]
 
 
-def _enumerate_automorphisms(A: AbelianGroupTable) -> tuple[Permutation, ...]:
+def _automorphism_images(A: AbelianGroupTable) -> np.ndarray:
+    """The automorphisms as one read-only (naut, |A|) image array, in
+    lexicographic order, enumerated once per table."""
+    return A.table.memo("automorphisms", lambda: _enumerate_automorphisms(A))
+
+
+def _enumerate_automorphisms(A: AbelianGroupTable) -> np.ndarray:
     n = A.order
     if n > AUTOMORPHISM_CAP:
         raise CapExceeded(f"automorphism enumeration capped at {AUTOMORPHISM_CAP}")
     table = A.table
     mul = table.mul
-    found: list[Permutation] = []
+    found: list[tuple] = []
     images = [-1] * n
     used = [False] * n
     images[A.zero] = A.zero
@@ -129,7 +136,7 @@ def _enumerate_automorphisms(A: AbelianGroupTable) -> tuple[Permutation, ...]:
         while x < n and images[x] >= 0:
             x += 1
         if x == n:
-            found.append(Permutation(images))
+            found.append(tuple(images))
             return
         want = forced(x)
         options = [want] if want is not None else list(range(n))
@@ -144,7 +151,9 @@ def _enumerate_automorphisms(A: AbelianGroupTable) -> tuple[Permutation, ...]:
             used[y] = False
 
     extend(0)
-    return tuple(sorted(found, key=lambda p: p.images))
+    out = np.array(sorted(found), dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _additive(A: AbelianGroupTable, images: np.ndarray) -> np.ndarray:
@@ -153,89 +162,98 @@ def _additive(A: AbelianGroupTable, images: np.ndarray) -> np.ndarray:
     return (images[:, add] == add[images[:, :, None], images[:, None, :]]).all(axis=(1, 2))
 
 
-@dataclass(frozen=True)
+def _grid(name: str, value, shape: tuple) -> np.ndarray:
+    """A read-only int64 copy of value, which numpy must read as an
+    integer array of the given shape."""
+    try:
+        arr = np.array(value)
+    except (TypeError, ValueError):  # ragged rows
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise CocycleInvalid(f"{name} grid has wrong shape")
+    if arr.dtype.kind not in "iu":
+        raise CocycleInvalid(f"{name} entries must be integers")
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Cocycle:
     """The triple (phi, psi, theta) over an abelian group A and loop F.
 
-    phi and psi entries must be automorphisms of A (checked);
-    the loop-cocycle border conditions are checked by validate_cocycle.
+    phi and psi are (k, k, |A|) arrays whose cell [x, y] holds the images
+    of an automorphism of A (checked); theta is a (k, k) array of
+    A-elements.  The constructor copies what it is given into read-only
+    int64 arrays; equal cocycles hash alike.  The loop-cocycle border
+    conditions are checked by validate_cocycle.
     """
 
     A: AbelianGroupTable
     F: LoopTable
-    phi: tuple[tuple[Permutation, ...], ...]
-    psi: tuple[tuple[Permutation, ...], ...]
-    theta: tuple[tuple[int, ...], ...]
+    phi: np.ndarray
+    psi: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
         k, na = self.F.order, self.A.order
-        for name, grid in (("phi", self.phi), ("psi", self.psi)):
-            if len(grid) != k or any(len(row) != k for row in grid):
-                raise CocycleInvalid(f"{name} grid has wrong shape")
-        if len(self.theta) != k or any(len(row) != k for row in self.theta):
-            raise CocycleInvalid("theta grid has wrong shape")
-        # each distinct map is checked once; they are listed in order of
-        # first cell (phi then psi, row-major), so the first bad one names
-        # the first bad cell
-        cells = [p for grid in (self.phi, self.psi) for row in grid for p in row]
-        maps = list(dict.fromkeys(cells))
-        ok = np.array([p.degree == na for p in maps])
-        if ok.any():
-            images = np.asarray([p.images for p in maps if p.degree == na], dtype=np.int64)
-            ok[ok] = _additive(self.A, images)
+        for name, shape in (("phi", (k, k, na)), ("psi", (k, k, na)), ("theta", (k, k))):
+            object.__setattr__(self, name, _grid(name, getattr(self, name), shape))
+        # every cell at once, phi then psi row-major, so the first bad row
+        # names the first bad cell
+        maps = np.concatenate((self.phi, self.psi)).reshape(2 * k * k, na)
+        ok = (np.sort(maps, axis=1) == np.arange(na)).all(axis=1)
+        ok[ok] = _additive(self.A, maps[ok])
         if not ok.all():
-            grid, cell = divmod(cells.index(maps[int(np.argmin(ok))]), k * k)
-            x, y = divmod(cell, k)
+            grid, x, y = np.unravel_index(np.argmin(ok), (2, k, k))
             raise CocycleInvalid(
                 f"{('phi', 'psi')[grid]}[{x}][{y}] is not an automorphism of A"
             )
-        theta = np.asarray(self.theta, dtype=np.int64)
-        if ((theta < 0) | (theta >= na)).any():
+        if self.theta.min() < 0 or self.theta.max() >= na:
             raise CocycleInvalid("theta entry out of range")
 
+    def _key(self):
+        return (self.A, self.F, self.phi.tobytes(), self.psi.tobytes(), self.theta.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, Cocycle) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def is_central(self) -> bool:
-        return all(
-            p.is_identity() for row in self.phi for p in row
-        ) and all(p.is_identity() for row in self.psi for p in row)
+        ident = np.arange(self.A.order)
+        return bool((self.phi == ident).all() and (self.psi == ident).all())
 
 
 def trivial_cocycle(A: AbelianGroupTable, F: LoopTable) -> Cocycle:
-    k = F.order
-    ident = Permutation.identity(A.order)
-    grid = tuple(tuple(ident for _ in range(k)) for _ in range(k))
-    zeros = tuple(tuple(A.zero for _ in range(k)) for _ in range(k))
-    return Cocycle(A, F, grid, grid, zeros)
+    k, na = F.order, A.order
+    ident = np.broadcast_to(np.arange(na), (k, k, na))
+    return Cocycle(A, F, ident, ident, np.full((k, k), A.zero))
 
 
 def validate_cocycle(gamma: Cocycle) -> list[str]:
     """Loop-cocycle border diagnostics; empty exactly for a loop cocycle."""
     one = gamma.F.neutral
     zero = gamma.A.zero
+    ident = list(range(gamma.A.order))
+    phi_col, psi_row = gamma.phi[:, one].tolist(), gamma.psi[one].tolist()
+    theta = gamma.theta.tolist()
     out = []
     for y in range(gamma.F.order):
-        if not gamma.phi[y][one].is_identity():
+        if phi_col[y] != ident:
             out.append(f"phi border: phi[{y}][{one}] != id")
-        if not gamma.psi[one][y].is_identity():
+        if psi_row[y] != ident:
             out.append(f"psi border: psi[{one}][{y}] != id")
-        if gamma.theta[one][y] != zero:
+        if theta[one][y] != zero:
             out.append(f"theta border: theta[{one}][{y}] != 0")
-        if gamma.theta[y][one] != zero:
+        if theta[y][one] != zero:
             out.append(f"theta border: theta[{y}][{one}] != 0")
     return out
 
 
 def pair_index(gamma: Cocycle, a: int, x: int) -> int:
     return a + gamma.A.order * x
-
-
-def _grid_arrays(phi, psi, theta):
-    """The cocycle grids as arrays: (k, k, |A|) images of phi and of psi,
-    and the (k, k) theta."""
-    return (
-        np.asarray([[p.images for p in row] for row in phi], dtype=np.int64),
-        np.asarray([[p.images for p in row] for row in psi], dtype=np.int64),
-        np.asarray(theta, dtype=np.int64),
-    )
 
 
 def _from_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -247,8 +265,7 @@ def _from_blocks(blocks: np.ndarray) -> np.ndarray:
 def _extension_rows(A: AbelianGroupTable, f: np.ndarray, phi, psi, theta) -> np.ndarray:
     """Product table of the pairs over any Latin square f (loop or not)."""
     add = A.table.mul
-    pa, pb, th = _grid_arrays(phi, psi, theta)
-    blocks = add[add[pa[:, :, :, None], pb[:, :, None, :]], th[:, :, None, None]]
+    blocks = add[add[phi[:, :, :, None], psi[:, :, None, :]], theta[:, :, None, None]]
     return _from_blocks(blocks + A.order * np.asarray(f)[:, :, None, None])
 
 
@@ -269,7 +286,7 @@ def division_closed_forms(gamma: Cocycle):
     A, F = gamma.A, gamma.F
     add = A.table.mul
     sub = add[:, np.asarray(A.neg)]
-    phi, psi, theta = _grid_arrays(gamma.phi, gamma.psi, gamma.theta)
+    phi, psi, theta = gamma.phi, gamma.psi, gamma.theta
     k, na = F.order, A.order
     x, y, a = np.arange(k)[:, None], np.arange(k), np.arange(na)
     X, Y = x[:, :, None, None], y[None, :, None, None]
@@ -290,29 +307,26 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
     """Neutral pair (a, x) of an extension over quasigroup-shaped data.
 
     f_rows may be any Latin square (no neutral element required); phi and
-    psi are grids of automorphisms of A and theta a grid of A-elements.
-    The four displayed neutral conditions are checked directly and the
-    answer is cross-validated by scanning the raw product table.
+    psi are (k, k, |A|) image arrays of automorphisms of A and theta a
+    (k, k) array of A-elements.  The four displayed neutral conditions are
+    checked directly and the answer is cross-validated by scanning the raw
+    product table.
     """
     f = np.asarray([[int(v) for v in row] for row in f_rows], dtype=np.int64)
     k = f.shape[0]
     if f.shape != (k, k):
         raise Malformed("quasigroup table is not square")
+    phi, psi, theta = (np.asarray(g, dtype=np.int64) for g in (phi, psi, theta))
     one = latin_neutral(f)
     answer = None
-    if one is not None:
-        border_ok = all(
-            phi[y][one].is_identity() and psi[one][y].is_identity() for y in range(k)
-        )
-        if border_ok:
-            for a in range(A.order):
-                if all(
-                    A.add(phi[one][y](a), theta[one][y]) == A.zero
-                    and A.add(psi[y][one](a), theta[y][one]) == A.zero
-                    for y in range(k)
-                ):
-                    answer = (a, one)
-                    break
+    ident = np.arange(A.order)
+    if one is not None and (phi[:, one] == ident).all() and (psi[one] == ident).all():
+        # a is neutral iff phi[1][y](a) + theta[1][y] = 0 = psi[y][1](a) + theta[y][1]
+        add = A.table.mul
+        sums = np.concatenate((add[phi[one].T, theta[one]], add[psi[:, one].T, theta[:, one]]), 1)
+        hits = np.flatnonzero((sums == A.zero).all(axis=1))
+        if len(hits):
+            answer = (int(hits[0]), one)
     # cross-validate against the raw product table
     e = latin_neutral(_extension_rows(A, f, phi, psi, theta))
     scan = None if e is None else (e % A.order, e // A.order)
@@ -323,9 +337,7 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
 
 def lemma31_analyze(gamma: Cocycle):
     """Neutral pair (a, x) of the extension over gamma, if one exists."""
-    return lemma31_analyze_raw(
-        gamma.A, gamma.F.rows, gamma.phi, gamma.psi, gamma.theta
-    )
+    return lemma31_analyze_raw(gamma.A, gamma.F.mul, gamma.phi, gamma.psi, gamma.theta)
 
 
 def normalize_cocycle(gamma: Cocycle, a: int) -> Cocycle:
@@ -338,19 +350,8 @@ def normalize_cocycle(gamma: Cocycle, a: int) -> Cocycle:
     if found is None or found[0] != a:
         raise NotNeutralAt(f"extension neutral is {found}, not ({a}, 1)")
     A = gamma.A
-    theta = tuple(
-        tuple(
-            A.sub(
-                A.add(
-                    A.add(gamma.theta[x][y], gamma.phi[x][y](a)),
-                    gamma.psi[x][y](a),
-                ),
-                a,
-            )
-            for y in range(gamma.F.order)
-        )
-        for x in range(gamma.F.order)
-    )
+    add = A.table.mul
+    theta = add[add[add[gamma.theta, gamma.phi[:, :, a]], gamma.psi[:, :, a]], A.neg[a]]
     return Cocycle(gamma.A, gamma.F, gamma.phi, gamma.psi, theta)
 
 
@@ -377,7 +378,6 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     rep = coset_representatives(Q, A)
     rep[rep == rep[Q.neutral]] = Q.neutral  # the neutral represents the fiber
     reps = np.unique(rep)
-    k = len(reps)
     xy = mul[np.ix_(reps, reps)]
     try:
         F = LoopTable(np.searchsorted(reps, rep[xy]))
@@ -390,21 +390,10 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     phi = rdiv[mul[by[:, None, :], reps[:, None]], xy[:, :, None]]
     # psi = (R_{xy}^-1 L_x R_y)|_A : b -> (x (b y)) / (x y)
     psi = rdiv[mul[reps[:, None, None], by], xy[:, :, None]]
-    maps = pos[np.stack((phi, psi))]
-    theta = pos[rdiv[xy, rep[xy]]]
-    if (maps < 0).any() or (theta < 0).any():
-        return None  # an image escapes the fiber
-    if (np.sort(maps, axis=-1) != np.arange(na)).any():
-        return None  # a map is not a bijection of the fiber
-    rows = list(map(tuple, maps.reshape(-1, na).tolist()))
-    wrapped = {r: Permutation._wrap(r) for r in dict.fromkeys(rows)}  # once per map
-    perms = [wrapped[r] for r in rows]
-    phi_grid, psi_grid = (
-        tuple(tuple(perms[i : i + k]) for i in range(start, start + k * k, k))
-        for start in (0, k * k)
-    )
+    # an image outside the fiber is -1, which Cocycle rejects with any
+    # map that is not an automorphism of the fiber
     try:
-        gamma = Cocycle(fiber, F, phi_grid, psi_grid, tuple(map(tuple, theta.tolist())))
+        gamma = Cocycle(fiber, F, pos[phi], pos[psi], pos[rdiv[xy, rep[xy]]])
     except CocycleInvalid:
         return None
     if validate_cocycle(gamma):
@@ -524,33 +513,31 @@ def free_cells(F: LoopTable, central: bool = False):
 
 def cocycle_space_size(A: AbelianGroupTable, F: LoopTable, central: bool = False) -> int:
     phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    naut = len(automorphisms(A))
+    naut = len(_automorphism_images(A))
     return naut ** (len(phi_cells) + len(psi_cells)) * A.order ** len(theta_cells)
 
 
-def _assemble(A, F, auts, phi_cells, psi_cells, theta_cells, values) -> Cocycle:
+def _free_positions(F: LoopTable, central: bool):
+    """The free cells as positions in one flat vector of the 3 k^2 cell
+    values (phi row-major, then psi, then theta), with the number of
+    free map cells, which come first."""
     k = F.order
-    ident = Permutation.identity(A.order)
-    phi = [[ident] * k for _ in range(k)]
-    psi = [[ident] * k for _ in range(k)]
-    theta = [[A.zero] * k for _ in range(k)]
-    i = 0
-    for (x, y) in phi_cells:
-        phi[x][y] = auts[values[i]]
-        i += 1
-    for (x, y) in psi_cells:
-        psi[x][y] = auts[values[i]]
-        i += 1
-    for (x, y) in theta_cells:
-        theta[x][y] = values[i]
-        i += 1
-    return Cocycle(
-        A,
-        F,
-        tuple(tuple(row) for row in phi),
-        tuple(tuple(row) for row in psi),
-        tuple(tuple(row) for row in theta),
-    )
+    cells = free_cells(F, central)
+    free = [part * k * k + x * k + y for part, grid in enumerate(cells) for x, y in grid]
+    return np.array(free, dtype=np.int64), len(cells[0]) + len(cells[1])
+
+
+def _assemble(A, F, auts, free, values) -> Cocycle:
+    """The loop cocycle whose free cells take values: indices into the
+    automorphism images auts for map cells, A-elements for theta cells.
+    Pinned cells are the identity, auts[0] (the least permutation of
+    all), and zero."""
+    k = F.order
+    cells = np.zeros(3 * k * k, dtype=np.int64)
+    cells[2 * k * k :] = A.zero
+    cells[free] = values
+    maps = auts[cells[: 2 * k * k]].reshape(2, k, k, A.order)
+    return Cocycle(A, F, maps[0], maps[1], cells[2 * k * k :].reshape(k, k))
 
 
 def iter_cocycles_exhaustive(A: AbelianGroupTable, F: LoopTable, central: bool = False):
@@ -558,28 +545,25 @@ def iter_cocycles_exhaustive(A: AbelianGroupTable, F: LoopTable, central: bool =
     size = cocycle_space_size(A, F, central)
     if size > EXHAUSTIVE_SPACE_CAP:
         raise CapExceeded(f"exhaustive space {size} exceeds {EXHAUSTIVE_SPACE_CAP}")
-    phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    auts = automorphisms(A)
-    naut = len(auts)
-    ranges = [range(naut)] * (len(phi_cells) + len(psi_cells)) + [
-        range(A.order)
-    ] * len(theta_cells)
+    free, n_maps = _free_positions(F, central)
+    auts = _automorphism_images(A)
+    ranges = [range(len(auts))] * n_maps + [range(A.order)] * (len(free) - n_maps)
     for values in itertools.product(*ranges):
-        yield _assemble(A, F, auts, phi_cells, psi_cells, theta_cells, values)
+        yield _assemble(A, F, auts, free, values)
 
 
 def iter_cocycles_random(
     A: AbelianGroupTable, F: LoopTable, seed: int, budget: int, central: bool = False
 ):
     """budget seeded random loop cocycles; duplicates permitted."""
-    phi_cells, psi_cells, theta_cells = free_cells(F, central)
-    auts = automorphisms(A)
+    free, n_maps = _free_positions(F, central)
+    auts = _automorphism_images(A)
     naut = len(auts)
     rng = SplitMix64(seed)
     for _ in range(budget):
-        values = [rng.below(naut) for _ in range(len(phi_cells) + len(psi_cells))]
-        values += [rng.below(A.order) for _ in range(len(theta_cells))]
-        yield _assemble(A, F, auts, phi_cells, psi_cells, theta_cells, values)
+        values = [rng.below(naut) for _ in range(n_maps)]
+        values += [rng.below(A.order) for _ in range(len(free) - n_maps)]
+        yield _assemble(A, F, auts, free, values)
 
 
 def search_cocycles(
@@ -612,19 +596,17 @@ def search_cocycles(
 
 
 def format_cocycle(gamma: Cocycle) -> str:
-    auts = automorphisms(gamma.A)
-    index_of = {p: i for i, p in enumerate(auts)}
+    auts = _automorphism_images(gamma.A)
     lines = ["A", format_table(gamma.A.table).rstrip("\n"), "F",
              format_table(gamma.F).rstrip("\n")]
-    lines.append("PHI")
-    for row in gamma.phi:
-        lines.append(" ".join(str(index_of[p]) for p in row))
-    lines.append("PSI")
-    for row in gamma.psi:
-        lines.append(" ".join(str(index_of[p]) for p in row))
-    lines.append("THETA")
-    for row in gamma.theta:
-        lines.append(" ".join(str(v) for v in row))
+
+    def indices(maps):  # each cell's map is exactly one row of auts
+        return (maps[:, :, None] == auts).all(axis=-1).argmax(axis=-1)
+
+    grids = (("PHI", indices(gamma.phi)), ("PSI", indices(gamma.psi)), ("THETA", gamma.theta))
+    for name, grid in grids:
+        lines.append(name)
+        lines.extend(" ".join(map(str, row)) for row in grid.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -648,7 +630,7 @@ def parse_cocycle(text: str) -> Cocycle:
             raise Malformed(f"missing section {needed}")
     A = AbelianGroupTable(parse_table("\n".join(sections["A"])))
     F = parse_table("\n".join(sections["F"]))
-    auts = automorphisms(A)
+    auts = _automorphism_images(A)
     k = F.order
 
     def read_grid(name, bound):
@@ -671,6 +653,4 @@ def parse_cocycle(text: str) -> Cocycle:
     phi_idx = read_grid("PHI", len(auts))
     psi_idx = read_grid("PSI", len(auts))
     theta = read_grid("THETA", A.order)
-    phi = tuple(tuple(auts[v] for v in row) for row in phi_idx)
-    psi = tuple(tuple(auts[v] for v in row) for row in psi_idx)
-    return Cocycle(A, F, phi, psi, tuple(tuple(row) for row in theta))
+    return Cocycle(A, F, auts[phi_idx], auts[psi_idx], theta)

@@ -7,15 +7,13 @@ first-in-first-out discovery order with generators applied in install
 order, so two constructions from the same generator list produce
 identical base sequences and identical orders.
 
-Inside the chain, the normal closures and the series, a permutation of
-degree <= 256 is a 256-byte `bytes`: its images, padded with fixed
-points.  Then "p after q" is q.translate(p), the inverse of p is
+A PermGroup has degree at most 256 (`_pack` raises CapExceeded above
+it).  Inside the chain, the normal closures and the series, a
+permutation is a 256-byte `bytes`: its images, padded with fixed points.
+Then "p after q" is q.translate(p), the inverse of p is
 bytes.maketrans(p, _ID) and the identity test is p == _ID, one C call
-each.  Degrees 257..512 (up to ORDER_CAP) keep image tuples and the same
-three primitives written in Python.  The degree alone picks the form
-(`_ops`); everything above the primitives has one code path.
-`Permutation` keeps its image tuple; a PermGroup keeps only the internal
-forms of its generators, packed in numpy from Permutations or from an
+each.  `Permutation` keeps its image tuple; a PermGroup keeps only the
+bytes of its generators, packed in numpy from Permutations or from an
 image array (`_pack`), and rebuilds Permutations when asked.  Each
 transversal representative is stored with its inverse, so sifting
 composes and never inverts.
@@ -130,10 +128,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import index
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import CapExceeded
 from .util import INFINITE, Infinite, prime_divisors
 
 _ID = bytes(range(256))
@@ -158,25 +156,6 @@ def _tuple_invert(p: tuple) -> tuple:
 
 def _bytes_invert(p: bytes) -> bytes:
     return bytes.maketrans(p, _ID)
-
-
-class _Ops(NamedTuple):
-    """The primitives on one degree's internal form.  then(q, p) is p
-    after q; _pack turns images into the internal form, and
-    tuple(p[:degree]) turns it back."""
-
-    identity: bytes | tuple
-    then: Callable
-    invert: Callable
-
-
-_BYTES_OPS = _Ops(_ID, bytes.translate, _bytes_invert)
-
-
-def _ops(degree: int) -> _Ops:
-    if degree <= len(_ID):
-        return _BYTES_OPS
-    return _Ops(tuple(range(degree)), _tuple_then, _tuple_invert)
 
 
 class Permutation:
@@ -284,11 +263,11 @@ class _Level:
 
     __slots__ = ("base", "gens", "transversal", "inverses", "pair_queue")
 
-    def __init__(self, base: int, identity):
+    def __init__(self, base: int):
         self.base = base
         self.gens: list = []
-        self.transversal: dict = {base: identity}
-        self.inverses: dict = {base: identity}
+        self.transversal: dict = {base: _ID}
+        self.inverses: dict = {base: _ID}
         self.pair_queue: deque = deque()
 
     def add_gen(self, g):
@@ -303,8 +282,8 @@ class _Level:
 
 
 class _Chain:
-    """Mutable deterministic stabilizer chain over the internal form of
-    its degree.  grown lists the added generators whose sift grew it.
+    """Mutable deterministic stabilizer chain over bytes permutations.
+    grown lists the added generators whose sift grew it.
 
     bound, when given, is the order of a group known to contain every
     generator the chain will be given.  Once the order reaches it the
@@ -312,15 +291,13 @@ class _Chain:
     add_generator returns False without sifting.
     """
 
-    def __init__(self, degree: int, bound: int | None = None):
-        self.ops = _ops(degree)
+    def __init__(self, bound: int | None = None):
         self.levels: list[_Level] = []
         self.grown: list = []
         self.bound = bound
         self.full = False
 
     def strip(self, p, start: int = 0):
-        then = self.ops.then
         for i in range(start, len(self.levels)):
             level = self.levels[i]
             x = p[level.base]
@@ -329,12 +306,12 @@ class _Chain:
             u_inv = level.inverses.get(x)
             if u_inv is None:
                 return p, i
-            p = then(p, u_inv)
+            p = p.translate(u_inv)
         return p, len(self.levels)
 
     def contains(self, p) -> bool:
         residue, _ = self.strip(p)
-        return residue == self.ops.identity
+        return residue == _ID
 
     def order(self) -> int:
         total = 1
@@ -351,7 +328,7 @@ class _Chain:
         if self.full:
             return False
         residue, where = self.strip(p)
-        if residue == self.ops.identity:
+        if residue == _ID:
             return False
         self.grown.append(p)
         self._install(residue, where)
@@ -365,7 +342,7 @@ class _Chain:
         first..where."""
         if where == len(self.levels):
             base = next(i for i, v in enumerate(residue) if v != i)
-            self.levels.append(_Level(base, self.ops.identity))
+            self.levels.append(_Level(base))
         for m in range(first, where + 1):
             self.levels[m].add_gen(residue)
 
@@ -374,7 +351,6 @@ class _Chain:
         demand.  sifted maps each Schreier generator sifted since the last
         add_generator to the deepest level its sift started at."""
         level = self.levels[k]
-        identity, then, invert = self.ops.identity, self.ops.then, self.ops.invert
         queue, gens, transversal = level.pair_queue, level.gens, level.transversal
         while queue:
             p, gi = queue.popleft()
@@ -382,10 +358,10 @@ class _Chain:
             q = g[p]
             if q == p == level.base:
                 continue  # rule (b): the Schreier generator is g, on level k + 1
-            g_u_p = then(transversal[p], g)
+            g_u_p = transversal[p].translate(g)
             u_q = transversal.get(q)
             if u_q is None:
-                level.add_point(q, g_u_p, invert(g_u_p))
+                level.add_point(q, g_u_p, _bytes_invert(g_u_p))
                 if self.bound is not None and self.order() == self.bound:
                     self.full = True
                     for lv in self.levels:
@@ -394,12 +370,12 @@ class _Chain:
                 continue
             if g_u_p == u_q:
                 continue  # the Schreier generator is the identity
-            schreier = then(g_u_p, level.inverses[q])
+            schreier = g_u_p.translate(level.inverses[q])
             if sifted.get(schreier, 0) > k:
                 continue  # rule (e): it already lies in level k + 1's group
             sifted[schreier] = k + 1
             residue, where = self.strip(schreier, k + 1)
-            if residue == identity:
+            if residue == _ID:
                 continue
             self._install(residue, where, k + 1)  # rule (a)
             for m in range(min(where, len(self.levels) - 1), k, -1):
@@ -417,8 +393,10 @@ def _as_permutation(g, degree: int) -> Permutation:
 
 def _pack(degree: int, generators) -> list:
     """Permutations or image sequences of the degree, or a (k, degree)
-    integer array of image rows, in the internal form of the degree;
-    ValueError for anything that is not such a permutation."""
+    integer array of image rows, as bytes; ValueError for anything that
+    is not such a permutation, CapExceeded for a degree above 256."""
+    if degree > len(_ID):
+        raise CapExceeded(f"permutation degree {degree} exceeds cap {len(_ID)}")
     rows = generators
     if not isinstance(rows, np.ndarray):
         images = [_as_permutation(g, degree).images for g in generators]
@@ -427,8 +405,6 @@ def _pack(degree: int, generators) -> list:
         raise ValueError(f"generator rows must be integer arrays of degree {degree}")
     if not (np.sort(rows, axis=1) == np.arange(degree)).all():
         raise ValueError("images do not form a permutation")
-    if degree > len(_ID):
-        return list(map(tuple, rows.tolist()))
     full = np.empty((len(rows), len(_ID)), dtype=np.uint8)
     full[:, :degree] = rows
     full[:, degree:] = np.arange(degree, len(_ID))
@@ -437,13 +413,13 @@ def _pack(degree: int, generators) -> list:
 
 class PermGroup:
     """A permutation group given by generators (as _pack takes them), with
-    a cached chain.  `_gens` holds them in the internal form, each once
+    a cached chain.  `_gens` holds them as bytes, each once
     and the identity dropped; `generators` rebuilds the Permutations.
     A group made with _chain is that chain's group, grown list and all."""
 
     def __init__(self, degree: int, generators=(), _chain: _Chain | None = None):
         store = dict.fromkeys(_pack(degree, generators) if _chain is None else _chain.grown)
-        store.pop(_ops(degree).identity, None)
+        store.pop(_ID, None)
         self.degree = degree
         self._gens = tuple(store)
         self._chain_cache = _chain
@@ -456,7 +432,7 @@ class PermGroup:
     @property
     def _chain(self) -> _Chain:
         if self._chain_cache is None:
-            chain = _Chain(self.degree)
+            chain = _Chain()
             for g in self._gens:
                 chain.add_generator(g)
             self._chain_cache = chain
@@ -500,12 +476,11 @@ def normal_closure(group: PermGroup, seeds) -> PermGroup:
 
 
 def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
-    """Normal closure in group of seeds in the internal form, conjugating
+    """Normal closure in group of seeds as bytes, conjugating
     by the generators that grew group's chain; bound, if not None, is the
     order of a subgroup of group known to contain the closure."""
-    chain = _Chain(group.degree, bound)
-    then, invert = chain.ops.then, chain.ops.invert
-    conjugators = [(g, invert(g)) for g in group._chain.grown]
+    chain = _Chain(bound)
+    conjugators = [(g, _bytes_invert(g)) for g in group._chain.grown]
     sifted = set()
 
     def grows(candidate) -> bool:  # rule (d): each distinct candidate once
@@ -518,19 +493,18 @@ def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
     while queue and not chain.full:
         s = queue.popleft()
         for g, g_inv in conjugators:
-            conj = then(then(g_inv, s), g)
+            conj = g_inv.translate(s).translate(g)
             if grows(conj):
                 queue.append(conj)
     return PermGroup(group.degree, _chain=chain)
 
 
-def _commutators(ops: _Ops, pairs) -> list:
+def _commutators(pairs) -> list:
     """The non-identity [a, b] = a b a^-1 b^-1 over pairs (a, b)."""
-    then, invert = ops.then, ops.invert
     out = []
     for a, b in pairs:
-        c = then(then(then(invert(b), invert(a)), b), a)
-        if c != ops.identity:
+        c = _bytes_invert(b).translate(_bytes_invert(a)).translate(b).translate(a)
+        if c != _ID:
             out.append(c)
     return out
 
@@ -541,7 +515,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     if group._derived is None:
         chain = group._chain
         pairs = combinations(chain.grown, 2)
-        group._derived = _closure(group, _commutators(chain.ops, pairs), group.order())
+        group._derived = _closure(group, _commutators(pairs), group.order())
     return group._derived
 
 
@@ -551,8 +525,8 @@ class SeriesResult:
 
     orders includes the starting group.  cls is INFINITE exactly when the
     series stabilized at a nontrivial term.  Each step at least halves the
-    order, and a group of degree at most ORDER_CAP = 512 has order at most
-    512!, so a series has at most log2(512!) < 3,876 steps.
+    order, and a group has degree <= 256, so a series has at most
+    log2(256!) < 1,684 steps.
     """
 
     groups: tuple[PermGroup, ...]
@@ -570,7 +544,7 @@ def lower_central_series(group: PermGroup) -> SeriesResult:
             return derived_subgroup(group)
         top = group._chain
         pairs = product(top.grown, current._chain.grown)
-        return _closure(group, _commutators(top.ops, pairs), current.order())
+        return _closure(group, _commutators(pairs), current.order())
 
     return _descend(group, step)
 
@@ -616,10 +590,7 @@ def _constituents(group: PermGroup) -> list[PermGroup]:
     if not group._gens:
         return []
     degree = group.degree
-    if degree > len(_ID):
-        images = np.array(group._gens)
-    else:  # uint8 rows
-        images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))[:, :degree]
+    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))[:, :degree]
     root = orbit_roots(images)
     roots = np.flatnonzero(np.bincount(root) > 1)  # a root is its orbit's least point
     if len(roots) < 2:

@@ -398,7 +398,7 @@ def _shift_theta(gamma, a):
     theta = tuple(
         tuple(
             A.add(
-                A.sub(A.sub(gamma.theta[x][y], gamma.phi[x][y](a)), gamma.psi[x][y](a)),
+                A.sub(A.sub(gamma.theta[x, y], gamma.phi[x, y, a]), gamma.psi[x, y, a]),
                 a,
             )
             for y in range(gamma.F.order)

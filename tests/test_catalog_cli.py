@@ -303,6 +303,21 @@ def test_catalog_add_builds_no_report_for_a_duplicate(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out == added.replace("added", "duplicate")
 
 
+def test_catalog_add_above_report_cap_exits_2_before_fingerprinting(
+    tmp_path, capsys, monkeypatch
+):
+    cat = tmp_path / "cat.tsv"
+    path = write_table(tmp_path, "z129.table", cyclic(129))
+
+    def no_fingerprint(Q):
+        raise AssertionError("fingerprint computed above the report cap")
+
+    monkeypatch.setattr(catalog, "fingerprint", no_fingerprint)
+    assert main(["catalog", "add", path, "--catalog", str(cat)]) == 2
+    assert "order 129 exceeds the report cap 128" in capsys.readouterr().err
+    assert not cat.exists()
+
+
 def test_cli_search_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

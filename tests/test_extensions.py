@@ -47,7 +47,7 @@ Z3 = AbelianGroupTable(cyclic(3))
 Z4 = AbelianGroupTable(cyclic(4))
 K4 = AbelianGroupTable(klein())
 
-IDENT2 = Permutation.identity(2)
+IDENT2 = Permutation.identity(2).images
 GRID2 = ((IDENT2, IDENT2), (IDENT2, IDENT2))
 
 
@@ -107,8 +107,8 @@ def test_validate_flags_theta_border():
 
 
 def test_validate_flags_phi_border():
-    neg3 = Permutation((0, 2, 1))
-    id3 = Permutation.identity(3)
+    neg3 = Permutation((0, 2, 1)).images
+    id3 = Permutation.identity(3).images
     phi = ((id3, id3), (neg3, id3))
     psi = ((id3, id3), (id3, id3))
     gamma = Cocycle(Z3, cyclic(2), phi, psi, ((0, 0), (0, 0)))
@@ -119,14 +119,14 @@ def test_validate_flags_phi_border():
 
 
 def test_cocycle_entries_must_be_automorphisms():
-    swap = Permutation((1, 0))  # moves zero: not additive on Z2? it is a bijection only
+    swap = Permutation((1, 0)).images  # moves zero: not additive on Z2? it is a bijection only
     with pytest.raises(CocycleInvalid):
         Cocycle(Z2, cyclic(2), ((swap, IDENT2), (IDENT2, IDENT2)), GRID2, ((0, 0), (0, 0)))
 
 
 def test_cocycle_names_a_single_bad_cell():
-    bad = Permutation((0, 1, 3, 2))  # fixes zero but 1 + 1 = 2 goes to 3
-    id4 = Permutation.identity(4)
+    bad = Permutation((0, 1, 3, 2)).images  # fixes zero but 1 + 1 = 2 goes to 3
+    id4 = Permutation.identity(4).images
     grid = ((id4, id4), (id4, id4))
     with pytest.raises(CocycleInvalid, match=r"^psi\[1\]\[0\] is not an automorphism"):
         Cocycle(Z4, cyclic(2), grid, ((id4, id4), (bad, id4)), ((0, 0), (0, 0)))
@@ -141,8 +141,8 @@ def test_cocycle_names_a_single_bad_cell():
     ],
 )
 def test_cocycle_names_first_bad_cell_phi_then_psi(cells, first):
-    bad = Permutation((0, 1, 3, 2))
-    id4 = Permutation.identity(4)
+    bad = Permutation((0, 1, 3, 2)).images
+    id4 = Permutation.identity(4).images
     phi, psi = (
         tuple(
             tuple(bad if (name, x, y) in cells else id4 for y in range(2)) for x in range(2)
@@ -152,6 +152,61 @@ def test_cocycle_names_first_bad_cell_phi_then_psi(cells, first):
     with pytest.raises(CocycleInvalid) as err:
         Cocycle(Z4, cyclic(2), phi, psi, ((0, 0), (0, 0)))
     assert str(err.value) == f"{first} is not an automorphism of A"
+
+
+def _z4_grids():
+    ident = np.broadcast_to(np.arange(4), (2, 2, 4))
+    return ident.copy(), ident.copy(), np.zeros((2, 2), dtype=np.int64)
+
+
+def test_cocycle_rejects_an_additive_map_that_is_not_a_bijection():
+    phi, psi, theta = _z4_grids()
+    phi[1, 1] = 0  # the zero map of Z4 is additive
+    with pytest.raises(CocycleInvalid, match=r"^phi\[1\]\[1\] is not an automorphism of A$"):
+        Cocycle(Z4, cyclic(2), phi, psi, theta)
+
+
+@pytest.mark.parametrize("image", [4, -1, 2**40])
+def test_cocycle_rejects_an_image_out_of_range(image):
+    phi, psi, theta = _z4_grids()
+    psi[0, 1, 3] = image
+    with pytest.raises(CocycleInvalid, match=r"^psi\[0\]\[1\] is not an automorphism of A$"):
+        Cocycle(Z4, cyclic(2), phi, psi, theta)
+
+
+def test_cocycle_rejects_grids_of_the_wrong_shape():
+    phi, psi, theta = _z4_grids()
+    with pytest.raises(CocycleInvalid, match=r"^psi grid has wrong shape$"):
+        Cocycle(Z4, cyclic(2), phi, theta, theta)  # a (k, k) grid for a map grid
+    with pytest.raises(CocycleInvalid, match=r"^theta grid has wrong shape$"):
+        Cocycle(Z4, cyclic(2), phi, psi, phi)
+    with pytest.raises(CocycleInvalid, match=r"^phi grid has wrong shape$"):
+        Cocycle(Z4, cyclic(2), [[(0, 1, 2, 3)], [(0, 1, 2, 3), (0, 1, 2, 3)]], psi, theta)
+    with pytest.raises(CocycleInvalid, match=r"^theta entries must be integers$"):
+        Cocycle(Z4, cyclic(2), phi, psi, theta + 0.5)
+
+
+def test_cocycle_owns_read_only_copies_of_its_grids():
+    phi, psi, theta = _z4_grids()
+    theta[1, 1] = 1
+    gamma = Cocycle(Z4, cyclic(2), phi, psi, theta)
+    want = (gamma.phi.copy(), gamma.psi.copy(), gamma.theta.copy())
+    phi[1, 1] = (0, 3, 2, 1)
+    psi[:] = 0
+    theta[1, 1] = 2
+    assert all(np.array_equal(a, b) for a, b in zip((gamma.phi, gamma.psi, gamma.theta), want))
+    assert gamma == Cocycle(Z4, cyclic(2), *want)
+    for grid in (gamma.phi, gamma.psi, gamma.theta):
+        assert grid.dtype == np.int64 and not grid.flags.writeable
+
+
+def test_cocycle_hash_survives_the_file_round_trip():
+    for seed in range(5):
+        gamma = next(iter(iter_cocycles_random(K4, cyclic(3), seed=seed, budget=1)))
+        back = parse_cocycle(format_cocycle(gamma))
+        assert back == gamma and hash(back) == hash(gamma)
+        assert len({gamma, back}) == 1
+    assert isinstance(trivial_cocycle(K4, cyclic(3)).is_central(), bool)
 
 
 # -- building -------------------------------------------------------------------
@@ -189,7 +244,7 @@ def _shift_theta(gamma, a):
     theta = tuple(
         tuple(
             A.add(
-                A.sub(A.sub(gamma.theta[x][y], gamma.phi[x][y](a)), gamma.psi[x][y](a)),
+                A.sub(A.sub(gamma.theta[x, y], gamma.phi[x, y, a]), gamma.psi[x, y, a]),
                 a,
             )
             for y in range(gamma.F.order)
@@ -205,8 +260,8 @@ def test_lemma31_shifted_neutral():
 
 
 def test_lemma31_violated_condition_means_no_neutral():
-    neg3 = Permutation((0, 2, 1))
-    id3 = Permutation.identity(3)
+    neg3 = Permutation((0, 2, 1)).images
+    id3 = Permutation.identity(3).images
     phi_bad = ((id3, id3), (neg3, id3))  # phi[u][1] = negation breaks the border
     psi = ((id3, id3), (id3, id3))
     gamma = Cocycle(Z3, cyclic(2), phi_bad, psi, ((0, 0), (0, 0)))
@@ -216,7 +271,7 @@ def test_lemma31_violated_condition_means_no_neutral():
 def test_lemma31_over_quasigroup_without_neutral():
     from loopkit.extensions import lemma31_analyze_raw
 
-    ident = Permutation.identity(2)
+    ident = Permutation.identity(2).images
     grid = tuple(tuple(ident for _ in range(3)) for _ in range(3))
     zeros = tuple(tuple(0 for _ in range(3)) for _ in range(3))
     # subtraction mod 3 is Latin but has no two-sided neutral
@@ -228,7 +283,7 @@ def test_normalize_roundtrip_with_explicit_witness():
     base = z4_cocycle()
     shifted = _shift_theta(base, 1)
     normalized = normalize_cocycle(shifted, 1)
-    assert normalized.theta == base.theta
+    assert np.array_equal(normalized.theta, base.theta)
     from loopkit.extensions import _raw_extension_table
 
     raw = _raw_extension_table(shifted)
@@ -242,7 +297,7 @@ def test_normalize_roundtrip_with_explicit_witness():
 
 def test_normalize_is_idempotent_once_neutral():
     gamma = z4_cocycle()
-    assert normalize_cocycle(gamma, 0).theta == gamma.theta
+    assert np.array_equal(normalize_cocycle(gamma, 0).theta, gamma.theta)
 
 
 def test_normalize_rejects_wrong_shift():
@@ -256,8 +311,8 @@ def test_normalize_rejects_wrong_shift():
 def test_decompose_direct_product_gives_trivial_cocycle():
     q = direct_product(Z3.table, cyclic(2))
     gamma, reps = decompose_extension(q, Subloop(q, (0, 1, 2)))
-    assert all(p.is_identity() for row in gamma.phi for p in row)
-    assert all(p.is_identity() for row in gamma.psi for p in row)
+    assert all(Permutation(p).is_identity() for row in gamma.phi for p in row)
+    assert all(Permutation(p).is_identity() for row in gamma.psi for p in row)
     assert all(v == gamma.A.zero for row in gamma.theta for v in row)
 
 
@@ -278,7 +333,7 @@ def test_decompose_output_satisfies_extra_border():
     gamma, _ = decompose_extension(q, Subloop(q, tuple(range(4))))
     one = gamma.F.neutral
     for y in range(gamma.F.order):
-        assert gamma.phi[one][y].is_identity()
+        assert Permutation(gamma.phi[one, y]).is_identity()
 
 
 def _extraction_key(result):
@@ -286,9 +341,9 @@ def _extraction_key(result):
         return None
     gamma, reps = result
     return (
-        tuple(tuple(p.images for p in row) for row in gamma.phi),
-        tuple(tuple(p.images for p in row) for row in gamma.psi),
-        gamma.theta,
+        tuple(tuple(map(tuple, row)) for row in gamma.phi.tolist()),
+        tuple(tuple(map(tuple, row)) for row in gamma.psi.tolist()),
+        tuple(map(tuple, gamma.theta.tolist())),
         gamma.F.rows,
         reps,
     )
@@ -337,8 +392,8 @@ def test_form_of_left_translations_matches_cocycle_rows():
             form = mlt_element_form(gamma, q.left_translation(pair_index(gamma, b, y)))
             assert form is not None
             for x in range(F.order):
-                assert form.shifts[x] == A.add(gamma.phi[y][x](b), gamma.theta[y][x])
-                assert form.twists[x] == gamma.psi[y][x]
+                assert form.shifts[x] == A.add(gamma.phi[y, x, b], gamma.theta[y, x])
+                assert form.twists[x] == Permutation(gamma.psi[y, x])
             assert form.base_map == F.left_translation(y)
             assert form.inner == (y == F.neutral and form.shifts[F.neutral] == A.zero)
 
@@ -376,13 +431,15 @@ def test_central_extensions_have_identity_twists():
 
 def _formula_check(gamma):
     A, F = gamma.A, gamma.F
+    phi = [[Permutation(p) for p in row] for row in gamma.phi]
+    psi = [[Permutation(p) for p in row] for row in gamma.psi]
     q = build_extension(gamma)
     one = F.neutral
     for c, x, a in itertools.product(range(A.order), range(F.order), range(A.order)):
         base = pair_index(gamma, c, one)
         u = pair_index(gamma, a, x)
         assert inner_generator(q, "T", (u,))(base) == pair_index(
-            gamma, gamma.phi[one][x].inverse()(gamma.psi[x][one](c)), one
+            gamma, phi[one][x].inverse()(psi[x][one](c)), one
         )
         assert inner_generator(q, "U", (u,))(base) == pair_index(gamma, A.neg[c], one)
         for y, b in itertools.product(range(F.order), range(A.order)):
@@ -390,16 +447,16 @@ def _formula_check(gamma):
             xy, yx, w = F.mul_at(x, y), F.mul_at(y, x), F.ldiv_at(y, x)
             assert inner_generator(q, "L", (u, v))(base) == pair_index(
                 gamma,
-                gamma.psi[xy][one].inverse()(gamma.psi[x][y](gamma.psi[y][one](c))),
+                psi[xy][one].inverse()(psi[x][y](psi[y][one](c))),
                 one,
             )
             assert inner_generator(q, "R", (u, v))(base) == pair_index(
                 gamma,
-                gamma.phi[one][yx].inverse()(gamma.phi[y][x](gamma.phi[one][y](c))),
+                phi[one][yx].inverse()(phi[y][x](phi[one][y](c))),
                 one,
             )
-            val = gamma.phi[one][w].inverse()(
-                gamma.psi[y][w].inverse()(gamma.phi[y][w](gamma.phi[one][y](c)))
+            val = phi[one][w].inverse()(
+                psi[y][w].inverse()(phi[y][w](phi[one][y](c)))
             )
             assert inner_generator(q, "M", (u, v))(base) == pair_index(
                 gamma, A.neg[val], one
@@ -450,9 +507,9 @@ def test_random_search_is_reproducible():
     runs = []
     for _ in range(2):
         gammas = list(iter_cocycles_random(Z4, cyclic(2), seed=42, budget=6))
-        runs.append([g.theta for g in gammas])
+        runs.append([g.theta.tolist() for g in gammas])
     assert runs[0] == runs[1]
-    other = [g.theta for g in iter_cocycles_random(Z4, cyclic(2), seed=43, budget=6)]
+    other = [g.theta.tolist() for g in iter_cocycles_random(Z4, cyclic(2), seed=43, budget=6)]
     assert other != runs[0]
 
 

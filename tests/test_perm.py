@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopkit import perm as perm_module
 from loopkit.core import direct_product
+from loopkit.errors import CapExceeded
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import assoc_group
 from loopkit.perm import (
@@ -121,8 +122,8 @@ def moved(p, shift, degree):
     return Permutation(images)
 
 
-def test_tuple_form_above_degree_256_agrees_with_bytes_form():
-    # D4 x S3 on 7 points, and on points 250..256 of degree 260
+def test_top_of_the_padded_form_agrees_with_the_bottom():
+    # D4 x S3 on 7 points, and on points 249..255 of degree 256
     gens = [
         perm((0, 1, 2, 3), degree=7),
         perm((0, 2), degree=7),
@@ -130,7 +131,7 @@ def test_tuple_form_above_degree_256_agrees_with_bytes_form():
         perm((4, 5, 6), degree=7),
     ]
     low = PermGroup(7, gens)
-    high = PermGroup(260, [moved(g, 250, 260) for g in gens])
+    high = PermGroup(256, [moved(g, 249, 256) for g in gens])
     invariants = []
     for group in (low, high):
         derived, lower = derived_series(group), lower_central_series(group)
@@ -138,11 +139,11 @@ def test_tuple_form_above_degree_256_agrees_with_bytes_form():
             (group_order(group), derived.orders, derived.cls, lower.orders, lower.cls)
         )
     assert invariants[0] == invariants[1] == (48, (48, 6, 1), 2, (48, 6, 3), INFINITE)
-    assert high.base_sequence() == tuple(b + 250 for b in low.base_sequence())
+    assert high.base_sequence() == tuple(b + 249 for b in low.base_sequence())
     candidates = [perm(c, degree=7) for c in combinations(range(7), 2)]
     candidates += [perm(c, degree=7) for c in combinations(range(7), 3)]
     answers = [p in low for p in candidates]
-    assert answers == [moved(p, 250, 260) in high for p in candidates]
+    assert answers == [moved(p, 249, 256) in high for p in candidates]
     assert any(answers) and not all(answers)
 
 
@@ -302,8 +303,13 @@ def test_groups_fed_arrays_check_them_as_generators():
         PermGroup(3, rows.astype(float))
     with pytest.raises(ValueError, match="degree mismatch"):
         PermGroup(4, [perm((0, 1), degree=3)])
-    high = PermGroup(260, np.array([np.roll(np.arange(260), 1)]))
-    assert high.order() == 260 and high.generators[0].images[:3] == (259, 0, 1)
+
+
+def test_groups_above_degree_256_are_rejected():
+    with pytest.raises(CapExceeded, match="degree 257 exceeds cap 256"):
+        PermGroup(257, np.array([np.roll(np.arange(257), 1)]))
+    with pytest.raises(CapExceeded, match="degree 257 exceeds cap 256"):
+        PermGroup(257)
 
 
 def test_permutation_rejects_non_integer_images():
@@ -593,20 +599,23 @@ def test_level_zero_holds_one_generator_per_grown(monkeypatch, pool):
                 assert len(chain.levels[0].gens if chain.levels else []) == len(chain.grown)
 
 
-def test_strip_skips_fixed_base_points(monkeypatch):
+def test_strip_skips_fixed_base_points():
     """Rule (c): strip composes once per level whose base point moves."""
     group = s16()
     chain = group._chain
     calls = []
-    then = chain.ops.then
-    monkeypatch.setattr(chain, "ops", chain.ops._replace(
-        then=lambda q, p: calls.append(1) or then(q, p)))
+
+    class Counted(bytes):
+        def translate(self, table):
+            calls.append(1)
+            return Counted(bytes.translate(self, table))
+
     p = perm_module._pack(16, [perm((2, 3, 4), degree=16)])[0]
-    assert chain.contains(p)
+    assert chain.contains(Counted(p))
     moved_bases = 0
     for level in chain.levels:
         if p[level.base] != level.base:
             moved_bases += 1
-            p = then(p, level.inverses[p[level.base]])
-    assert p == chain.ops.identity
+            p = p.translate(level.inverses[p[level.base]])
+    assert p == perm_module._ID
     assert len(calls) == moved_bases < len(chain.levels)
