@@ -16,6 +16,7 @@ from .core import (
     format_table,
     g_oplus,
     is_isomorphic,
+    isomorphisms,
     op,
     parse_table,
     translation,

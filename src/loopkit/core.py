@@ -287,11 +287,9 @@ def g_oplus(G: LoopTable, oplus) -> LoopTable:
     n = G.order
     if not (G.is_commutative and G.is_associative):
         raise NotAbelianGroup("base table must be a commutative group")
-    op_arr = np.asarray([[int(v) for v in row] for row in oplus], dtype=np.int64)
-    if op_arr.shape != (n, n):
+    op_arr = _integer_square(oplus)
+    if len(op_arr) != n:
         raise Malformed("oplus table has wrong shape")
-    if op_arr.min() < 0 or op_arr.max() >= n:
-        raise Malformed("oplus entry out of range")
     table = np.empty((2 * n, 2 * n), dtype=np.int64)
     table[:n, :n] = G.mul
     table[:n, n:] = G.mul + n
@@ -326,33 +324,36 @@ def _profiles(Q: LoopTable):
     return list(zip(orders[:n], orders[n:], sq, comm))
 
 
-def is_isomorphic(Q1: LoopTable, Q2: LoopTable):
-    """A table isomorphism Q1 -> Q2 as an image list, or None.
+def isomorphisms(Q1: LoopTable, Q2: LoopTable):
+    """Every table isomorphism Q1 -> Q2, each as an image list.
 
     Deterministic: depth-first over positions in index order trying images
-    in increasing order, so the returned bijection has the
-    lexicographically least image sequence among all isomorphisms.
+    in increasing order, so the isomorphisms come in lexicographic order
+    of their image sequences.  Profiles (_profiles) prune the images.
     """
     if Q1.order != Q2.order:
-        return None
+        return
     if (Q1.is_commutative, Q1.is_associative) != (Q2.is_commutative, Q2.is_associative):
-        return None
+        return
     n = Q1.order
     prof1, prof2 = _profiles(Q1), _profiles(Q2)
-    if sorted(prof1) != sorted(prof2):
-        return None
+    if sorted(prof1) != sorted(prof2) or prof2[Q2.neutral] != prof1[Q1.neutral]:
+        return
     candidates = [
         [y for y in range(n) if prof2[y] == prof1[x]] for x in range(n)
     ]
-    if prof2[Q2.neutral] != prof1[Q1.neutral]:
-        return None
     mul1, mul2 = Q1.rows, Q2.rows
+    ldiv1 = Q1.ldiv.tolist()
     f = [-1] * n
     used = [False] * n
     f[Q1.neutral] = Q2.neutral
     used[Q2.neutral] = True
 
     def consistent(x: int) -> bool:
+        """Whether f respects every product a * b = c among assigned
+        elements that has x in it: as a factor, or as the product, with
+        a assigned and b = a \\ x.  So each product is checked once its
+        last element is assigned, and a full assignment is an isomorphism."""
         fx = f[x]
         for a in range(n):
             fa = f[a]
@@ -364,27 +365,34 @@ def is_isomorphic(Q1: LoopTable, Q2: LoopTable):
             v = f[mul1[x][a]]
             if v >= 0 and mul2[fx][fa] != v:
                 return False
+            v = f[ldiv1[a][x]]
+            if v >= 0 and mul2[fa][v] != fx:
+                return False
         return True
 
-    def extend(x: int) -> bool:
+    def extend(x: int):
         while x < n and f[x] >= 0:
             x += 1
         if x == n:
-            return True
+            yield list(f)
+            return
         for y in candidates[x]:
             if used[y]:
                 continue
             f[x] = y
             used[y] = True
-            if consistent(x) and extend(x + 1):
-                return True
+            if consistent(x):
+                yield from extend(x + 1)
             f[x] = -1
             used[y] = False
-        return False
 
-    if Q1.neutral < n and not consistent(Q1.neutral):
-        return None
-    return list(f) if extend(0) else None
+    yield from extend(0)
+
+
+def is_isomorphic(Q1: LoopTable, Q2: LoopTable):
+    """The first of isomorphisms(Q1, Q2), the one with the
+    lexicographically least image sequence, or None."""
+    return next(isomorphisms(Q1, Q2), None)
 
 
 # -- canonical form ------------------------------------------------------------

@@ -19,7 +19,7 @@ class NoNeutral(LoopkitError):
 
 class CapExceeded(LoopkitError):
     """A size or budget cap was exceeded (table order > 512, group degree > 256,
-    report order > 128, ...)."""
+    report order > 128, automorphism enumeration of |A| > 10, ...)."""
 
 
 class ArityMismatch(LoopkitError):

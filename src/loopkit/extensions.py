@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LoopTable, format_table, latin_neutral, parse_table
+from .core import (
+    LoopTable, _integer_square, format_table, isomorphisms, latin_neutral, parse_table,
+)
 from .errors import (
     CapExceeded,
     CocycleInvalid,
@@ -92,68 +94,20 @@ def automorphisms(A: AbelianGroupTable) -> list[Permutation]:
 
 
 def _automorphism_images(A: AbelianGroupTable) -> np.ndarray:
-    """The automorphisms as one read-only (naut, |A|) image array, in
-    lexicographic order, enumerated once per table."""
-    return A.table.memo("automorphisms", lambda: _enumerate_automorphisms(A))
+    """The automorphisms as one read-only (naut, |A|) image array, in the
+    lexicographic order isomorphisms() yields them, enumerated once per
+    table."""
 
+    def enumerate_automorphisms():
+        if A.order > AUTOMORPHISM_CAP:
+            raise CapExceeded(
+                f"automorphism enumeration of order {A.order} exceeds cap {AUTOMORPHISM_CAP}"
+            )
+        out = np.array(list(isomorphisms(A.table, A.table)), dtype=np.int64)
+        out.setflags(write=False)
+        return out
 
-def _enumerate_automorphisms(A: AbelianGroupTable) -> np.ndarray:
-    n = A.order
-    if n > AUTOMORPHISM_CAP:
-        raise CapExceeded(f"automorphism enumeration capped at {AUTOMORPHISM_CAP}")
-    table = A.table
-    mul = table.mul
-    found: list[tuple] = []
-    images = [-1] * n
-    used = [False] * n
-    images[A.zero] = A.zero
-    used[A.zero] = True
-
-    # Assign images in element order; an element that is a sum of two
-    # already-assigned ones has a forced image, the rest branch.
-    def forced(x: int):
-        for a in range(n):
-            if images[a] < 0 or a == A.zero:
-                continue
-            b = int(table.ldiv[a, x])
-            if b != A.zero and b != x and images[b] >= 0:
-                return int(mul[images[a], images[b]])
-        return None
-
-    def valid_so_far(x: int) -> bool:
-        for a in range(n):
-            if images[a] < 0:
-                continue
-            s = int(mul[a, x])
-            if images[s] >= 0 and images[s] != int(mul[images[a], images[x]]):
-                return False
-            s = int(mul[x, a])
-            if images[s] >= 0 and images[s] != int(mul[images[x], images[a]]):
-                return False
-        return True
-
-    def extend(x: int):
-        while x < n and images[x] >= 0:
-            x += 1
-        if x == n:
-            found.append(tuple(images))
-            return
-        want = forced(x)
-        options = [want] if want is not None else list(range(n))
-        for y in options:
-            if y is None or used[y]:
-                continue
-            images[x] = y
-            used[y] = True
-            if valid_so_far(x):
-                extend(x + 1)
-            images[x] = -1
-            used[y] = False
-
-    extend(0)
-    out = np.array(sorted(found), dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    return A.table.memo("automorphisms", enumerate_automorphisms)
 
 
 def _additive(A: AbelianGroupTable, images: np.ndarray) -> np.ndarray:
@@ -310,13 +264,13 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
     psi are (k, k, |A|) image arrays of automorphisms of A and theta a
     (k, k) array of A-elements.  The four displayed neutral conditions are
     checked directly and the answer is cross-validated by scanning the raw
-    product table.
+    product table.  A square that is not one of integers raises Malformed,
+    a grid of the wrong shape or of non-integers CocycleInvalid.
     """
-    f = np.asarray([[int(v) for v in row] for row in f_rows], dtype=np.int64)
-    k = f.shape[0]
-    if f.shape != (k, k):
-        raise Malformed("quasigroup table is not square")
-    phi, psi, theta = (np.asarray(g, dtype=np.int64) for g in (phi, psi, theta))
+    f = _integer_square(f_rows)
+    k, na = len(f), A.order
+    phi, psi = (_grid(name, g, (k, k, na)) for name, g in (("phi", phi), ("psi", psi)))
+    theta = _grid("theta", theta, (k, k))
     one = latin_neutral(f)
     answer = None
     ident = np.arange(A.order)
@@ -452,28 +406,20 @@ def mlt_element_form(gamma: Cocycle, perm: Permutation) -> FiberAffineForm | Non
     na, nf = A.order, F.order
     if perm.degree != na * nf:
         return None
-    imgs = np.asarray(perm.images, dtype=np.int64)
-    shifts, twists, base = [], [], []
-    add = A.table.mul
-    for x in range(nf):
-        block = imgs[x * na : (x + 1) * na]
-        targets = set((block // na).tolist())
-        if len(targets) != 1:
-            return None
-        base.append(targets.pop())
-        fiber_part = block % na
-        c_x = int(fiber_part[A.zero])
-        twist = [A.sub(int(v), c_x) for v in fiber_part]
-        if sorted(twist) != list(range(na)):
-            return None
-        if not _additive(A, np.asarray([twist]))[0]:
-            return None
-        twist_perm = Permutation(twist)
-        shifts.append(c_x)
-        twists.append(twist_perm)
-    if sorted(base) != list(range(nf)):
+    blocks = np.asarray(perm.images, dtype=np.int64).reshape(nf, na)
+    targets = blocks // na
+    if (targets != targets[:, :1]).any():  # some block leaves its fiber
         return None
-    base_map = Permutation(base)
+    # a block sent into one fiber is sent onto it, so base map and twists
+    # are bijections; twist_x(a) = c_x \ fiber image of (a, x)
+    fiber = blocks % na
+    shifts = fiber[:, A.zero]
+    twists = A.table.ldiv[shifts[:, None], fiber]
+    if not _additive(A, twists).all():
+        return None
+    shifts = tuple(shifts.tolist())
+    twists = tuple(Permutation._wrap(tuple(t)) for t in twists.tolist())
+    base_map = Permutation._wrap(tuple(targets[:, 0].tolist()))
     mlt_f = assoc_group(F, "MLT")
     inner = (
         shifts[F.neutral] == A.zero
@@ -481,11 +427,7 @@ def mlt_element_form(gamma: Cocycle, perm: Permutation) -> FiberAffineForm | Non
         and base_map in mlt_f
     )
     return FiberAffineForm(
-        tuple(shifts),
-        tuple(twists),
-        base_map,
-        all(t.is_identity() for t in twists),
-        inner,
+        shifts, twists, base_map, all(t.is_identity() for t in twists), inner
     )
 
 

@@ -178,6 +178,13 @@ def test_cli_decompose_fiber_out_of_range_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_decompose_automorphism_cap_names_order_and_cap(tmp_path, capsys):
+    # the even elements of Z24 are a fiber of order 12, above the cap of 10
+    path = write_table(tmp_path, "z24.table", cyclic(24))
+    assert main(["decompose", path, "--fiber", ",".join(map(str, range(0, 24, 2)))]) == 2
+    assert "automorphism enumeration of order 12 exceeds cap 10" in capsys.readouterr().err
+
+
 def test_cli_catalog_query_bad_value_exits_2(tmp_path, capsys):
     cat = tmp_path / "cat.tsv"
     assert main(["catalog", "add", write_table(tmp_path, "s3.table", symmetric(3)),

@@ -15,6 +15,7 @@ from loopkit import (
     format_table,
     g_oplus,
     is_isomorphic,
+    isomorphisms,
     op,
     parse_table,
     translation,
@@ -23,7 +24,9 @@ from loopkit import core
 from loopkit.errors import CapExceeded, Malformed, NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.pools import POOL_MASTER_SEED, random_extension_pool
-from loopkit.tables import cyclic, dihedral, elementary_abelian, klein, latin_squares, symmetric
+from loopkit.tables import (
+    cyclic, dihedral, elementary_abelian, klein, latin_squares, quaternion, symmetric,
+)
 from loopkit.util import SplitMix64
 
 from conftest import group_inverse, profiles_oracle
@@ -313,6 +316,21 @@ def test_g_oplus_rejects_bad_inputs():
         g_oplus(Z2, [[0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "square, message",
+    [
+        ([[0, 1.5], [1, 0]], "entries must be integers"),
+        ([["0", "1"], ["1", "0"]], "entries must be integers"),
+        ([[0, 1], [1]], "table is not square"),
+        ([[0, 2], [2, 0]], "entry out of range"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], "oplus table has wrong shape"),
+    ],
+)
+def test_g_oplus_rejects_malformed_squares(square, message):
+    with pytest.raises(Malformed, match=message):
+        g_oplus(Z2, square)
+
+
 # -- isomorphism ---------------------------------------------------------------------
 
 
@@ -342,6 +360,29 @@ def test_isomorphism_found_under_relabeling(images):
     f = is_isomorphic(S3, q)
     assert f is not None
     _check_witness(S3, q, f)
+
+
+# |Aut| of S3, Q8 (S4) and D4 (D4); the pool loops Z3byZ3#160 and
+# Z5byZ3#105 are where a consistency check that skipped each product of
+# two earlier elements accepted a bijection that is no isomorphism
+@pytest.mark.parametrize(
+    "name, count",
+    [("S3", 6), ("Q8", 24), ("D4", 8), ("Z2byK4#1", None), ("Z3byZ3#160", None),
+     ("Z5byZ3#105", None)],
+)
+def test_isomorphisms_to_relabelings_are_ordered_and_valid(name, count, random_extensions):
+    named = {"S3": S3, "Q8": quaternion(), "D4": dihedral(4)}
+    q = named.get(name) or next(e.table for e in random_extensions if e.tag == name)
+    assert q.is_associative == (name in named)
+    autos = list(isomorphisms(q, q))
+    assert count in (None, len(autos))
+    for r in _seeded_relabelings(q, len(name)):
+        found = list(isomorphisms(q, r))
+        assert len(found) == len(autos)
+        assert all(f < g for f, g in zip(found, found[1:]))
+        for f in found:
+            _check_witness(q, r, f)
+        assert found[0] == is_isomorphic(q, r)
 
 
 def test_isomorphism_is_symmetric_and_transitive():

@@ -69,22 +69,32 @@ def test_automorphism_counts(table, count):
 
 
 def test_automorphisms_by_brute_force():
-    want = []
-    t = Z4.table
-    for images in itertools.permutations(range(4)):
-        if images[t.neutral] != t.neutral:
-            continue
-        if all(
-            images[t.mul_at(a, b)] == t.mul_at(images[a], images[b])
-            for a in range(4)
-            for b in range(4)
-        ):
-            want.append(images)
-    assert [p.images for p in automorphisms(Z4)] == sorted(want)
+    """On every abelian group table of order <= 9: the permutations fixing
+    the neutral, in lexicographic order, that are additive."""
+    tables = {f"Z{n}": cyclic(n) for n in range(1, 10)}
+    tables.update(
+        K4=klein(),
+        Z4xZ2=direct_product(cyclic(4), cyclic(2)),
+        Z2xZ4=direct_product(cyclic(2), cyclic(4)),
+        Z2cubed=elementary_abelian(2, 3),
+        Z3squared=elementary_abelian(3, 2),
+    )
+    for name, t in tables.items():
+        n, e = t.order, t.neutral
+        others = [x for x in range(n) if x != e]
+        perms = np.array(list(itertools.permutations(others)), dtype=np.int64)
+        perms = np.insert(perms, e, e, axis=1)  # still in lexicographic order
+        mul = t.mul
+        additive = (perms[:, mul] == mul[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+        images = extensions._automorphism_images(AbelianGroupTable(t))
+        assert images.dtype == np.int64 and not images.flags.writeable, name
+        assert np.array_equal(images, perms[additive]), name
+        auts = automorphisms(AbelianGroupTable(t))
+        assert [list(p.images) for p in auts] == images.tolist(), name
 
 
 def test_automorphism_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="automorphism enumeration of order 11 exceeds cap 10"):
         automorphisms(AbelianGroupTable(cyclic(11)))
 
 
@@ -279,6 +289,36 @@ def test_lemma31_over_quasigroup_without_neutral():
     assert lemma31_analyze_raw(Z2, f, grid, grid, zeros) is None
 
 
+@pytest.mark.parametrize(
+    "square, message",
+    [
+        ([[0, 1.5, 2], [1, 2, 0], [2, 0, 1]], "entries must be integers"),
+        ([["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]], "entries must be integers"),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], "table is not square"),
+        ([[0, 1, 3], [1, 2, 0], [2, 0, 1]], "entry out of range"),
+    ],
+)
+def test_lemma31_rejects_malformed_squares(square, message):
+    ident = Permutation.identity(2).images
+    grid = tuple(tuple(ident for _ in range(3)) for _ in range(3))
+    zeros = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    with pytest.raises(Malformed, match=message):
+        extensions.lemma31_analyze_raw(Z2, square, grid, grid, zeros)
+
+
+@pytest.mark.parametrize("bad", ["phi", "psi", "theta"])
+def test_lemma31_rejects_non_integer_grids(bad):
+    grids = {
+        "phi": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+        "psi": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+        "theta": [[0, 0], [0, 1]],
+    }
+    assert extensions.lemma31_analyze_raw(Z2, cyclic(2).mul, **grids) == (0, 0)
+    grids[bad] = np.array(grids[bad]) + 0.5
+    with pytest.raises(CocycleInvalid, match=f"{bad} entries must be integers"):
+        extensions.lemma31_analyze_raw(Z2, cyclic(2).mul, **grids)
+
+
 def test_normalize_roundtrip_with_explicit_witness():
     base = z4_cocycle()
     shifted = _shift_theta(base, 1)
@@ -413,6 +453,24 @@ def test_form_closed_under_composition_and_inversion():
 def test_form_rejects_fiber_breaking_permutation():
     gamma = next(iter(iter_cocycles_random(Z3, cyclic(2), seed=7, budget=1)))
     assert mlt_element_form(gamma, Permutation((1, 2, 3, 4, 5, 0))) is None
+
+
+def test_form_rejects_wrong_degree():
+    gamma = next(iter(iter_cocycles_random(Z3, cyclic(2), seed=7, budget=1)))
+    for degree in (5, 7):
+        assert mlt_element_form(gamma, Permutation.identity(degree)) is None
+
+
+def test_form_rejects_non_additive_twist():
+    """The permutation keeps both Z4 fibers of Z4 by Z2 in place but twists
+    each by a -> (0, 2, 1, 3)[a], which is not additive: it sends 1 + 1 = 2
+    to 1, not to 2 + 2 = 0."""
+    gamma = next(iter(iter_cocycles_random(Z4, cyclic(2), seed=3, budget=1)))
+    twist = (0, 2, 1, 3)
+    assert not all(
+        twist[(a + b) % 4] == (twist[a] + twist[b]) % 4 for a in range(4) for b in range(4)
+    )
+    assert mlt_element_form(gamma, Permutation(twist + tuple(4 + v for v in twist))) is None
 
 
 def test_central_extensions_have_identity_twists():
