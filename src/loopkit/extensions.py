@@ -116,9 +116,10 @@ def _additive(A: AbelianGroupTable, images: np.ndarray) -> np.ndarray:
     return (images[:, add] == add[images[:, :, None], images[:, None, :]]).all(axis=(1, 2))
 
 
-def _grid(name: str, value, shape: tuple) -> np.ndarray:
+def _grid(name: str, value, shape: tuple, bound: int | None = None) -> np.ndarray:
     """A read-only int64 copy of value, which numpy must read as an
-    integer array of the given shape."""
+    integer array of the given shape, with entries in 0..bound-1 when a
+    bound is given."""
     try:
         arr = np.array(value)
     except (TypeError, ValueError):  # ragged rows
@@ -128,6 +129,8 @@ def _grid(name: str, value, shape: tuple) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         raise CocycleInvalid(f"{name} entries must be integers")
     arr = arr.astype(np.int64, copy=False)
+    if bound is not None and (arr.min() < 0 or arr.max() >= bound):
+        raise CocycleInvalid(f"{name} entry out of range")
     arr.setflags(write=False)
     return arr
 
@@ -151,8 +154,9 @@ class Cocycle:
 
     def __post_init__(self):
         k, na = self.F.order, self.A.order
-        for name, shape in (("phi", (k, k, na)), ("psi", (k, k, na)), ("theta", (k, k))):
+        for name, shape in (("phi", (k, k, na)), ("psi", (k, k, na))):
             object.__setattr__(self, name, _grid(name, getattr(self, name), shape))
+        object.__setattr__(self, "theta", _grid("theta", self.theta, (k, k), na))
         # every cell at once, phi then psi row-major, so the first bad row
         # names the first bad cell
         maps = np.concatenate((self.phi, self.psi)).reshape(2 * k * k, na)
@@ -163,8 +167,6 @@ class Cocycle:
             raise CocycleInvalid(
                 f"{('phi', 'psi')[grid]}[{x}][{y}] is not an automorphism of A"
             )
-        if self.theta.min() < 0 or self.theta.max() >= na:
-            raise CocycleInvalid("theta entry out of range")
 
     def _key(self):
         return (self.A, self.F, self.phi.tobytes(), self.psi.tobytes(), self.theta.tobytes())
@@ -265,12 +267,13 @@ def lemma31_analyze_raw(A: AbelianGroupTable, f_rows, phi, psi, theta):
     (k, k) array of A-elements.  The four displayed neutral conditions are
     checked directly and the answer is cross-validated by scanning the raw
     product table.  A square that is not one of integers raises Malformed,
-    a grid of the wrong shape or of non-integers CocycleInvalid.
+    a grid of the wrong shape, of non-integers or with an entry outside
+    0..|A|-1 CocycleInvalid.
     """
     f = _integer_square(f_rows)
     k, na = len(f), A.order
-    phi, psi = (_grid(name, g, (k, k, na)) for name, g in (("phi", phi), ("psi", psi)))
-    theta = _grid("theta", theta, (k, k))
+    phi, psi = (_grid(name, g, (k, k, na), na) for name, g in (("phi", phi), ("psi", psi)))
+    theta = _grid("theta", theta, (k, k), na)
     one = latin_neutral(f)
     answer = None
     ident = np.arange(A.order)

@@ -100,15 +100,49 @@ non-solvable group is decided without G's chain.  The split is taken
 only when the group has no chain yet and at least two such orbits: once
 the chain exists, G's own derived series reuses its grown generators
 and its order as the closures' bound, and constituents rebuilt from
-the generators would cost more than that.
+the generators would cost more than that.  The orbits are found at
+once (`orbit_roots`), but each constituent is packed into a group only
+when the loop over them reaches it, so nothing after a constituent
+that is not solvable is packed.
 
-Where only solvability is asked (`is_solvable`), each constituent, or
-the group itself when the split is not taken, is first settled by its
-order: a group whose order has at most two prime divisors is solvable
-(Burnside's p^a q^b theorem).  The chain that gives the order is the
-one the derived series would build first, so an order with three or
-more prime divisors costs a trial division by 2..degree and nothing
-else.  The derived series decides the rest.
+A part that acts faithfully and transitively on a prime number p of
+points is settled by Galois's theorem: such a group is solvable iff its
+order divides p(p - 1).  (A solvable one lies in AGL(1, p).  Conversely,
+if |G| divides p(p - 1), the number of Sylow p-subgroups is 1 mod p and
+divides p - 1, so there is one, and G lies in its normalizer AGL(1, p).)
+The parts it covers are a constituent of prime degree, a chainless
+group with one nontrivial orbit, of p points, and a group whose chain's
+level-0 transversal covers all of its p points (Mlt of a loop of prime
+order).  A chainless part builds its chain one generator at a time.
+After each one the chain is complete for the subgroup K generated so
+far, and by Lagrange |K| divides |G|, so the first partial order that
+does not divide p(p - 1) proves G not solvable: the remaining
+generators are never sifted, no derived subgroup is built, and the
+partial chain is dropped.  Only a chain that took every generator is
+kept on a group.  `is_solvable` takes Galois's answer either way;
+`solvable_class` takes only the negative one, INFINITE, since a
+solvable part still needs its derived series for its length.
+
+Where only solvability is asked (`is_solvable`), every other part is
+first settled by its order: a group whose order has at most two prime
+divisors is solvable (Burnside's p^a q^b theorem).  The chain that
+gives the order is the one the derived series would build first, so an
+order with three or more prime divisors costs a trial division by
+2..degree and nothing else.  The derived series decides the rest.
+
+The order of a nilpotent group is bounded by its orbits
+(`nilpotency_class_group`).  A transitive nilpotent group G of degree
+m = prod p^a is the direct product of its Sylow subgroups P_p.  A point
+stabilizer H is the product of its intersections H_p with the P_p, so
+the points are the product of the coset spaces P_p / H_p, of p^a
+points each, and the core of H, which is trivial, is the product of the
+cores of the H_p in P_p: P_p acts faithfully on p^a points.  So |P_p| divides the p-part of
+(p^a)!, which is p^((p^a - 1)/(p - 1)), and |G| divides
+B(m) = prod p^((p^a - 1)/(p - 1)).  Any group embeds in the product of
+its restrictions to its orbits O, each transitive, and nilpotent when
+the group is, so a nilpotent group's order divides the product of the
+B(|O|).  A group whose order does not is not nilpotent, and its lower
+central series is not run.
 
 (Seress, Permutation Group Algorithms, CUP 2003, sec. 2.3 and ch. 4.)
 
@@ -382,6 +416,18 @@ class _Chain:
                 self._establish(m, sifted)
 
 
+def _grow(gens, divides: int | None = None) -> _Chain | None:
+    """The chain of gens, added in order.  When divides is given, None as
+    soon as the order of a chain still missing generators does not divide
+    it: that partial chain is dropped, a complete one is returned."""
+    chain = _Chain()
+    for g in gens:
+        if divides is not None and divides % chain.order():
+            return None
+        chain.add_generator(g)
+    return chain
+
+
 def _as_permutation(g, degree: int) -> Permutation:
     """g as a Permutation of the given degree; ValueError if it is not one."""
     if not isinstance(g, Permutation):
@@ -432,10 +478,7 @@ class PermGroup:
     @property
     def _chain(self) -> _Chain:
         if self._chain_cache is None:
-            chain = _Chain()
-            for g in self._gens:
-                chain.add_generator(g)
-            self._chain_cache = chain
+            self._chain_cache = _grow(self._gens)
         return self._chain_cache
 
     def order(self) -> int:
@@ -583,31 +626,68 @@ def orbit_roots(images: np.ndarray) -> np.ndarray:
         root = step
 
 
+def _orbits(group: PermGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, degree) image rows of group's generators (k >= 1), their
+    orbit_roots, and the roots of the orbits of more than one point in
+    increasing order (a root is its orbit's least point)."""
+    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))
+    images = images[:, : group.degree]
+    root = orbit_roots(images)
+    return images, root, np.flatnonzero(np.bincount(root) > 1)
+
+
+def _restrict(images: np.ndarray, root: np.ndarray, r: int) -> PermGroup:
+    """The restriction to the orbit with least point r, relabeled 0..m-1
+    in increasing order."""
+    orbit = np.flatnonzero(root == r)
+    label = np.empty(len(root), dtype=images.dtype)
+    label[orbit] = np.arange(len(orbit))
+    return PermGroup(len(orbit), label[images[:, orbit]])
+
+
 def _constituents(group: PermGroup) -> list[PermGroup]:
     """The restrictions of group to its orbits of more than one point, in
-    order of least point, each relabeled 0..m-1 in increasing order;
-    empty when there are fewer than two such orbits."""
+    order of least point; empty when there are fewer than two such orbits."""
     if not group._gens:
         return []
-    degree = group.degree
-    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))[:, :degree]
-    root = orbit_roots(images)
-    roots = np.flatnonzero(np.bincount(root) > 1)  # a root is its orbit's least point
-    if len(roots) < 2:
-        return []
-    out = []
-    for r in roots:
-        orbit = np.flatnonzero(root == r)
-        label = np.empty(degree, dtype=images.dtype)
-        label[orbit] = np.arange(len(orbit))
-        out.append(PermGroup(len(orbit), label[images[:, orbit]]))
-    return out
+    images, root, roots = _orbits(group)
+    return [_restrict(images, root, r) for r in roots] if len(roots) > 1 else []
 
 
-def _split_or_whole(group: PermGroup) -> list[PermGroup]:
-    """The constituents of a chainless group with two or more nontrivial
-    orbits, else [group]."""
-    return (_constituents(group) if group._chain_cache is None else []) or [group]
+def _parts(group: PermGroup):
+    """Yield (part, m): the transitive constituents of a chainless group
+    with two or more nontrivial orbits, each packed only when reached,
+    else the group itself.  m is the number of points the part acts on
+    faithfully and transitively, 0 when that is not known."""
+    if group._chain_cache is None and group._gens:
+        images, root, roots = _orbits(group)
+        if len(roots) > 1:
+            for r in roots:
+                part = _restrict(images, root, r)
+                yield part, part.degree
+            return
+        # one nontrivial orbit: group acts on it faithfully and transitively
+        yield group, int(np.count_nonzero(root == roots[0]))
+        return
+    levels = group._chain.levels
+    yield group, group.degree if levels and len(levels[0].transversal) == group.degree else 0
+
+
+def _galois(part: PermGroup, m: int) -> bool | None:
+    """Whether part, faithful and transitive on m points, is solvable,
+    when m is prime; else None.  A chainless part builds its chain one
+    generator at a time and is answered False at the first partial order
+    that does not divide m(m - 1); only a complete chain is kept (module
+    docstring)."""
+    if m < 2 or prime_divisors(m, m) != (m,):
+        return None
+    limit = m * (m - 1)
+    if part._chain_cache is None:
+        chain = _grow(part._gens, limit)
+        if chain is None:
+            return False
+        part._chain_cache = chain
+    return limit % part.order() == 0
 
 
 def solvable_class(group: PermGroup) -> int | Infinite:
@@ -615,11 +695,12 @@ def solvable_class(group: PermGroup) -> int | Infinite:
 
     A group with no chain yet and two or more nontrivial orbits gives the
     largest class of its transitive constituents, INFINITE at the first
-    one that is not solvable; otherwise the group's own derived series
-    (module docstring)."""
+    one that is not solvable; otherwise the group's own derived series.
+    A part transitive on a prime number of points that Galois's rule
+    finds not solvable is INFINITE without a series (module docstring)."""
     best = 0
-    for part in _split_or_whole(group):
-        cls = derived_series(part).cls
+    for part, m in _parts(group):
+        cls = INFINITE if _galois(part, m) is False else derived_series(part).cls
         if cls is INFINITE:
             return INFINITE
         best = max(best, cls)
@@ -630,17 +711,41 @@ def is_solvable(group: PermGroup) -> bool:
     """Whether the derived series reaches the trivial group.
 
     Each transitive constituent of a chainless group with two or more
-    nontrivial orbits, or else the group itself, is settled by its order
+    nontrivial orbits, or else the group itself, is settled by Galois's
+    rule when it is transitive on a prime number of points, by its order
     when that has at most two prime divisors, and by its derived series
     otherwise (module docstring)."""
-    for part in _split_or_whole(group):
-        if len(prime_divisors(part.order(), part.degree)) <= 2:
-            continue
-        if derived_series(part).cls is INFINITE:
+    for part, m in _parts(group):
+        verdict = _galois(part, m)
+        if verdict is None:
+            verdict = (
+                len(prime_divisors(part.order(), part.degree)) <= 2
+                or derived_series(part).cls is not INFINITE
+            )
+        if not verdict:
             return False
     return True
 
 
+def _nilpotent_bound(sizes) -> int:
+    """The product over m in sizes of the p-parts of (p^a)!, one for each
+    prime power p^a exactly dividing m: p^((p^a - 1)/(p - 1))."""
+    bound = 1
+    for m in sizes:
+        for p in prime_divisors(m, m):
+            q = p
+            while m % (q * p) == 0:
+                q *= p
+            bound *= p ** ((q - 1) // (p - 1))
+    return bound
+
+
 def nilpotency_class_group(group: PermGroup) -> int | Infinite:
-    """Length of the lower central series down to the trivial group."""
+    """Length of the lower central series down to the trivial group;
+    INFINITE without the series when |G| does not divide the nilpotent
+    order bound of its orbits (module docstring)."""
+    if group._gens:
+        _, root, roots = _orbits(group)
+        if _nilpotent_bound(np.bincount(root)[roots].tolist()) % group.order():
+            return INFINITE
     return lower_central_series(group).cls

@@ -292,9 +292,9 @@ def test_hierarchy_report_never_splits_into_constituents(monkeypatch, pool):
     tables += hunt_candidates(seed=0, count=3)
     inns = [PermGroup(Q.order, assoc_group(Q, "INN").generators) for Q in tables]
     assert sum(bool(perm_module._constituents(g)) for g in inns) >= 3  # the split would apply
-    splits = []
-    real = perm_module._constituents
-    monkeypatch.setattr(perm_module, "_constituents", lambda g: splits.append(g) or real(g))
+    splits = []  # every constituent is packed by _restrict
+    real = perm_module._restrict
+    monkeypatch.setattr(perm_module, "_restrict", lambda *args: splits.append(args) or real(*args))
     for Q in tables:
         hierarchy_report(Q)
     assert splits == []

@@ -319,6 +319,24 @@ def test_lemma31_rejects_non_integer_grids(bad):
         extensions.lemma31_analyze_raw(Z2, cyclic(2).mul, **grids)
 
 
+@pytest.mark.parametrize("bad", ["phi", "psi", "theta"])
+@pytest.mark.parametrize("value", [-1, 2])
+def test_lemma31_rejects_out_of_range_grids(bad, value):
+    """Over Z2 an entry is 0 or 1: -1 must not wrap through negative
+    indexing, and 2 = |A| must not index past the table."""
+    grids = {
+        "phi": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+        "psi": [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+        "theta": [[0, 0], [0, 1]],
+    }
+    assert extensions.lemma31_analyze_raw(Z2, cyclic(2).mul, **grids) == (0, 0)
+    grid = np.array(grids[bad])
+    grid.flat[-1] = value
+    grids[bad] = grid
+    with pytest.raises(CocycleInvalid, match=f"^{bad} entry out of range$"):
+        extensions.lemma31_analyze_raw(Z2, cyclic(2).mul, **grids)
+
+
 def test_normalize_roundtrip_with_explicit_witness():
     base = z4_cocycle()
     shifted = _shift_theta(base, 1)

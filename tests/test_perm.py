@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopkit import perm as perm_module
-from loopkit.core import direct_product
+from loopkit.core import LoopTable, direct_product
 from loopkit.errors import CapExceeded
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import assoc_group
@@ -23,7 +23,7 @@ from loopkit.perm import (
     solvable_class,
 )
 from loopkit.pools import POOL_MASTER_SEED
-from loopkit.tables import cyclic, klein
+from loopkit.tables import cyclic, klein, quaternion
 from loopkit.util import INFINITE, prime_divisors
 
 from conftest import closure_order, hunt_candidates, textbook_series
@@ -240,6 +240,45 @@ def test_nilpotency_class(factory, expected):
     assert nilpotency_class_group(factory()) == expected
 
 
+@pytest.mark.parametrize(
+    "sizes, bound",
+    [([], 1), ([1, 1], 1), ([2], 2), ([3], 3), ([4], 2**3), ([6], 6), ([8], 2**7),
+     ([12], 2**3 * 3), ([16], 2**15), ([9, 4], 3**4 * 2**3)],
+)
+def test_nilpotent_bound(sizes, bound):
+    """The p-parts of (p^a)! for each p^a exactly dividing an orbit size."""
+    assert perm_module._nilpotent_bound(sizes) == bound
+
+
+@pytest.mark.parametrize(
+    "factory, expected, by_bound",
+    [
+        (s3, INFINITE, True),  # 6 does not divide 3
+        (d4, 2, False),  # 8 divides 2^3
+        (lambda: PermGroup(8, quaternion().mul), 2, False),  # regular Q8: 8 divides 2^7
+        (lambda: PermGroup(6, [perm(tuple(range(6)), degree=6)]), 1, False),  # Z6: 6 divides 6
+    ],
+)
+def test_nilpotency_class_by_the_order_bound(monkeypatch, factory, expected, by_bound):
+    """A group whose order does not divide the product over its orbits of
+    the nilpotent bound runs no lower central series."""
+    calls = []
+    real = perm_module.lower_central_series
+    monkeypatch.setattr(perm_module, "lower_central_series", lambda g: calls.append(g) or real(g))
+    assert nilpotency_class_group(factory()) == expected
+    assert (calls == []) is by_bound
+    assert real(factory()).cls == expected
+
+
+def test_nilpotency_class_of_fresh_pool_groups(pool):
+    for entry in pool:
+        for which in ("MLT", "INN", "TMLT", "TINN"):
+            group = assoc_group(entry.table, which)
+            want = lower_central_series(PermGroup(group.degree, group.generators)).cls
+            got = nilpotency_class_group(PermGroup(group.degree, group.generators))
+            assert got == want, (entry.tag, which)
+
+
 def test_nilpotent_implies_solvable():
     for factory in (d4, s3, a5):
         group = factory()
@@ -447,16 +486,18 @@ def test_prime_divisors(n, limit, expected):
         (s3, True, True),
         (d4, True, True),
         (lambda: PermGroup(4, [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]), True, True),
-        (a5, False, False),
+        # transitive of prime degree 5: 60 does not divide 5 * 4
+        (a5, False, True),
         (s16, False, False),
-        # order 42 = 2 * 3 * 7: solvable, but only the series can tell
-        (lambda: agl1(7, 3), True, False),
         (lambda: PermGroup(5, []), True, True),
+        # order 42 = 2 * 3 * 7 divides 7 * 6: Galois's rule, not Burnside's
+        (lambda: agl1(7, 3), True, True),
     ],
 )
 def test_is_solvable_examples(factory, expected, by_order):
-    """A transitive group (or the trivial one) whose order has at most two
-    prime divisors is settled without building G'."""
+    """A transitive group of prime degree, or one whose order has at most
+    two prime divisors, or the trivial group, is settled without building
+    G'."""
     group = factory()
     assert is_solvable(group) is expected
     assert (group._derived is None) is by_order
@@ -523,6 +564,140 @@ def test_non_solvable_hunt_inn_is_decided_by_is_solvable_without_its_chain():
             assert inn._chain_cache is None
             return
     pytest.fail("no non-solvable Inn among the first 20 candidates")
+
+
+# -- Galois's rule: transitive groups of prime degree --------------------------------
+
+
+def rotation(p):
+    return Permutation([(x + 1) % p for x in range(p)])
+
+
+def prime_cyclic(p):
+    return PermGroup(p, [rotation(p)])
+
+
+def prime_dihedral(p):
+    return PermGroup(p, [rotation(p), Permutation([-x % p for x in range(p)])])
+
+
+def prime_symmetric(p):
+    return PermGroup(p, [perm((0, 1), degree=p), rotation(p)])
+
+
+def psl32():
+    """GL(3, 2) on the 7 points of the Fano plane with lines {i, i+1, i+3}."""
+    return PermGroup(7, [rotation(7), perm((2, 4), (5, 6), degree=7)])
+
+
+def psl211():
+    """The transitive group of order 660 on 11 points, PSL(2, 11)."""
+    return PermGroup(11, [rotation(11), perm((2, 10), (3, 7), (5, 6), (8, 9), degree=11)])
+
+
+# a non-associative loop of order 5: its Mlt is S5, its Inn S4
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def fresh_mlt(Q):
+    group = assoc_group(Q, "MLT")
+    return PermGroup(group.degree, group.generators)
+
+
+PRIME_DEGREE = [
+    ("S2", lambda: prime_symmetric(2), 2, True),
+    ("S3", s3, 6, True),
+    ("Z3", lambda: prime_cyclic(3), 3, True),
+    ("Z5", lambda: prime_cyclic(5), 5, True),
+    ("D5", lambda: prime_dihedral(5), 10, True),
+    ("AGL(1,5)", lambda: agl1(5, 2), 20, True),
+    ("A5", a5, 60, False),
+    ("S5", lambda: prime_symmetric(5), 120, False),
+    ("Z7", lambda: prime_cyclic(7), 7, True),
+    ("D7", lambda: prime_dihedral(7), 14, True),
+    ("AGL(1,7)", lambda: agl1(7, 3), 42, True),
+    ("PSL(3,2)", psl32, 168, False),
+    ("S7", lambda: prime_symmetric(7), 5040, False),
+    ("AGL(1,11)", lambda: agl1(11, 2), 110, True),
+    ("PSL(2,11)", psl211, 660, False),
+    ("Mlt(Z5)", lambda: fresh_mlt(cyclic(5)), 5, True),
+    ("Mlt(order-5 loop)", lambda: fresh_mlt(LoopTable(ORDER_5_LOOP)), 120, False),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, order, solvable", [case[1:] for case in PRIME_DEGREE], ids=[c[0] for c in PRIME_DEGREE]
+)
+def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
+    """A transitive group of prime degree p is solvable iff its order
+    divides p(p - 1): both answers agree with the derived series of a
+    fresh copy, and neither builds G'."""
+    group = factory()
+    assert is_solvable(group) is solvable
+    assert group._derived is None
+    assert solvable_oracle(group) is solvable
+    fresh = factory()
+    cls = solvable_class(fresh)
+    assert cls == derived_length_oracle(group)
+    assert (fresh._derived is None) is not solvable
+    assert group.order() == order == closure_order([g.images for g in group.generators])
+
+
+@pytest.mark.parametrize(
+    "degree, gens, order",
+    [
+        # S7, then a redundant 3-cycle: the exit comes before the third sift
+        (7, [perm((0, 1), degree=7), rotation(7), perm((0, 1, 2), degree=7)], 5040),
+        # PSL(2, 11), then a 3-cycle it lacks
+        (11, list(psl211().generators) + [perm((0, 1, 2), degree=11)], 19958400),
+        # A5 on 5 of 9 points: one nontrivial orbit, acted on faithfully
+        (9, [perm(c, degree=9) for c in ((0, 1, 2, 3, 4), (0, 1, 2), (0, 2, 4, 1, 3))], 60),
+    ],
+)
+def test_galois_exit_leaves_no_partial_chain(degree, gens, order):
+    """The first partial order that does not divide p(p - 1) ends the
+    build, and the partial chain is dropped: order() is still the order
+    of the whole group, as the fresh copy's chain has it."""
+    group = PermGroup(degree, gens)
+    assert is_solvable(group) is False
+    assert group._chain_cache is None
+    assert solvable_class(group) is INFINITE and group._chain_cache is None
+    assert group.order() == order == PermGroup(degree, gens).order()
+    assert derived_length_oracle(group) is INFINITE
+
+
+def test_galois_rule_on_hunt_groups():
+    """INN and MLT of the first 240 hunt candidates at seed 0, fresh, against
+    the derived series."""
+    for Q in hunt_candidates(seed=0, count=240):
+        for which in ("INN", "MLT"):
+            group = assoc_group(Q, which)
+            want = derived_length_oracle(group)
+            assert solvable_class(PermGroup(group.degree, group.generators)) == want
+            assert is_solvable(PermGroup(group.degree, group.generators)) is (want is not INFINITE)
+
+
+def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
+    """226 of the first 240 hunt Inns at seed 0 are not solvable, and each
+    is settled by its first constituent, on 7 points, by its order: no
+    derived series runs and no later constituent is packed."""
+    calls, packed = [], []
+    real, real_restrict = perm_module.derived_series, perm_module._restrict
+    monkeypatch.setattr(perm_module, "derived_series", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(
+        perm_module, "_restrict", lambda *args: packed.append(args) or real_restrict(*args)
+    )
+    settled = 0
+    for Q in hunt_candidates(seed=0, count=240):
+        inn = assoc_group(Q, "INN")
+        packed.clear()
+        if not is_solvable(PermGroup(inn.degree, inn.generators)):
+            assert len(packed) == 1 and np.count_nonzero(packed[0][1] == packed[0][2]) == 7
+            assert solvable_class(PermGroup(inn.degree, inn.generators)) is INFINITE
+            assert calls == [] and len(packed) == 2
+            settled += 1
+        calls.clear()
+    assert settled == 226
 
 
 # -- the reduced chain against the textbook one ------------------------------------
