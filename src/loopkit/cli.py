@@ -51,8 +51,11 @@ _MATH_ERRORS = (NotNormal, NotAbelianIn, NotNeutralAt, NotAbelianGroup)
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"{path} is not UTF-8: {exc}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -381,8 +381,6 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
-    # orders before classes: with the chain built, solvable_class closes G'
-    # from its grown generators under the |G| bound, not per constituent
     report = HierarchyReport(
         order=Q.order,
         commutative=Q.is_commutative,

@@ -88,47 +88,42 @@ A seed of `normal_closure` outside the group it is closed under voids
 that bound, so the public closure uses it only when every seed sifts
 into the group's chain.
 
-The derived length of a chainless intransitive group is read off its
-transitive constituents (`solvable_class`).  Let O_1..O_r be the orbits
-of more than one point and p_i the restriction to O_i.  Then
-g -> (p_i(g))_i is injective and p_i(G^(k)) = p_i(G)^(k), so G^(k) = 1
-iff every p_i(G)^(k) = 1: the derived length of G is the largest one of
-its constituents, subdirect products (|G| < prod |p_i(G)|) included,
-and G is not solvable as soon as one constituent is not.  A constituent
-acts on fewer points and is often smaller by far than G, so a
-non-solvable group is decided without G's chain.  The split is taken
-only when the group has no chain yet and at least two such orbits: once
-the chain exists, G's own derived series reuses its grown generators
-and its order as the closures' bound, and constituents rebuilt from
-the generators would cost more than that.  The orbits are found at
-once (`orbit_roots`), but each constituent is packed into a group only
-when the loop over them reaches it, so nothing after a constituent
-that is not solvable is packed.
+`solvable_class` is the derived series.  Where only solvability is
+asked (`is_solvable`, as in the search presets), three shortcuts come
+first.
+
+A chainless group with two or more orbits of more than one point is
+split into its transitive constituents.  Let O_1..O_r be those orbits
+and p_i the restriction to O_i.  Then g -> (p_i(g))_i is injective and
+p_i(G^(k)) = p_i(G)^(k), so G^(k) = 1 iff every p_i(G)^(k) = 1: G is
+solvable iff every constituent is, subdirect products
+(|G| < prod |p_i(G)|) included.  A constituent acts on fewer points and
+is often smaller by far than G, so a non-solvable group is decided
+without G's chain.  A group whose chain exists is not split: its own
+derived series reuses its grown generators and its order.  The orbits
+are found at once (`orbit_roots`), but each constituent is packed only
+when the loop reaches it, so nothing after one that is not solvable is
+packed.
 
 A part that acts faithfully and transitively on a prime number p of
-points is settled by Galois's theorem: such a group is solvable iff its
-order divides p(p - 1).  (A solvable one lies in AGL(1, p).  Conversely,
-if |G| divides p(p - 1), the number of Sylow p-subgroups is 1 mod p and
-divides p - 1, so there is one, and G lies in its normalizer AGL(1, p).)
-The parts it covers are a constituent of prime degree, a chainless
-group with one nontrivial orbit, of p points, and a group whose chain's
-level-0 transversal covers all of its p points (Mlt of a loop of prime
-order).  A chainless part builds its chain one generator at a time.
-After each one the chain is complete for the subgroup K generated so
-far, and by Lagrange |K| divides |G|, so the first partial order that
-does not divide p(p - 1) proves G not solvable: the remaining
-generators are never sifted, no derived subgroup is built, and the
-partial chain is dropped.  Only a chain that took every generator is
-kept on a group.  `is_solvable` takes Galois's answer either way;
-`solvable_class` takes only the negative one, INFINITE, since a
-solvable part still needs its derived series for its length.
+points (a constituent of prime degree, or a chainless group with one
+nontrivial orbit, of p points) is settled by Galois's theorem: such a
+group is solvable iff its order divides p(p - 1).  (A solvable one lies
+in AGL(1, p).  Conversely, if |G| divides p(p - 1), the number of Sylow
+p-subgroups is 1 mod p and divides p - 1, so there is one, and G lies
+in its normalizer AGL(1, p).)  The part builds its chain one generator
+at a time.  After each one the chain is complete for the subgroup K
+generated so far, and by Lagrange |K| divides |G|, so the first partial
+order that does not divide p(p - 1) proves G not solvable: the
+remaining generators are never sifted and the partial chain is
+dropped.  Only a chain that took every generator is kept on a group.
 
-Where only solvability is asked (`is_solvable`), every other part is
-first settled by its order: a group whose order has at most two prime
-divisors is solvable (Burnside's p^a q^b theorem).  The chain that
-gives the order is the one the derived series would build first, so an
-order with three or more prime divisors costs a trial division by
-2..degree and nothing else.  The derived series decides the rest.
+Every other part is settled by its order when it can be: a group whose
+order has at most two prime divisors is solvable (Burnside's p^a q^b
+theorem).  The chain that gives the order is the one the derived series
+would build first, so an order with three or more prime divisors costs
+a trial division by 2..degree and nothing else.  The derived series
+decides the rest.
 
 The order of a nilpotent group is bounded by its orbits
 (`nilpotency_class_group`).  A transitive nilpotent group G of degree
@@ -490,9 +485,9 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self._gens
 
-    def __contains__(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch in membership test")
+    def __contains__(self, p) -> bool:
+        """Whether p, a Permutation or image sequence of the group's
+        degree, lies in the group; ValueError as for a generator."""
         return self._chain.contains(_pack(self.degree, [p])[0])
 
     def __repr__(self):
@@ -504,7 +499,7 @@ def group_order(group: PermGroup) -> int:
     return group.order()
 
 
-def contains(group: PermGroup, p: Permutation) -> bool:
+def contains(group: PermGroup, p) -> bool:
     return p in group
 
 
@@ -645,66 +640,28 @@ def _restrict(images: np.ndarray, root: np.ndarray, r: int) -> PermGroup:
     return PermGroup(len(orbit), label[images[:, orbit]])
 
 
-def _constituents(group: PermGroup) -> list[PermGroup]:
-    """The restrictions of group to its orbits of more than one point, in
-    order of least point; empty when there are fewer than two such orbits."""
-    if not group._gens:
-        return []
-    images, root, roots = _orbits(group)
-    return [_restrict(images, root, r) for r in roots] if len(roots) > 1 else []
-
-
 def _parts(group: PermGroup):
     """Yield (part, m): the transitive constituents of a chainless group
     with two or more nontrivial orbits, each packed only when reached,
-    else the group itself.  m is the number of points the part acts on
-    faithfully and transitively, 0 when that is not known."""
-    if group._chain_cache is None and group._gens:
-        images, root, roots = _orbits(group)
-        if len(roots) > 1:
-            for r in roots:
-                part = _restrict(images, root, r)
-                yield part, part.degree
-            return
-        # one nontrivial orbit: group acts on it faithfully and transitively
-        yield group, int(np.count_nonzero(root == roots[0]))
+    else the group itself.  m is the number of points a chainless part
+    acts on faithfully and transitively, 0 for a group with a chain or
+    no generators."""
+    if group._chain_cache is not None or not group._gens:
+        yield group, 0
         return
-    levels = group._chain.levels
-    yield group, group.degree if levels and len(levels[0].transversal) == group.degree else 0
-
-
-def _galois(part: PermGroup, m: int) -> bool | None:
-    """Whether part, faithful and transitive on m points, is solvable,
-    when m is prime; else None.  A chainless part builds its chain one
-    generator at a time and is answered False at the first partial order
-    that does not divide m(m - 1); only a complete chain is kept (module
-    docstring)."""
-    if m < 2 or prime_divisors(m, m) != (m,):
-        return None
-    limit = m * (m - 1)
-    if part._chain_cache is None:
-        chain = _grow(part._gens, limit)
-        if chain is None:
-            return False
-        part._chain_cache = chain
-    return limit % part.order() == 0
+    images, root, roots = _orbits(group)
+    if len(roots) > 1:
+        for r in roots:
+            part = _restrict(images, root, r)
+            yield part, part.degree
+        return
+    # one nontrivial orbit: group acts on it faithfully and transitively
+    yield group, int(np.count_nonzero(root == roots[0]))
 
 
 def solvable_class(group: PermGroup) -> int | Infinite:
-    """Length of the derived series down to the trivial group.
-
-    A group with no chain yet and two or more nontrivial orbits gives the
-    largest class of its transitive constituents, INFINITE at the first
-    one that is not solvable; otherwise the group's own derived series.
-    A part transitive on a prime number of points that Galois's rule
-    finds not solvable is INFINITE without a series (module docstring)."""
-    best = 0
-    for part, m in _parts(group):
-        cls = INFINITE if _galois(part, m) is False else derived_series(part).cls
-        if cls is INFINITE:
-            return INFINITE
-        best = max(best, cls)
-    return best
+    """Length of the derived series down to the trivial group."""
+    return derived_series(group).cls
 
 
 def is_solvable(group: PermGroup) -> bool:
@@ -712,18 +669,18 @@ def is_solvable(group: PermGroup) -> bool:
 
     Each transitive constituent of a chainless group with two or more
     nontrivial orbits, or else the group itself, is settled by Galois's
-    rule when it is transitive on a prime number of points, by its order
-    when that has at most two prime divisors, and by its derived series
-    otherwise (module docstring)."""
+    rule when it is chainless and transitive on a prime number of
+    points, by its order when that has at most two prime divisors, and
+    by its derived series otherwise (module docstring)."""
     for part, m in _parts(group):
-        verdict = _galois(part, m)
-        if verdict is None:
-            verdict = (
-                len(prime_divisors(part.order(), part.degree)) <= 2
-                or derived_series(part).cls is not INFINITE
-            )
-        if not verdict:
-            return False
+        if m > 1 and prime_divisors(m, m) == (m,):
+            limit = m * (m - 1)
+            part._chain_cache = _grow(part._gens, limit)
+            if part._chain_cache is None or limit % part.order():
+                return False
+        elif len(prime_divisors(part.order(), part.degree)) > 2:
+            if derived_series(part).cls is INFINITE:
+                return False
     return True
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from loopkit import INFINITE, Subloop, all_normal_subloops, center_subloop, quotient
+from loopkit import INFINITE, Subloop, all_normal_subloops, center_subloop, perm, quotient
 from loopkit.cli import PRESETS
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
@@ -47,6 +47,10 @@ def pool(groups, small_extensions, random_extensions):
 @pytest.fixture(scope="session")
 def central_pool():
     return central_cocycle_pool(100)
+
+
+# a non-associative loop of order 5: its Mlt is S5, its Inn S4
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
 def hunt_candidates(seed: int, count: int):
@@ -106,9 +110,18 @@ def permutation_group_oracle(Q, which) -> PermGroup:
     return PermGroup(Q.order, [Permutation(row) for row in word_rows(Q, which).tolist()])
 
 
+def parts_split(group) -> list[tuple]:
+    """The generator image tuples of the parts perm._parts yields for
+    group, [] when it yields group itself (no split)."""
+    parts = [part for part, _ in perm._parts(group)]
+    if parts == [group]:
+        return []
+    return [tuple(g.images for g in p.generators) for p in parts]
+
+
 def constituents_oracle(group) -> list[tuple]:
     """The generator image tuples of each transitive constituent, as
-    perm._constituents should give them: orbits of more than one point
+    perm._parts should split a chainless group: orbits of more than one point
     by breadth-first search, in order of least point, each relabeled
     0..m-1 in increasing order, each image kept once, identity dropped;
     [] when there are fewer than two such orbits."""

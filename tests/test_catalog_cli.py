@@ -26,6 +26,8 @@ from loopkit.perm import group_order
 from loopkit.tables import cyclic, symmetric
 from loopkit.util import INFINITE
 
+from conftest import ORDER_5_LOOP
+
 
 def write_table(tmp_path, name, table):
     path = tmp_path / name
@@ -93,6 +95,25 @@ def test_cli_analyze_malformed_exits_2(tmp_path, capsys):
     bad.write_text("2\n0 0\n1 1\n")
     assert main(["analyze", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{path}"],
+        ["extend", "{path}"],
+        ["decompose", "{path}", "--fiber", "0"],
+        ["catalog", "add", "{path}", "--catalog", "{catalog}"],
+    ],
+    ids=["analyze", "extend", "decompose", "catalog-add"],
+)
+def test_cli_input_file_not_utf8_exits_2(tmp_path, capsys, argv):
+    bad, catalog_path = tmp_path / "bad.in", tmp_path / "c.catalog"
+    bad.write_bytes(b"\xff\xfe\n")
+    assert main([a.format(path=bad, catalog=catalog_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8" in err
+    assert not catalog_path.exists()
 
 
 def test_cli_analyze_above_report_cap_exits_2(tmp_path, capsys):
@@ -379,9 +400,7 @@ def test_cli_search_budget_caps_an_exhaustive_preset(tmp_path, capsys):
 def test_problem35_predicate_holds_on_an_order_5_loop():
     # Mlt = S5 is not solvable, Inn = S4 is; the loop is not congruence
     # solvable, so it says nothing about the open question the hunt asks
-    Q = LoopTable(
-        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    )
+    Q = LoopTable(ORDER_5_LOOP)
     assert not Q.is_associative
     assert group_order(assoc_group(Q, "MLT")) == 120
     assert group_order(assoc_group(Q, "INN")) == 24

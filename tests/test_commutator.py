@@ -38,7 +38,9 @@ from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 from conftest import (
+    ORDER_5_LOOP,
     commutator_oracle,
+    constituents_oracle,
     group_commutator_oracle,
     group_derived_length,
     group_nilpotency_class,
@@ -286,15 +288,35 @@ def test_hierarchy_cross_implications(groups, small_extensions):
 
 
 def test_hierarchy_report_never_splits_into_constituents(monkeypatch, pool):
-    """The report asks for each group's order before its class, so the
-    class comes from the group's own derived series and its chain."""
+    """The report's classes come from each group's own derived series
+    and its chain, never from its constituents."""
     tables = [LoopTable(e.table.mul) for e in pool[::10]]
     tables += hunt_candidates(seed=0, count=3)
     inns = [PermGroup(Q.order, assoc_group(Q, "INN").generators) for Q in tables]
-    assert sum(bool(perm_module._constituents(g)) for g in inns) >= 3  # the split would apply
+    assert sum(bool(constituents_oracle(g)) for g in inns) >= 3  # the split would apply
     splits = []  # every constituent is packed by _restrict
     real = perm_module._restrict
     monkeypatch.setattr(perm_module, "_restrict", lambda *args: splits.append(args) or real(*args))
     for Q in tables:
         hierarchy_report(Q)
     assert splits == []
+
+
+def test_hierarchy_report_of_a_prime_order_loop_with_non_solvable_mlt():
+    """Mlt of this order-5 loop is S5, transitive on a prime number of
+    points and not solvable; its Inn is S4."""
+    rep = hierarchy_report(LoopTable(ORDER_5_LOOP))
+    lines = rep.to_lines().splitlines()
+    for line in (
+        "mlt_order: 120",
+        "mlt_solvable_class: inf",
+        "mlt_nilpotency_class: inf",
+        "inn_order: 24",
+        "inn_solvable_class: 3",
+        "congruence_solvability_class: inf",
+        "classical_solvability_class: inf",
+        "nilpotency_class: inf",
+        "center_size: 1",
+        "supernilpotent: false",
+    ):
+        assert line in lines

@@ -7,12 +7,16 @@ from loopkit import LoopTable, assoc_group, inner_generator
 from loopkit.errors import ArityMismatch
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import TOT_INNER_WORDS, inner_maps, word_rows
-from loopkit import perm
 from loopkit.perm import PermGroup, group_order
 from loopkit.structure import Subloop, normal_closure
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
-from conftest import constituents_oracle, inner_generator_family, permutation_group_oracle
+from conftest import (
+    constituents_oracle,
+    inner_generator_family,
+    parts_split,
+    permutation_group_oracle,
+)
 
 Z3 = cyclic(3)
 S3 = symmetric(3)
@@ -179,7 +183,6 @@ def test_array_fed_groups_match_the_permutation_path(pool):
             oracle = permutation_group_oracle(Q, which)
             assert assoc_group(Q, which).generators == oracle.generators
             fed = PermGroup(Q.order, word_rows(Q, which))  # assoc_group's, without its memo
-            parts = [tuple(g.images for g in p.generators) for p in perm._constituents(fed)]
-            assert parts == constituents_oracle(oracle)
+            assert parts_split(fed) == constituents_oracle(oracle)
             assert fed.base_sequence() == oracle.base_sequence()
             assert fed.order() == oracle.order()

@@ -26,7 +26,14 @@ from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, klein, quaternion
 from loopkit.util import INFINITE, prime_divisors
 
-from conftest import closure_order, hunt_candidates, textbook_series
+from conftest import (
+    ORDER_5_LOOP,
+    closure_order,
+    constituents_oracle,
+    hunt_candidates,
+    parts_split,
+    textbook_series,
+)
 
 
 def perm(*cycles, degree):
@@ -98,6 +105,20 @@ def test_membership_examples():
     assert perm((0, 1, 2), degree=3) not in PermGroup(3, [perm((0, 1), degree=3)])
     s3 = PermGroup(3, [perm((0, 1), degree=3), perm((1, 2), degree=3)])
     assert contains(s3, perm((0, 2), degree=3))
+
+
+def test_membership_takes_image_sequences_as_generators_do():
+    z3 = PermGroup(3, [perm((0, 1, 2), degree=3)])
+    for member in ((1, 2, 0), [2, 0, 1], Permutation([0, 1, 2])):
+        assert member in z3
+    for other in ((0, 2, 1), [1, 0, 2], perm((0, 1), degree=3)):
+        assert other not in z3
+    with pytest.raises(ValueError, match="generator degree mismatch"):
+        perm((0, 1), degree=4) in z3
+    with pytest.raises(ValueError, match="generator degree mismatch"):
+        (1, 0) in z3
+    with pytest.raises(ValueError, match="do not form a permutation"):
+        (0, 0, 1) in z3
 
 
 def test_chain_is_deterministic():
@@ -358,7 +379,7 @@ def test_permutation_rejects_non_integer_images():
     assert Permutation(np.arange(3)[::-1]).images == (2, 1, 0)
 
 
-# -- solvable_class on transitive constituents ----------------------------------
+# -- transitive constituents -----------------------------------------------------
 
 
 def derived_length_oracle(group):
@@ -409,12 +430,16 @@ def test_solvable_class_on_constituents_hand_made(degree, blocks, order, expecte
 
 
 def test_constituents_are_the_orbit_images_in_order_of_least_point():
-    gens = side_by_side(7, (0, [(1, 0)]), (2, A5_GENS))
-    parts = perm_module._constituents(PermGroup(7, gens))
-    assert [(p.degree, p.order()) for p in parts] == [(2, 2), (5, 60)]
-    assert derived_series(parts[0]).cls == 1 and derived_series(parts[1]).cls is INFINITE
+    group = PermGroup(7, side_by_side(7, (0, [(1, 0)]), (2, A5_GENS)))
+    assert parts_split(group) == constituents_oracle(group) != []
+    parts = list(perm_module._parts(group))
+    assert [(p.degree, p.order(), m) for p, m in parts] == [(2, 2, 2), (5, 60, 5)]
+    assert derived_series(parts[0][0]).cls == 1 and derived_series(parts[1][0]).cls is INFINITE
     transitive_on_its_support = PermGroup(5, [perm((1, 2, 3), degree=5)])
-    assert perm_module._constituents(transitive_on_its_support) == []
+    assert list(perm_module._parts(transitive_on_its_support)) == [(transitive_on_its_support, 3)]
+    assert constituents_oracle(transitive_on_its_support) == []
+    group.order()  # a group with a chain is never split
+    assert list(perm_module._parts(group)) == [(group, 0)]
 
 
 @given(gen_lists, gen_lists, st.integers(0, 2))
@@ -444,18 +469,9 @@ def test_solvable_class_of_fresh_hunt_inns():
     for Q in hunt_candidates(seed=5, count=200):
         inn = assoc_group(Q, "INN")
         fresh = PermGroup(inn.degree, inn.generators)
-        split += bool(perm_module._constituents(fresh))
+        split += bool(constituents_oracle(fresh))
         assert solvable_class(fresh) == derived_length_oracle(inn)
     assert split >= 100
-
-
-def test_non_solvable_hunt_inn_is_decided_without_its_chain():
-    for Q in hunt_candidates(seed=0, count=20):
-        inn = assoc_group(Q, "INN")
-        if solvable_class(inn) is INFINITE:
-            assert inn._chain_cache is None
-            return
-    pytest.fail("no non-solvable Inn among the first 20 candidates")
 
 
 # -- is_solvable: constituents, then Burnside's p^a q^b ----------------------------
@@ -595,10 +611,6 @@ def psl211():
     return PermGroup(11, [rotation(11), perm((2, 10), (3, 7), (5, 6), (8, 9), degree=11)])
 
 
-# a non-associative loop of order 5: its Mlt is S5, its Inn S4
-ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-
-
 def fresh_mlt(Q):
     group = assoc_group(Q, "MLT")
     return PermGroup(group.degree, group.generators)
@@ -630,16 +642,13 @@ PRIME_DEGREE = [
 )
 def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     """A transitive group of prime degree p is solvable iff its order
-    divides p(p - 1): both answers agree with the derived series of a
-    fresh copy, and neither builds G'."""
+    divides p(p - 1): is_solvable agrees with the derived series of a
+    fresh copy without building G'."""
     group = factory()
     assert is_solvable(group) is solvable
     assert group._derived is None
     assert solvable_oracle(group) is solvable
-    fresh = factory()
-    cls = solvable_class(fresh)
-    assert cls == derived_length_oracle(group)
-    assert (fresh._derived is None) is not solvable
+    assert solvable_class(factory()) == derived_length_oracle(group)
     assert group.order() == order == closure_order([g.images for g in group.generators])
 
 
@@ -661,8 +670,8 @@ def test_galois_exit_leaves_no_partial_chain(degree, gens, order):
     group = PermGroup(degree, gens)
     assert is_solvable(group) is False
     assert group._chain_cache is None
-    assert solvable_class(group) is INFINITE and group._chain_cache is None
     assert group.order() == order == PermGroup(degree, gens).order()
+    assert solvable_class(group) is INFINITE
     assert derived_length_oracle(group) is INFINITE
 
 
@@ -693,8 +702,8 @@ def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
         packed.clear()
         if not is_solvable(PermGroup(inn.degree, inn.generators)):
             assert len(packed) == 1 and np.count_nonzero(packed[0][1] == packed[0][2]) == 7
+            assert calls == []
             assert solvable_class(PermGroup(inn.degree, inn.generators)) is INFINITE
-            assert calls == [] and len(packed) == 2
             settled += 1
         calls.clear()
     assert settled == 226
