@@ -14,6 +14,15 @@ then W_p(a)N = W_{rep p}(a)N for every p, and congruent tuples p and q
 share rep p = rep q.  So W_p(a)N = W_q(a)N, that is, W_p(a) / W_q(a)
 lies in N.
 
+The generators lie in A and in B, and so does [A, B]: each word fixes
+the neutral and respects congruences, so for a in A, W_p(a) and
+W_{rep p}(a) are congruent to e modulo A, and to each other modulo B.
+
+The congruence series takes D1 = [Q, Q] as the derived subloop Q'
+(`derived_subloop`): [Q, Q] is the least normal N with Q/N abelian in
+itself, that is a commutative group (Stanovsky and Vojtechovsky,
+"Commutator theory for loops", J. Algebra 2014).
+
 Abelianess of a normal subloop has three independent routes here:
 
   A1  the commutator [A,A] is trivial,
@@ -26,7 +35,6 @@ Centrality gets the analogous four routes C1, C3, C3', C4.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,8 +53,6 @@ from .structure import (
     normal_closure,
 )
 from .util import INFINITE, Infinite, format_value, is_finite, is_prime_power, parse_value
-
-_log = logging.getLogger(__name__)
 
 REPORT_ORDER_CAP = 128
 
@@ -76,10 +82,6 @@ def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop) -> Subloop:
     gens = commutator_generators(Q, A, B)
     if not gens:
         return Subloop(Q, (Q.neutral,))
-    escaped = gens - set(A.elements)
-    if escaped:
-        # containment in the first argument is observed, not guaranteed
-        _log.info("commutator deviations leave A at %s", sorted(escaped))
     return normal_closure(Q, gens)
 
 
@@ -206,13 +208,14 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
 
 def congruence_derived_series(Q: LoopTable):
     """Iterated commutator with the whole loop as ambient: D0 = Q,
-    D_{i+1} = [D_i, D_i].  Returns (series, class or INFINITE)."""
+    D_{i+1} = [D_i, D_i], with D1 = [Q, Q] formed as the derived subloop.
+    Returns (series, class or INFINITE)."""
     series = [_whole(Q)]
     while True:
         current = series[-1]
         if current.is_trivial():
             return series, len(series) - 1
-        nxt = commutator_subloop(Q, current, current)
+        nxt = derived_subloop(Q) if current.is_whole() else commutator_subloop(Q, current, current)
         if nxt.elements == current.elements:
             return series, INFINITE
         if not set(nxt.elements) <= set(current.elements):
@@ -222,22 +225,16 @@ def congruence_derived_series(Q: LoopTable):
 
 def derived_subloop(Q: LoopTable) -> Subloop:
     """Least normal subloop with a commutative-group quotient: the normal
-    closure of every commutator element ((yx)/y)/x and every associator
-    element (((xy)z)/(yz))/x.
+    closure of g(a)/a for every row g of INN's word rows and every a.
 
-    For a normal subloop N, x/y lies in N exactly when xN = yN.  So N
-    holds ((yx)/y)/x iff (yx)/y = x, that is yx = xy, in Q/N, and N holds
-    (((xy)z)/(yz))/x iff (xy)z = x(yz) in Q/N.  Hence Q/N is a commutative
-    group iff N holds all these elements, and the least such N is their
-    normal closure.
+    For a normal N, x/y lies in N iff xN = yN.  Q/N is a commutative group
+    iff its every T_x (commutativity) and L_{x,y} (x(yz) = (xy)z) is the
+    identity, and Q's T, L and R words induce all of Q/N's (as in
+    `upper_central_series`).  So Q/N is a commutative group iff N holds
+    every g(a)/a.  `normal_closure` reads the same rows for `inner_orbits`.
     """
-    mul, rdiv = Q.mul, Q.rdiv
-    x = np.arange(Q.order)
-    commutators = rdiv[rdiv[mul.T, x], x[:, None]]  # at [x, y]: ((yx)/y)/x
-    associators = rdiv[rdiv[mul[mul], mul], x[:, None, None]]  # at [x, y, z]
     seeds = np.zeros(Q.order, dtype=bool)
-    seeds[commutators] = True
-    seeds[associators] = True
+    seeds[Q.rdiv[word_rows(Q, "INN"), np.arange(Q.order)]] = True
     return normal_closure(Q, np.flatnonzero(seeds).tolist())
 
 

@@ -143,6 +143,28 @@ def latin_squares(n: int):
     yield from rows_from([])
 
 
+def reduced_latin_squares(n: int):
+    """All n x n Latin squares whose first row and first column are
+    0..n-1 (the loops with neutral 0), in lexicographic row order."""
+    rows = [tuple(range(n))] if n else []
+    held = [{v} for v in range(n)]  # held[j]: the values column j has
+
+    def fill(row):
+        j = len(row)
+        if j == n:  # the row is complete: start the next, or the square is
+            rows.append(tuple(row))
+            yield from fill([len(rows)]) if len(rows) < n else [tuple(rows)]
+            rows.pop()
+            return
+        for v in range(n):
+            if v not in row and v not in held[j]:
+                held[j].add(v)
+                yield from fill(row + [v])
+                held[j].discard(v)
+
+    yield from fill([1]) if n > 1 else [tuple(rows)]
+
+
 def small_groups() -> dict[str, LoopTable]:
     """Named group tables of order <= 16 for oracles and pools."""
     out = {

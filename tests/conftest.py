@@ -9,7 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from loopkit import INFINITE, Subloop, all_normal_subloops, center_subloop, perm, quotient
+from loopkit import (
+    INFINITE,
+    Subloop,
+    all_normal_subloops,
+    center_subloop,
+    commutator_subloop,
+    perm,
+    quotient,
+)
 from loopkit.cli import PRESETS
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
@@ -478,6 +486,21 @@ def upper_central_oracle(Q):
         if len(center) == 1:
             return series, INFINITE
         series.append(tuple(x for x in range(Q.order) if proj[x] in center))
+    return series, len(series) - 1
+
+
+def congruence_series_oracle(Q):
+    """(element tuples of D0, D1, ..., class or INFINITE) of the
+    congruence derived series with commutator_subloop at every step,
+    [Q, Q] included.  Independent of loopkit.commutator.derived_subloop,
+    which the series itself takes as D1."""
+    series = [tuple(range(Q.order))]
+    while len(series[-1]) > 1:
+        current = Subloop(Q, series[-1])
+        nxt = commutator_subloop(Q, current, current).elements
+        if nxt == current.elements:
+            return series, INFINITE
+        series.append(nxt)
     return series, len(series) - 1
 
 

@@ -35,11 +35,12 @@ from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles
 from loopkit.multgrp import assoc_group, inner_generator
 from loopkit.perm import PermGroup
 from loopkit.pools import POOL_MASTER_SEED
-from loopkit.tables import cyclic, dihedral, klein, symmetric
+from loopkit.tables import cyclic, dihedral, klein, reduced_latin_squares, symmetric
 
 from conftest import (
     ORDER_5_LOOP,
     commutator_oracle,
+    congruence_series_oracle,
     constituents_oracle,
     group_commutator_oracle,
     group_derived_length,
@@ -58,6 +59,18 @@ A3 = Subloop(S3, (0, 3, 4))
 
 def whole(q):
     return Subloop(q, tuple(range(q.order)))
+
+
+def larger_tables(pool):
+    """An order-32 extension (Z8 by K4) and an order-64 product (the first
+    order-16 pool table times Z4)."""
+    gamma = next(iter(iter_cocycles_random(
+        AbelianGroupTable(cyclic(8)), klein(), seed=POOL_MASTER_SEED, budget=1
+    )))
+    o16 = next(e.table for e in pool if e.table.order == 16)
+    larger = [build_extension(gamma), direct_product(o16, cyclic(4))]
+    assert [Q.order for Q in larger] == [32, 64]
+    return larger
 
 
 def test_commutator_trivial_on_abelian_groups():
@@ -91,6 +104,7 @@ def test_commutator_matches_all_pairs_oracle(pool):
             for b in (a, whole):
                 got = commutator_subloop(q, a, b).elements
                 assert got == commutator_oracle(q, a, b), (entry.tag, a, b)
+                assert commutator_generators(q, a, b) <= set(a.elements) & set(b.elements)
                 checked += 1
     assert checked == 902
 
@@ -161,6 +175,36 @@ def test_derived_subloop_matches_quotient_oracle(pool):
         assert derived_subloop(entry.table).elements == want, entry.tag
 
 
+def test_derived_subloop_on_reduced_squares():
+    """Q' against the quotient oracle and [Q, Q] on every loop with
+    neutral 0 of order <= 5 and every 24th of order 6, where most loops
+    are not solvable (Q' = Q); the pool has none of those."""
+    squares = [sq for n in range(1, 6) for sq in reduced_latin_squares(n)]
+    squares += list(itertools.islice(reduced_latin_squares(6), 0, None, 24))
+    perfect = 0
+    for sq in squares:
+        q = LoopTable(sq)
+        got = derived_subloop(q).elements
+        assert got == least_commutative_group_kernel(q).elements, sq
+        assert got == commutator_subloop(q, whole(q), whole(q)).elements, sq
+        perfect += len(got) == q.order
+    assert 0 < perfect < len(squares)
+
+
+def test_congruence_series_matches_commutator_oracle(pool):
+    """Every term against the series with [Q, Q] formed by the commutator,
+    on the pool, the order-32 and order-64 tables and the order-5 loops
+    with neutral 0."""
+    tables = [e.table for e in pool] + larger_tables(pool)
+    tables += [LoopTable(sq) for sq in reduced_latin_squares(5)]
+    classes = []
+    for Q in tables:
+        series, cls = congruence_derived_series(Q)
+        assert ([s.elements for s in series], cls) == congruence_series_oracle(Q), Q
+        classes.append(cls)
+    assert INFINITE in classes and any(is_finite(c) and c > 1 for c in classes)
+
+
 def test_classical_series_matches_group_derived_series(groups):
     for entry in groups:
         q = entry.table
@@ -199,16 +243,10 @@ def test_upper_central_series_of_d4():
 
 def test_upper_central_series_matches_quotient_oracle(pool):
     """Every term, as an element set, against the quotient-table route on
-    the pool (the groups fixture first), an order-32 extension (Z8 by K4)
-    and an order-64 product (the first order-16 pool table times Z4)."""
-    gamma = next(iter(iter_cocycles_random(
-        AbelianGroupTable(cyclic(8)), klein(), seed=POOL_MASTER_SEED, budget=1
-    )))
-    o16 = next(e.table for e in pool if e.table.order == 16)
-    larger = [build_extension(gamma), direct_product(o16, cyclic(4))]
-    assert [Q.order for Q in larger] == [32, 64]
+    the pool (the groups fixture first) and the order-32 and order-64
+    tables."""
     classes = []
-    for Q in [e.table for e in pool] + larger:
+    for Q in [e.table for e in pool] + larger_tables(pool):
         series, cls = upper_central_series(Q)
         assert ([s.elements for s in series], cls) == upper_central_oracle(Q), Q
         classes.append(cls)

@@ -25,7 +25,8 @@ from loopkit.errors import CapExceeded, Malformed, NoNeutral, NotAbelianGroup, N
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.pools import POOL_MASTER_SEED, random_extension_pool
 from loopkit.tables import (
-    cyclic, dihedral, elementary_abelian, klein, latin_squares, quaternion, symmetric,
+    cyclic, dihedral, elementary_abelian, klein, latin_squares, quaternion, reduced_latin_squares,
+    symmetric,
 )
 from loopkit.util import SplitMix64
 
@@ -532,3 +533,14 @@ def test_division_compatibility_lemma():
                     if q.ldiv_at(u, v) in sub.elements:
                         # (u\v)a = u\(va)
                         assert q.mul_at(q.ldiv_at(u, v), a) == q.ldiv_at(u, q.mul_at(v, a))
+
+
+def test_reduced_latin_squares_counts():
+    # OEIS A000315: reduced Latin squares of order n
+    counts = [sum(1 for _ in reduced_latin_squares(n)) for n in range(1, 7)]
+    assert counts == [1, 1, 1, 4, 56, 9408]
+    squares = list(reduced_latin_squares(5))
+    assert squares == sorted(set(squares))
+    for sq in squares:
+        q = LoopTable(sq)
+        assert q.neutral == 0 and q.order == 5
