@@ -41,10 +41,10 @@ from .extensions import (
     search_cocycles,
 )
 from .multgrp import assoc_group
-from .perm import is_solvable
+from .perm import is_solvable, solvable_order_primes
 from .structure import Subloop, subloop_generated
 from .tables import cyclic, elementary_abelian
-from .util import INFINITE, is_finite
+from .util import INFINITE, is_finite, prime_divisors
 
 _INPUT_ERRORS = (Malformed, NotLatin, NoNeutral, CocycleInvalid, ArityMismatch, CapExceeded)
 _MATH_ERRORS = (NotNormal, NotAbelianIn, NotNeutralAt, NotAbelianGroup)
@@ -121,8 +121,12 @@ def _predicate_problem35(Q: LoopTable) -> bool:
     # non-associative loop of order 5 (Mlt = S5, Inn = S4), none of which
     # is congruence solvable; the question is open only among congruence
     # solvable loops, and the preset's extensions of Z2^3 by Z2 are all
-    # congruence solvable (abelian fiber, abelian factor)
-    if not is_solvable(assoc_group(Q, "INN")):
+    # congruence solvable (abelian fiber, abelian factor).  Inn is the
+    # stabilizer of the neutral in Mlt, so |Mlt| = n |Inn| (Bruck 1958):
+    # when n and |Inn| have at most two primes between them, Mlt is
+    # solvable by Burnside's p^a q^b theorem, and it is never built
+    primes = solvable_order_primes(assoc_group(Q, "INN"))
+    if primes is None or len(set(primes).union(prime_divisors(Q.order, Q.order))) <= 2:
         return False
     return not is_solvable(assoc_group(Q, "MLT"))
 

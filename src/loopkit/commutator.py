@@ -378,6 +378,7 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
+    inn_solvable = solvable_class(inn)
     report = HierarchyReport(
         order=Q.order,
         commutative=Q.is_commutative,
@@ -388,10 +389,11 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
         classical_solvability_class=classical_derived_series(Q)[1],
         supernilpotent=is_finite(mlt_nilpotency := nilpotency_class_group(mlt)),
         mlt_order=group_order(mlt),
-        mlt_solvable_class=solvable_class(mlt),
+        # Inn <= Mlt, so Mlt is not solvable when Inn is not
+        mlt_solvable_class=INFINITE if inn_solvable is INFINITE else solvable_class(mlt),
         mlt_nilpotency_class=mlt_nilpotency,
         inn_order=group_order(inn),
-        inn_solvable_class=solvable_class(inn),
+        inn_solvable_class=inn_solvable,
     )
     report.check()
     return report

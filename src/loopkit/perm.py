@@ -89,8 +89,8 @@ that bound, so the public closure uses it only when every seed sifts
 into the group's chain.
 
 `solvable_class` is the derived series.  Where only solvability is
-asked (`is_solvable`, as in the search presets), three shortcuts come
-first.
+asked (`is_solvable` and `solvable_order_primes`, as in the search
+presets), three shortcuts come first.
 
 A chainless group with two or more orbits of more than one point is
 split into its transitive constituents.  Let O_1..O_r be those orbits
@@ -124,6 +124,12 @@ theorem).  The chain that gives the order is the one the derived series
 would build first, so an order with three or more prime divisors costs
 a trial division by 2..degree and nothing else.  The derived series
 decides the rest.
+
+`solvable_order_primes` takes the same walk and returns the primes of a
+solvable group's order: G embeds in the product of its parts and each
+part is a quotient of G, so |G| has exactly its parts' primes.  A caller
+that knows |H| as a multiple of |G| can then settle H by Burnside's
+theorem without its chain, as `cli` does for |Mlt| = n |Inn|.
 
 The order of a nilpotent group is bounded by its orbits
 (`nilpotency_class_group`).  A transitive nilpotent group G of degree
@@ -664,24 +670,32 @@ def solvable_class(group: PermGroup) -> int | Infinite:
     return derived_series(group).cls
 
 
-def is_solvable(group: PermGroup) -> bool:
-    """Whether the derived series reaches the trivial group.
+def solvable_order_primes(group: PermGroup) -> tuple[int, ...] | None:
+    """The primes dividing |G|, increasing, when G is solvable, else None.
 
     Each transitive constituent of a chainless group with two or more
     nontrivial orbits, or else the group itself, is settled by Galois's
     rule when it is chainless and transitive on a prime number of
     points, by its order when that has at most two prime divisors, and
-    by its derived series otherwise (module docstring)."""
+    by its derived series otherwise; |G| has its parts' primes (module
+    docstring)."""
+    primes = set()
     for part, m in _parts(group):
         if m > 1 and prime_divisors(m, m) == (m,):
             limit = m * (m - 1)
             part._chain_cache = _grow(part._gens, limit)
             if part._chain_cache is None or limit % part.order():
-                return False
+                return None
         elif len(prime_divisors(part.order(), part.degree)) > 2:
             if derived_series(part).cls is INFINITE:
-                return False
-    return True
+                return None
+        primes.update(prime_divisors(part.order(), part.degree))
+    return tuple(sorted(primes))
+
+
+def is_solvable(group: PermGroup) -> bool:
+    """Whether the derived series reaches the trivial group."""
+    return solvable_order_primes(group) is not None
 
 
 def _nilpotent_bound(sizes) -> int:

@@ -13,7 +13,6 @@ from loopkit import (
     INFINITE,
     Subloop,
     all_normal_subloops,
-    center_subloop,
     commutator_subloop,
     perm,
     quotient,
@@ -265,42 +264,66 @@ def textbook_closure(conjugators, seeds, degree, bound) -> TextbookChain:
     return chain
 
 
+def _textbook_commutators(pairs, identity) -> list:
+    out = []
+    for a, b in pairs:
+        c = _then(_then(_then(_invert(b), _invert(a)), b), a)
+        if c != identity:
+            out.append(c)
+    return out
+
+
+def _textbook_derived(chain: TextbookChain, degree: int) -> TextbookChain:
+    seeds = _textbook_commutators(itertools.combinations(chain.grown, 2), chain.identity)
+    return textbook_closure(chain.grown, seeds, degree, chain.order())
+
+
+def _textbook_descend(top: TextbookChain, step) -> list:
+    """top and the terms step gives, down to the trivial group or the
+    first term equal to the one before (not listed)."""
+    chains = [top]
+    while chains[-1].order() > 1:
+        nxt = step(chains[-1])
+        if nxt.order() == chains[-1].order():
+            break
+        chains.append(nxt)
+    return chains
+
+
+def _textbook_top(degree, generators) -> TextbookChain:
+    top = TextbookChain(degree)
+    for g in generators:
+        top.add_generator(tuple(g))
+    return top
+
+
 def textbook_series(degree, generators):
     """(order, grown list, derived series terms, lower central terms) of
     the group the image tuples generate, each term as (order, grown list),
     by `TextbookChain` and the engine's choice of seeds and conjugators."""
-    top = TextbookChain(degree)
-    for g in generators:
-        top.add_generator(tuple(g))
-
-    def commutators(pairs):
-        out = []
-        for a, b in pairs:
-            c = _then(_then(_then(_invert(b), _invert(a)), b), a)
-            if c != top.identity:
-                out.append(c)
-        return out
-
-    def derived(chain):
-        seeds = commutators(itertools.combinations(chain.grown, 2))
-        return textbook_closure(chain.grown, seeds, degree, chain.order())
+    top = _textbook_top(degree, generators)
 
     def lower(chain):
         if chain is top:
-            return derived(top)
-        seeds = commutators(itertools.product(top.grown, chain.grown))
+            return _textbook_derived(top, degree)
+        seeds = _textbook_commutators(itertools.product(top.grown, chain.grown), top.identity)
         return textbook_closure(top.grown, seeds, degree, chain.order())
 
-    def descend(step):
-        chains = [top]
-        while chains[-1].order() > 1:
-            nxt = step(chains[-1])
-            if nxt.order() == chains[-1].order():
-                break
-            chains.append(nxt)
+    def terms(chains):
         return [(c.order(), c.grown) for c in chains]
 
-    return top.order(), top.grown, descend(derived), descend(lower)
+    derived = terms(_textbook_descend(top, lambda c: _textbook_derived(c, degree)))
+    return top.order(), top.grown, derived, terms(_textbook_descend(top, lower))
+
+
+def textbook_derived_length(group):
+    """Derived length of a PermGroup, INFINITE when the series stalls
+    above the trivial group, by `TextbookChain` and `textbook_closure`
+    from the group's generator images alone: no engine chain, closure or
+    series runs."""
+    top = _textbook_top(group.degree, [g.images for g in group.generators])
+    chains = _textbook_descend(top, lambda c: _textbook_derived(c, group.degree))
+    return INFINITE if chains[-1].order() > 1 else len(chains) - 1
 
 
 def group_inverse(Q, x: int) -> int:
@@ -473,16 +496,35 @@ def least_commutative_group_kernel(Q):
     return least
 
 
+def center_by_identities(Q) -> tuple[int, ...]:
+    """The elements a with ax = xa, (ax)y = a(xy), (xa)y = x(ay) and
+    (xy)a = x(ya) for all x and y, one element at a time.  Independent
+    of loopkit.structure.center_subloop, which reads the fixed points of
+    INN's word rows."""
+    mul = Q.mul
+    out = []
+    for a in range(Q.order):
+        if (
+            np.array_equal(mul[a], mul[:, a])
+            and np.array_equal(mul[mul[a]], mul[a][mul])
+            and np.array_equal(mul[mul[:, a]], mul[:, mul[a]])
+            and np.array_equal(mul[mul, a], mul[:, mul[:, a]])
+        ):
+            out.append(a)
+    return tuple(out)
+
+
 def upper_central_oracle(Q):
     """(element tuples of Z0, Z1, ..., class or INFINITE) of the upper
-    central series, each Z_{i+1} the preimage of center_subloop of the
-    coset table Q/Z_i.  Independent of the gather over Q's own Inn rows
-    in loopkit.commutator.upper_central_series: it builds every quotient
-    table and its center."""
+    central series, each Z_{i+1} the preimage of the center of the coset
+    table Q/Z_i by its defining identities (`center_by_identities`).
+    Independent of the gather over Q's own Inn rows in
+    loopkit.commutator.upper_central_series: it builds every quotient
+    table and checks the identities on it."""
     series = [(Q.neutral,)]
     while len(series[-1]) < Q.order:
         table, proj = quotient(Q, Subloop(Q, series[-1]))
-        center = set(center_subloop(table).elements)
+        center = set(center_by_identities(table))
         if len(center) == 1:
             return series, INFINITE
         series.append(tuple(x for x in range(Q.order) if proj[x] in center))

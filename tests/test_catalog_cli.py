@@ -21,12 +21,12 @@ from loopkit.commutator import HierarchyReport, congruence_derived_series
 from loopkit.core import LoopTable, fingerprint
 from loopkit.errors import Malformed
 from loopkit.extensions import AbelianGroupTable, iter_cocycles_exhaustive, iter_cocycles_random
-from loopkit.multgrp import assoc_group
-from loopkit.perm import group_order
-from loopkit.tables import cyclic, symmetric
+from loopkit.multgrp import assoc_group, word_rows
+from loopkit.perm import PermGroup, derived_series, group_order
+from loopkit.tables import cyclic, reduced_latin_squares, symmetric
 from loopkit.util import INFINITE
 
-from conftest import ORDER_5_LOOP
+from conftest import ORDER_5_LOOP, hunt_candidates
 
 
 def write_table(tmp_path, name, table):
@@ -406,6 +406,58 @@ def test_problem35_predicate_holds_on_an_order_5_loop():
     assert group_order(assoc_group(Q, "INN")) == 24
     assert congruence_derived_series(Q)[1] is INFINITE
     assert _predicate_problem35(Q)
+
+
+def series_class(Q, which):
+    """Derived length of a new group on Q's word rows for `which`."""
+    return derived_series(PermGroup(Q.order, word_rows(Q, which))).cls
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The groups the predicates ask assoc_group for, in order."""
+    calls = []
+    real = cli.assoc_group
+    monkeypatch.setattr(cli, "assoc_group", lambda Q, which: calls.append(which) or real(Q, which))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "seed, by_burnside",
+    [(0, [21, 146, 186, 198, 219, 228, 236, 239]), (5, [182, 211])],
+)
+def test_problem35_predicate_matches_the_derived_series(asked, seed, by_burnside):
+    """On the first 240 hunt candidates.  Mlt is asked for only when Inn
+    is solvable and |Mlt| = 16 |Inn| has three or more prime divisors;
+    where Burnside's theorem settles it, no Mlt is built at all."""
+    settled = []
+    for i, Q in enumerate(hunt_candidates(seed, 240)):
+        asked.clear()
+        got = _predicate_problem35(Q)
+        inn_solvable = series_class(Q, "INN") is not INFINITE
+        assert got is (inn_solvable and series_class(Q, "MLT") is INFINITE), i
+        if not inn_solvable:
+            assert asked == ["INN"], i
+        elif asked == ["INN"]:
+            settled.append(i)
+        else:
+            assert asked == ["INN", "MLT"], i
+    assert settled == by_burnside
+
+
+def test_problem35_predicate_on_small_loops():
+    """Every loop with neutral 0 of order <= 5.  The 50 non-associative
+    ones of order 5 have Inn = S4 and Mlt = S5: only n = 5 brings a third
+    prime, so n's primes are what sends them to Mlt's own test."""
+    hits = 0
+    for n in range(1, 6):
+        for square in reduced_latin_squares(n):
+            Q = LoopTable(square)
+            got = _predicate_problem35(Q)
+            want = series_class(Q, "INN") is not INFINITE and series_class(Q, "MLT") is INFINITE
+            assert got is want, square
+            hits += got
+    assert hits == 50
 
 
 def test_cli_search_open_problem_hunt_runs(tmp_path, capsys):

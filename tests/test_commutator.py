@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -29,16 +30,18 @@ from loopkit.commutator import (
     commutator_generators,
     derived_subloop,
 )
-from loopkit.core import LoopTable
+from loopkit.cli import main
+from loopkit.core import LoopTable, parse_table
 from loopkit.errors import NotNormal
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import assoc_group, inner_generator
-from loopkit.perm import PermGroup
+from loopkit.perm import PermGroup, derived_series
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, reduced_latin_squares, symmetric
 
 from conftest import (
     ORDER_5_LOOP,
+    center_by_identities,
     commutator_oracle,
     congruence_series_oracle,
     constituents_oracle,
@@ -253,6 +256,20 @@ def test_upper_central_series_matches_quotient_oracle(pool):
     assert INFINITE in classes and any(is_finite(c) and c > 1 for c in classes)
 
 
+def test_center_matches_the_defining_identities(pool):
+    """The fixed points of INN's rows against the identities checked one
+    element at a time, on the pool, the order-32 and order-64 tables and
+    every loop with neutral 0 of order <= 5."""
+    tables = [e.table for e in pool] + larger_tables(pool)
+    tables += [LoopTable(sq) for n in range(1, 6) for sq in reduced_latin_squares(n)]
+    kinds = set()
+    for Q in tables:
+        got = center_subloop(Q).elements
+        assert got == center_by_identities(Q), Q
+        kinds.add("trivial" if len(got) == 1 else "whole" if len(got) == Q.order else "proper")
+    assert kinds == {"trivial", "whole", "proper"}
+
+
 def test_supernilpotence_examples():
     assert is_supernilpotent(cyclic(8))
     assert is_supernilpotent(Z6)
@@ -338,6 +355,25 @@ def test_hierarchy_report_never_splits_into_constituents(monkeypatch, pool):
     for Q in tables:
         hierarchy_report(Q)
     assert splits == []
+
+
+def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):
+    """The report skips Mlt's derived series when Inn is not solvable
+    (Inn <= Mlt).  Its class still equals the derived series of a fresh
+    Mlt, on the pool and on the table the analyze pin in tests/data is
+    made from; that report is byte-identical to the pin."""
+    argv = ["search", "--preset", "z2cubed-nonsolvable-inn", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    pinned = parse_table((tmp_path / "z2cubed-nonsolvable-inn-0000.table").read_text())
+    skipped = 0
+    for Q in [e.table for e in pool] + [pinned]:
+        rep = hierarchy_report(Q)
+        mlt = assoc_group(Q, "MLT")
+        assert rep.mlt_solvable_class == derived_series(PermGroup(Q.order, mlt.generators)).cls
+        skipped += rep.inn_solvable_class is INFINITE
+    assert skipped == 10
+    pin = Path(__file__).parent / "data" / "z2cubed-nonsolvable-inn-seed3-0000.report"
+    assert rep.to_lines() == pin.read_text()
 
 
 def test_hierarchy_report_of_a_prime_order_loop_with_non_solvable_mlt():

@@ -21,6 +21,7 @@ from loopkit.perm import (
     nilpotency_class_group,
     normal_closure,
     solvable_class,
+    solvable_order_primes,
 )
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, klein, quaternion
@@ -32,6 +33,7 @@ from conftest import (
     constituents_oracle,
     hunt_candidates,
     parts_split,
+    textbook_derived_length,
     textbook_series,
 )
 
@@ -382,9 +384,11 @@ def test_permutation_rejects_non_integer_images():
 # -- transitive constituents -----------------------------------------------------
 
 
-def derived_length_oracle(group):
+def series_class_of_copy(group):
     """derived_series(..).cls on a separate copy of group built from the
-    same generators: never split into constituents."""
+    same generators: never split into constituents.  The reference for
+    is_solvable's shortcuts; solvable_class, which is that series, is
+    checked against textbook_derived_length instead."""
     return derived_series(PermGroup(group.degree, group.generators)).cls
 
 
@@ -425,7 +429,7 @@ def test_solvable_class_on_constituents_hand_made(degree, blocks, order, expecte
     gens = side_by_side(degree, *blocks)
     group = PermGroup(degree, gens)
     assert solvable_class(group) == expected
-    assert derived_length_oracle(group) == expected
+    assert textbook_derived_length(group) == expected
     assert PermGroup(degree, gens).order() == order
 
 
@@ -451,34 +455,56 @@ def test_solvable_class_matches_the_whole_group_series(left, right, gap):
     degree = shift + len(right[0])
     gens = side_by_side(degree, (0, left), (shift, right))
     group = PermGroup(degree, gens)
-    assert solvable_class(group) == derived_length_oracle(group)
+    assert solvable_class(group) == textbook_derived_length(group)
     single = PermGroup(len(left[0]), [Permutation(g) for g in left])
-    assert solvable_class(single) == derived_length_oracle(single)
+    assert solvable_class(single) == textbook_derived_length(single)
 
 
 def test_solvable_class_of_fresh_pool_groups(pool):
+    """TMLT and TINN of every pool table against the textbook chain's
+    derived length.  MLT and INN are covered term by term by
+    test_chain_matches_textbook_on_pool_groups."""
     for entry in pool:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
+        for which in ("TMLT", "TINN"):
             group = assoc_group(entry.table, which)
             fresh = PermGroup(group.degree, group.generators)
-            assert solvable_class(fresh) == derived_length_oracle(group), (entry.tag, which)
+            assert solvable_class(fresh) == textbook_derived_length(group), (entry.tag, which)
+
+
+# the first 240 mltq-solvability-hunt candidates at seed 0 whose Inn is solvable
+SOLVABLE_INN_AT_SEED_0 = (21, 30, 80, 96, 114, 146, 170, 186, 187, 198, 219, 228, 236, 239)
 
 
 def test_solvable_class_of_fresh_hunt_inns():
-    split = 0
-    for Q in hunt_candidates(seed=5, count=200):
-        inn = assoc_group(Q, "INN")
-        fresh = PermGroup(inn.degree, inn.generators)
-        split += bool(constituents_oracle(fresh))
-        assert solvable_class(fresh) == derived_length_oracle(inn)
-    assert split >= 100
+    """INN and MLT of the 14 candidates among the first 240 at seed 0 whose
+    Inn is solvable, and of the first 20 others, against the textbook
+    chain's derived length."""
+    candidates = hunt_candidates(seed=0, count=240)
+    others = [i for i in range(240) if i not in SOLVABLE_INN_AT_SEED_0][:20]
+    classes = set()
+    for i in SOLVABLE_INN_AT_SEED_0 + tuple(others):
+        for which in ("INN", "MLT"):
+            group = assoc_group(candidates[i], which)
+            want = textbook_derived_length(group)
+            assert solvable_class(PermGroup(group.degree, group.generators)) == want, (i, which)
+            classes.add((which, want))
+            if which == "INN":
+                assert (want is INFINITE) is (i not in SOLVABLE_INN_AT_SEED_0), i
+    assert {cls for which, cls in classes if which == "MLT"} == {2, 3, 4, 5, INFINITE}
 
 
 # -- is_solvable: constituents, then Burnside's p^a q^b ----------------------------
 
 
 def solvable_oracle(group):
-    return derived_length_oracle(group) is not INFINITE
+    return series_class_of_copy(group) is not INFINITE
+
+
+def assert_order_primes(group, solvable):
+    """solvable_order_primes(group), asked first, is the primes dividing
+    the order of group's chain when the group is solvable, else None."""
+    got = solvable_order_primes(group)
+    assert got == (prime_divisors(group.order(), group.degree) if solvable else None)
 
 
 def agl1(p, a):
@@ -529,10 +555,13 @@ def test_is_solvable_examples(factory, expected, by_order):
     ],
 )
 def test_is_solvable_on_constituents_hand_made(degree, blocks, expected):
-    """Two nontrivial orbits: no chain on the whole degree is built."""
+    """Two nontrivial orbits: no chain on the whole degree is built, and
+    the primes of |G| are the union of the constituents' primes, also
+    when G is a subdirect product (S3 acting diagonally)."""
     group = PermGroup(degree, side_by_side(degree, *blocks))
     assert is_solvable(group) is expected
     assert group._chain_cache is None
+    assert_order_primes(group, expected)
 
 
 @given(gen_lists, gen_lists, st.integers(0, 2))
@@ -548,14 +577,16 @@ def test_is_solvable_matches_the_whole_group_series(left, right, gap):
 
 def test_is_solvable_of_pool_groups(pool):
     """Chainless copies take the constituent route where they can, the
-    pool's own groups (chains built by the earlier oracle) never do."""
+    pool's own groups (chains built by the earlier oracle) never do;
+    solvable_order_primes gives the primes of the order on both."""
     for entry in pool:
         for which in ("MLT", "INN", "TMLT", "TINN"):
             group = assoc_group(entry.table, which)
             want = solvable_oracle(group)
-            assert is_solvable(PermGroup(group.degree, group.generators)) == want, (entry.tag, which)
+            assert_order_primes(PermGroup(group.degree, group.generators), want)
             group.order()
             assert is_solvable(group) == want, (entry.tag, which)
+            assert_order_primes(group, want)
 
 
 def test_is_solvable_of_hunt_groups():
@@ -648,7 +679,8 @@ def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     assert is_solvable(group) is solvable
     assert group._derived is None
     assert solvable_oracle(group) is solvable
-    assert solvable_class(factory()) == derived_length_oracle(group)
+    assert solvable_class(factory()) == textbook_derived_length(group)
+    assert_order_primes(factory(), solvable)
     assert group.order() == order == closure_order([g.images for g in group.generators])
 
 
@@ -672,18 +704,17 @@ def test_galois_exit_leaves_no_partial_chain(degree, gens, order):
     assert group._chain_cache is None
     assert group.order() == order == PermGroup(degree, gens).order()
     assert solvable_class(group) is INFINITE
-    assert derived_length_oracle(group) is INFINITE
+    assert textbook_derived_length(group) is INFINITE
 
 
 def test_galois_rule_on_hunt_groups():
-    """INN and MLT of the first 240 hunt candidates at seed 0, fresh, against
-    the derived series."""
+    """solvable_order_primes of INN and MLT of the first 240 hunt
+    candidates at seed 0, asked before their chains exist, against the
+    derived series of a copy."""
     for Q in hunt_candidates(seed=0, count=240):
         for which in ("INN", "MLT"):
             group = assoc_group(Q, which)
-            want = derived_length_oracle(group)
-            assert solvable_class(PermGroup(group.degree, group.generators)) == want
-            assert is_solvable(PermGroup(group.degree, group.generators)) is (want is not INFINITE)
+            assert_order_primes(group, solvable_oracle(group))
 
 
 def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
