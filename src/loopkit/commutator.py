@@ -46,7 +46,6 @@ from .multgrp import TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
 from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
-    center_subloop,
     coset_representatives,
     direct_decomposition,
     is_normal,
@@ -232,19 +231,34 @@ def derived_subloop(Q: LoopTable) -> Subloop:
     identity, and Q's T, L and R words induce all of Q/N's (as in
     `upper_central_series`).  So Q/N is a commutative group iff N holds
     every g(a)/a.  `normal_closure` reads the same rows for `inner_orbits`.
+    Formed once per table.
     """
+    return Subloop(Q, Q.memo("derived_subloop", lambda: _derived_elements(Q)))
+
+
+def _derived_elements(Q: LoopTable) -> tuple[int, ...]:
+    # the memo keeps the element tuple: a Subloop would refer back to the table
     seeds = np.zeros(Q.order, dtype=bool)
     seeds[Q.rdiv[word_rows(Q, "INN"), np.arange(Q.order)]] = True
-    return normal_closure(Q, np.flatnonzero(seeds).tolist())
+    return normal_closure(Q, np.flatnonzero(seeds).tolist()).elements
 
 
 def classical_derived_series(Q: LoopTable):
-    """Derived-subloop iteration, each step inside the previous term.
+    """Derived-subloop iteration, each step inside the previous term:
+    Q^(0) = Q, Q^(i+1) = (Q^(i))'.
 
-    Produces a subnormal series with commutative-group factors.  Whether
-    this coincides with the subnormal-series definition of classical
-    solvability for every finite loop is not settled; the class reported
-    here is the derived-subloop length.
+    Its length is the classical solvability class, the least length of a
+    subnormal series with commutative-group factors.  The iteration is
+    such a series.  Let Q = Q_0 > Q_1 > ... > Q_k = 1 be another, and
+    suppose Q^(i) <= Q_i.  The quotient map Q_i -> Q_i/Q_{i+1}, restricted
+    to Q^(i), has the intersection of Q^(i) and Q_{i+1} as its kernel, and
+    its image is a subloop of a commutative group, so a commutative group.  Q^(i+1) is the least
+    normal subloop of Q^(i) with such a quotient, so Q^(i+1) <= Q_{i+1},
+    and Q^(k) = 1.
+
+    The congruence series is such a series: D_i/D_{i+1} is abelian in
+    Q/D_{i+1}, so it is a commutative group.  So Q^(i) <= D_i term by
+    term, with Q^(1) = D_1 = Q'.
     """
     series = [_whole(Q)]
     while True:
@@ -374,22 +388,40 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
     when the order exceeds REPORT_ORDER_CAP.  No part of the report
     enumerates normal subloops, and the group orders are exact integers;
     the cap bounds time and memory (the words over argument triples take
-    n**3 entries)."""
+    n**3 entries).
+
+    Fields read off work already done:
+      center_size  Z_1 of the upper central series, the fixed set of
+          INN's rows (`center_subloop`).
+      congruence_solvability_class  the nilpotency class k when k <= 2:
+          Q/Z(Q) is a commutative group, so Q' <= Z(Q) and
+          [Q', Q'] <= [Z(Q), Q] = 1 (Stanovsky and Vojtechovsky 2014).
+      classical_solvability_class  the congruence class c when c <= 2:
+          Q^(i) <= D_i and Q^(1) = D_1 (`classical_derived_series`).
+      mlt_nilpotency_class, supernilpotent  inf and false when Q is not
+          centrally nilpotent: Mlt(Q) nilpotent makes Q centrally
+          nilpotent (Bruck 1946).
+      mlt_solvable_class  inf when Inn is not solvable, as Inn <= Mlt.
+    """
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
     inn_solvable = solvable_class(inn)
+    upper, nilpotency = upper_central_series(Q)
+    # INFINITE compares above every integer
+    congruence = nilpotency if nilpotency <= 2 else congruence_derived_series(Q)[1]
+    classical = congruence if congruence <= 2 else classical_derived_series(Q)[1]
+    mlt_nilpotency = nilpotency_class_group(mlt) if is_finite(nilpotency) else INFINITE
     report = HierarchyReport(
         order=Q.order,
         commutative=Q.is_commutative,
         associative=Q.is_associative,
-        center_size=center_subloop(Q).size,
-        nilpotency_class=nilpotency_class_loop(Q),
-        congruence_solvability_class=congruence_derived_series(Q)[1],
-        classical_solvability_class=classical_derived_series(Q)[1],
-        supernilpotent=is_finite(mlt_nilpotency := nilpotency_class_group(mlt)),
+        center_size=upper[1].size if len(upper) > 1 else 1,
+        nilpotency_class=nilpotency,
+        congruence_solvability_class=congruence,
+        classical_solvability_class=classical,
+        supernilpotent=is_finite(mlt_nilpotency),
         mlt_order=group_order(mlt),
-        # Inn <= Mlt, so Mlt is not solvable when Inn is not
         mlt_solvable_class=INFINITE if inn_solvable is INFINITE else solvable_class(mlt),
         mlt_nilpotency_class=mlt_nilpotency,
         inn_order=group_order(inn),

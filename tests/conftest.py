@@ -14,6 +14,7 @@ from loopkit import (
     Subloop,
     all_normal_subloops,
     commutator_subloop,
+    g_oplus,
     perm,
     quotient,
 )
@@ -29,6 +30,8 @@ from loopkit.pools import (
     group_pool,
     random_extension_pool,
 )
+from loopkit.tables import cyclic, klein, latin_squares, symmetric
+from loopkit.util import is_finite
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +57,24 @@ def pool(groups, small_extensions, random_extensions):
 @pytest.fixture(scope="session")
 def central_pool():
     return central_cocycle_pool(100)
+
+
+@pytest.fixture(scope="session")
+def class_three():
+    """Congruence class 3, which no pool table has: the 15 seed-0 draws of
+    Z2 by S3 (order 12; classical class 2 on draws 1, 4 and 8, 3 on the
+    others) and the first seed-0 draw of K4 by S3 (order 24, both 3)."""
+    tables = []
+    for A, budget in ((cyclic(2), 15), (klein(), 1)):
+        stream = iter_cocycles_random(AbelianGroupTable(A), symmetric(3), seed=0, budget=budget)
+        tables += [build_extension(gamma) for gamma in stream]
+    return tables
+
+
+def ac4_witness():
+    """The first Z4[oplus] loop of the AC-4 search: order 8, not
+    congruence solvable, classical class 2, Mlt solvable."""
+    return g_oplus(cyclic(4), next(itertools.islice(latin_squares(4), 1, None)))
 
 
 # a non-associative loop of order 5: its Mlt is S5, its Inn S4
@@ -494,6 +515,25 @@ def least_commutative_group_kernel(Q):
     if any(not least_set <= set(c.elements) for c in candidates):
         raise AssertionError("derived subloop is not the least candidate")
     return least
+
+
+def least_abelian_series_length(Q):
+    """The least length of a subnormal series of Q with commutative-group
+    factors, or INFINITE: 0 for the trivial loop, else one more than the
+    least such length of an N, taken as a loop of its own, over the normal
+    subloops N != Q whose quotient table is commutative and associative.
+    Independent of loopkit.commutator: it never forms a derived subloop,
+    a commutator or the normal closure of either."""
+    if Q.order == 1:
+        return 0
+    lengths = []
+    for N in all_normal_subloops(Q):
+        if N.is_whole():
+            continue
+        table, _ = quotient(Q, N)
+        if table.is_commutative and table.is_associative:
+            lengths.append(least_abelian_series_length(N.induced_table()))
+    return min((k + 1 for k in lengths if is_finite(k)), default=INFINITE)
 
 
 def center_by_identities(Q) -> tuple[int, ...]:

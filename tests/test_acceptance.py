@@ -62,6 +62,7 @@ from loopkit.pools import central_cocycle_pool
 from loopkit.tables import cyclic, elementary_abelian, klein, latin_squares
 
 from conftest import (
+    ac4_witness,
     condition_i_oracle,
     group_commutator_oracle,
     group_derived_length,
@@ -211,6 +212,7 @@ def test_paper_counterexample_in_goplus_space():
     extension fiber."""
     witness = _first_goplus(cyclic(4), _ac4_predicate)
     assert witness is not None
+    assert np.array_equal(witness.mul, ac4_witness().mul)
     fiber = Subloop(witness, (0, 1, 2, 3))
     # the three abelianess routes all reject the fiber
     assert not is_abelian_in_A1(witness, fiber)

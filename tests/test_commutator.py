@@ -1,8 +1,10 @@
+import collections
 import itertools
 from pathlib import Path
 
 import pytest
 
+from loopkit import commutator as commutator_module
 from loopkit import perm as perm_module
 from loopkit import (
     INFINITE,
@@ -35,12 +37,13 @@ from loopkit.core import LoopTable, parse_table
 from loopkit.errors import NotNormal
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import assoc_group, inner_generator
-from loopkit.perm import PermGroup, derived_series
+from loopkit.perm import PermGroup, derived_series, nilpotency_class_group
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, reduced_latin_squares, symmetric
 
 from conftest import (
     ORDER_5_LOOP,
+    ac4_witness,
     center_by_identities,
     commutator_oracle,
     congruence_series_oracle,
@@ -49,6 +52,7 @@ from conftest import (
     group_derived_length,
     group_nilpotency_class,
     hunt_candidates,
+    least_abelian_series_length,
     least_commutative_group_kernel,
     upper_central_oracle,
 )
@@ -62,6 +66,13 @@ A3 = Subloop(S3, (0, 3, 4))
 
 def whole(q):
     return Subloop(q, tuple(range(q.order)))
+
+
+def small_loops(step):
+    """Every loop with neutral 0 of order <= 5 and every step-th of order 6."""
+    squares = [sq for n in range(1, 6) for sq in reduced_latin_squares(n)]
+    squares += itertools.islice(reduced_latin_squares(6), 0, None, step)
+    return [LoopTable(sq) for sq in squares]
 
 
 def larger_tables(pool):
@@ -182,16 +193,14 @@ def test_derived_subloop_on_reduced_squares():
     """Q' against the quotient oracle and [Q, Q] on every loop with
     neutral 0 of order <= 5 and every 24th of order 6, where most loops
     are not solvable (Q' = Q); the pool has none of those."""
-    squares = [sq for n in range(1, 6) for sq in reduced_latin_squares(n)]
-    squares += list(itertools.islice(reduced_latin_squares(6), 0, None, 24))
+    tables = small_loops(24)
     perfect = 0
-    for sq in squares:
-        q = LoopTable(sq)
+    for q in tables:
         got = derived_subloop(q).elements
-        assert got == least_commutative_group_kernel(q).elements, sq
-        assert got == commutator_subloop(q, whole(q), whole(q)).elements, sq
+        assert got == least_commutative_group_kernel(q).elements, q
+        assert got == commutator_subloop(q, whole(q), whole(q)).elements, q
         perfect += len(got) == q.order
-    assert 0 < perfect < len(squares)
+    assert 0 < perfect < len(tables)
 
 
 def test_congruence_series_matches_commutator_oracle(pool):
@@ -299,14 +308,106 @@ def test_abelian_in_fiber_is_a_commutative_group():
             assert t.is_commutative and t.is_associative
 
 
-def test_series_consistency_on_sample(small_extensions):
-    for entry in small_extensions[:24]:
-        q = entry.table
-        _, ccls = congruence_derived_series(q)
-        _, kcls = classical_derived_series(q)
+def test_series_consistency_on_sample(small_extensions, class_three):
+    """Q^(i) <= D_i term by term, with Q^(1) = D_1 = Q', on 24 small
+    extensions and the congruence class 3 tables.  Past the congruence
+    series' last term D_m (trivial, or the term it stops at) Q^(i) lies
+    in D_m."""
+    below = 0
+    for q in [e.table for e in small_extensions[:24]] + class_three:
+        congruence, ccls = congruence_derived_series(q)
+        classical, kcls = classical_derived_series(q)
+        for i, term in enumerate(classical):
+            assert set(term.elements) <= set(congruence[min(i, len(congruence) - 1)].elements)
+        assert classical[1].elements == congruence[1].elements == derived_subloop(q).elements
         if is_finite(ccls):
             assert is_finite(kcls)
             assert kcls <= ccls
+            below += kcls < ccls
+    assert below == 3
+
+
+def test_class_three_tables(class_three):
+    """Congruence class 3, with every term against the commutator oracle;
+    classical class 2 on Z2-by-S3 draws 1, 4 and 8 and 3 elsewhere."""
+    classical = []
+    for Q in class_three:
+        series, cls = congruence_derived_series(Q)
+        assert cls == 3 and ([s.elements for s in series], cls) == congruence_series_oracle(Q)
+        assert nilpotency_class_loop(Q) is INFINITE
+        classical.append(classical_derived_series(Q)[1])
+    assert [Q.order for Q in class_three] == [12] * 15 + [24]
+    assert [i for i, k in enumerate(classical) if k != 3] == [1, 4, 8]
+    assert {classical[i] for i in (1, 4, 8)} == {2}
+
+
+def test_classical_class_is_the_least_abelian_series_length(class_three):
+    """The derived-subloop length against a brute-force minimum over all
+    subnormal series with commutative-group factors, on every loop with
+    neutral 0 of order <= 5, every 12th of order 6, the AC-4 witness and
+    the congruence class 3 tables."""
+    seen = collections.Counter()
+    for Q in small_loops(12) + [ac4_witness()] + class_three:
+        cls = classical_derived_series(Q)[1]
+        assert cls == least_abelian_series_length(Q), Q
+        seen[cls] += 1
+    assert set(seen) == {0, 1, 2, 3, INFINITE}
+
+
+def test_report_fields_match_the_full_series(pool, class_three):
+    """The fields `hierarchy_report` takes from the theorems in its
+    docstring equal the full series, `center_subloop` and Mlt's own
+    nilpotency class, on the pool, the order-32 and order-64 tables,
+    every loop with neutral 0 of order <= 5, every 12th of order 6, the
+    AC-4 witness and the congruence class 3 tables."""
+    tables = [e.table for e in pool] + larger_tables(pool) + small_loops(12)
+    fired = collections.Counter()
+    for Q in tables + [ac4_witness()] + class_three:
+        rep = hierarchy_report(Q)
+        nilpotency = upper_central_series(Q)[1]
+        congruence = congruence_derived_series(Q)[1]
+        mlt_nilpotency = nilpotency_class_group(assoc_group(Q, "MLT"))
+        assert rep.center_size == center_subloop(Q).size, Q
+        assert rep.nilpotency_class == nilpotency, Q
+        assert rep.congruence_solvability_class == congruence, Q
+        assert rep.classical_solvability_class == classical_derived_series(Q)[1], Q
+        assert rep.mlt_nilpotency_class == mlt_nilpotency, Q
+        assert rep.supernilpotent == is_finite(mlt_nilpotency), Q
+        fired["nilpotency <= 2"] += is_finite(nilpotency) and nilpotency <= 2
+        fired["nilpotency 3+"] += is_finite(nilpotency) and nilpotency > 2
+        fired["congruence 3"] += congruence == 3
+        fired["congruence inf, classical finite"] += (
+            congruence is INFINITE and is_finite(rep.classical_solvability_class)
+        )
+        fired["not nilpotent"] += nilpotency is INFINITE
+    assert min(fired.values()) > 0, fired
+
+
+def test_report_skips_what_the_theorems_settle(monkeypatch, class_three):
+    """D4 (nilpotency class 2) runs neither series; S3 (not nilpotent)
+    never asks for Mlt's nilpotency class.  On Z2-by-S3 draw 1 both
+    series run and Q' is formed once."""
+    calls = []
+    for name in (
+        "congruence_derived_series", "classical_derived_series",
+        "nilpotency_class_group", "_derived_elements",
+    ):
+        real = getattr(commutator_module, name)
+        monkeypatch.setattr(
+            commutator_module, name,
+            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args),
+        )
+    hierarchy_report(LoopTable(D4.mul))
+    assert calls == ["nilpotency_class_group"]
+    calls.clear()
+    hierarchy_report(LoopTable(S3.mul))
+    assert calls == ["congruence_derived_series", "_derived_elements"]
+    calls.clear()
+    hierarchy_report(LoopTable(class_three[1].mul))
+    assert calls == [  # Q' of Q, then Q'' of Q' as a loop of its own
+        "congruence_derived_series", "_derived_elements",
+        "classical_derived_series", "_derived_elements",
+    ]
 
 
 def test_hierarchy_report_s3():
