@@ -231,16 +231,10 @@ def derived_subloop(Q: LoopTable) -> Subloop:
     identity, and Q's T, L and R words induce all of Q/N's (as in
     `upper_central_series`).  So Q/N is a commutative group iff N holds
     every g(a)/a.  `normal_closure` reads the same rows for `inner_orbits`.
-    Formed once per table.
     """
-    return Subloop(Q, Q.memo("derived_subloop", lambda: _derived_elements(Q)))
-
-
-def _derived_elements(Q: LoopTable) -> tuple[int, ...]:
-    # the memo keeps the element tuple: a Subloop would refer back to the table
     seeds = np.zeros(Q.order, dtype=bool)
     seeds[Q.rdiv[word_rows(Q, "INN"), np.arange(Q.order)]] = True
-    return normal_closure(Q, np.flatnonzero(seeds).tolist()).elements
+    return normal_closure(Q, np.flatnonzero(seeds).tolist())
 
 
 def classical_derived_series(Q: LoopTable):

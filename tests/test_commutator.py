@@ -358,9 +358,9 @@ def test_report_fields_match_the_full_series(pool, class_three):
     """The fields `hierarchy_report` takes from the theorems in its
     docstring equal the full series, `center_subloop` and Mlt's own
     nilpotency class, on the pool, the order-32 and order-64 tables,
-    every loop with neutral 0 of order <= 5, every 12th of order 6, the
+    every loop with neutral 0 of order <= 5, every 24th of order 6, the
     AC-4 witness and the congruence class 3 tables."""
-    tables = [e.table for e in pool] + larger_tables(pool) + small_loops(12)
+    tables = [e.table for e in pool] + larger_tables(pool) + small_loops(24)
     fired = collections.Counter()
     for Q in tables + [ac4_witness()] + class_three:
         rep = hierarchy_report(Q)
@@ -386,11 +386,11 @@ def test_report_fields_match_the_full_series(pool, class_three):
 def test_report_skips_what_the_theorems_settle(monkeypatch, class_three):
     """D4 (nilpotency class 2) runs neither series; S3 (not nilpotent)
     never asks for Mlt's nilpotency class.  On Z2-by-S3 draw 1 both
-    series run and Q' is formed once."""
+    series run."""
     calls = []
     for name in (
         "congruence_derived_series", "classical_derived_series",
-        "nilpotency_class_group", "_derived_elements",
+        "nilpotency_class_group",
     ):
         real = getattr(commutator_module, name)
         monkeypatch.setattr(
@@ -401,13 +401,10 @@ def test_report_skips_what_the_theorems_settle(monkeypatch, class_three):
     assert calls == ["nilpotency_class_group"]
     calls.clear()
     hierarchy_report(LoopTable(S3.mul))
-    assert calls == ["congruence_derived_series", "_derived_elements"]
+    assert calls == ["congruence_derived_series"]
     calls.clear()
     hierarchy_report(LoopTable(class_three[1].mul))
-    assert calls == [  # Q' of Q, then Q'' of Q' as a loop of its own
-        "congruence_derived_series", "_derived_elements",
-        "classical_derived_series", "_derived_elements",
-    ]
+    assert calls == ["congruence_derived_series", "classical_derived_series"]
 
 
 def test_hierarchy_report_s3():
