@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from loopkit import fingerprint, hierarchy_report
 from loopkit.pools import exhaustive_small_extensions, group_pool
-from loopkit.util import fmt_class
+from loopkit.util import format_value
 
 
 def main():
@@ -36,9 +36,9 @@ def main():
                 rep.order,
                 rep.associative,
                 rep.commutative,
-                fmt_class(rep.nilpotency_class),
-                fmt_class(rep.congruence_solvability_class),
-                fmt_class(rep.classical_solvability_class),
+                format_value(rep.nilpotency_class),
+                format_value(rep.congruence_solvability_class),
+                format_value(rep.classical_solvability_class),
                 rep.supernilpotent,
             )
         )

@@ -5,30 +5,32 @@ The first line is the format header HEADER; further lines starting with
 thirteen report fields in dataclass order, then the source tag.  The
 fingerprint is the 64-bit hash of the canonical table (core.canonicalize:
 the least of the labelings grown from an isomorphism-invariant set of
-generator tuples), so isomorphic tables collide by construction.  A
-catalog with records but without the header holds fingerprints of an
-earlier canonical form and is rejected.  Writers are expected to be
-exclusive (single-writer rule); readers may run at any time.  A writer
-that dies mid-record leaves a last line without its trailing newline:
-readers skip it with a warning, and the next append cuts it off before
-writing.
+generator tuples), so isomorphic tables collide by construction.  Values
+are parsed by util.parse_value with commutator.FIELD_KINDS; a bad
+column, or an order column other than the report's order, raises
+Malformed.  A catalog with records but without the header holds
+fingerprints of an earlier canonical form and is rejected.  Writers are
+expected to be exclusive (single-writer rule); readers may run at any
+time.  A writer that dies mid-record leaves a last line without its
+trailing newline: readers skip it with a warning, and the next append
+cuts it off before writing.
 """
 
 from __future__ import annotations
 
 import logging
 import operator
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
 
-from .commutator import HierarchyReport, check_report_order, hierarchy_report
+from .commutator import FIELD_KINDS, HierarchyReport, check_report_order, hierarchy_report
 from .core import LoopTable, fingerprint
 from .errors import Malformed
-from .util import parse_class, parse_value
+from .util import parse_value
 
 HEADER = "# loopkit-catalog v2"
 
-_REPORT_FIELDS = [f.name for f in fields(HierarchyReport)]
-_BOOL_FIELDS = {f.name for f in fields(HierarchyReport) if f.type in (bool, "bool")}
+_FINGERPRINT = re.compile("[0-9a-f]{16}")
 
 _log = logging.getLogger(__name__)
 
@@ -41,23 +43,23 @@ class CatalogRecord:
     source: str
 
     def to_line(self) -> str:
-        values = self.report.field_values()
         cols = [f"{self.fingerprint:016x}", str(self.order)]
-        cols.extend(values[name] for name in _REPORT_FIELDS)
+        cols.extend(self.report.field_values().values())  # in dataclass field order
         cols.append(self.source)
         return "\t".join(cols)
 
     @classmethod
     def from_line(cls, line: str) -> "CatalogRecord":
+        """to_line's inverse; a bad column raises Malformed naming it."""
         cols = line.rstrip("\n").split("\t")
-        if len(cols) != 2 + len(_REPORT_FIELDS) + 1:
+        if len(cols) != 2 + len(FIELD_KINDS) + 1:
             raise Malformed(f"catalog record has {len(cols)} columns")
-        return cls(
-            fingerprint=int(cols[0], 16),
-            order=int(cols[1]),
-            report=HierarchyReport.from_values(dict(zip(_REPORT_FIELDS, cols[2:-1]))),
-            source=cols[-1],
-        )
+        if not _FINGERPRINT.fullmatch(cols[0]):
+            raise Malformed(f"fingerprint needs 16 lowercase hex digits, got {cols[0]!r}")
+        report = HierarchyReport.from_values(dict(zip(FIELD_KINDS, cols[2:-1])))
+        if parse_value(cols[1], "int", "order") != report.order:
+            raise Malformed(f"order column {cols[1]} differs from the report's {report.order}")
+        return cls(int(cols[0], 16), report.order, report, cols[-1])
 
 
 def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
@@ -148,11 +150,11 @@ _OPS = {
 
 
 def parse_filter(text: str):
-    """One filter 'field OP value' with OP in  = != <= >= < >  and
-    inf-aware values, as (field, operator, value).  The value is coerced
-    to the field's type here, so a bad one raises Malformed before any
+    """One filter 'field OP value' with OP in  = != <= >= < >, as (field,
+    operator, value).  The value is parsed with the field's kind here (a
+    decimal fingerprint), so a bad one raises Malformed before any
     catalog is read."""
-    for op_text in ("<=", ">=", "!=", "=", "<", ">"):
+    for op_text in _OPS:  # two-character operators first
         if op_text in text:
             field_name, _, raw = text.partition(op_text)
             field_name = field_name.strip()
@@ -160,34 +162,18 @@ def parse_filter(text: str):
             break
     else:
         raise Malformed(f"no comparison operator in filter {text!r}")
-    if field_name not in _REPORT_FIELDS and field_name not in ("order", "source", "fingerprint"):
+    if field_name == "source":
+        return field_name, _OPS[op_text], raw
+    kind = "int" if field_name == "fingerprint" else FIELD_KINDS.get(field_name)
+    if kind is None:
         raise Malformed(f"unknown field {field_name!r}")
-    return field_name, _OPS[op_text], _coerce(field_name, raw)
+    return field_name, _OPS[op_text], parse_value(raw, kind, field_name)
 
 
 def _record_value(record: CatalogRecord, field_name: str):
-    if field_name == "order":
-        return record.order
-    if field_name == "source":
-        return record.source
-    if field_name == "fingerprint":
-        return record.fingerprint
+    if field_name in ("source", "fingerprint"):
+        return getattr(record, field_name)
     return getattr(record.report, field_name)
-
-
-def _coerce(field_name: str, raw: str):
-    if field_name in _BOOL_FIELDS:
-        if raw not in ("true", "false"):
-            raise Malformed(f"boolean field {field_name} needs true/false, got {raw!r}")
-        return parse_value(raw)
-    if field_name == "source":
-        return raw
-    try:
-        return parse_class(raw)
-    except ValueError:
-        raise Malformed(
-            f"field {field_name} needs a decimal integer or inf, got {raw!r}"
-        ) from None
 
 
 def query(records, filters) -> list[CatalogRecord]:

@@ -51,7 +51,7 @@ from .structure import (
     is_normal,
     normal_closure,
 )
-from .util import INFINITE, Infinite, format_value, is_finite, is_prime_power, parse_value
+from .util import INFINITE, format_value, is_finite, is_prime_power, parse_value
 
 REPORT_ORDER_CAP = 128
 
@@ -293,7 +293,7 @@ def upper_central_series(Q: LoopTable):
         series.append(Subloop(Q, tuple(fixed.tolist())))
 
 
-def nilpotency_class_loop(Q: LoopTable) -> int | Infinite:
+def nilpotency_class_loop(Q: LoopTable) -> int | float:
     return upper_central_series(Q)[1]
 
 
@@ -327,15 +327,15 @@ class HierarchyReport:
     commutative: bool
     associative: bool
     center_size: int
-    nilpotency_class: int | Infinite
-    congruence_solvability_class: int | Infinite
-    classical_solvability_class: int | Infinite
+    nilpotency_class: int | float
+    congruence_solvability_class: int | float
+    classical_solvability_class: int | float
     supernilpotent: bool
     mlt_order: int
-    mlt_solvable_class: int | Infinite
-    mlt_nilpotency_class: int | Infinite
+    mlt_solvable_class: int | float
+    mlt_nilpotency_class: int | float
     inn_order: int
-    inn_solvable_class: int | Infinite
+    inn_solvable_class: int | float
 
     def check(self):
         """The vertical implications any report must satisfy."""
@@ -358,8 +358,10 @@ class HierarchyReport:
 
     @classmethod
     def from_values(cls, values) -> "HierarchyReport":
-        """The report from a field name -> text mapping (field_values' inverse)."""
-        return cls(**{f.name: parse_value(values[f.name]) for f in fields(cls)})
+        """The report from a field name -> text mapping (field_values'
+        inverse); a missing field, or text that does not fit its field,
+        raises Malformed."""
+        return cls(**{k: parse_value(values.get(k, ""), t, k) for k, t in FIELD_KINDS.items()})
 
     @classmethod
     def from_lines(cls, text: str) -> "HierarchyReport":
@@ -369,6 +371,11 @@ class HierarchyReport:
                 key, _, raw = ln.partition(":")
                 values[key.strip()] = raw.strip()
         return cls.from_values(values)
+
+
+# The kind of each field's text for util.parse_value; only classes may be inf.
+_KINDS = {"bool": "bool", "int": "int", "int | float": "class"}
+FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(HierarchyReport)}
 
 
 def check_report_order(Q: LoopTable) -> None:

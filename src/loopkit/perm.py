@@ -159,7 +159,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import index
@@ -167,14 +166,9 @@ from operator import index
 import numpy as np
 
 from .errors import CapExceeded
-from .util import INFINITE, Infinite, prime_divisors
+from .util import INFINITE, prime_divisors
 
 _ID = bytes(range(256))
-
-
-@lru_cache(maxsize=None)
-def _identity_images(degree: int) -> tuple:
-    return tuple(range(degree))
 
 
 def _tuple_then(q: tuple, p: tuple) -> tuple:
@@ -215,7 +209,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._wrap(_identity_images(degree))
+        return cls._wrap(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -242,7 +236,7 @@ class Permutation:
         return Permutation._wrap(_tuple_invert(self.images))
 
     def is_identity(self) -> bool:
-        return self.images == _identity_images(len(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self):
         seen = [False] * len(self.images)
@@ -575,7 +569,7 @@ class SeriesResult:
 
     groups: tuple[PermGroup, ...]
     orders: tuple[int, ...]
-    cls: int | Infinite
+    cls: int | float
 
 
 def derived_series(group: PermGroup) -> SeriesResult:
@@ -665,7 +659,7 @@ def _parts(group: PermGroup):
     yield group, int(np.count_nonzero(root == roots[0]))
 
 
-def solvable_class(group: PermGroup) -> int | Infinite:
+def solvable_class(group: PermGroup) -> int | float:
     """Length of the derived series down to the trivial group."""
     return derived_series(group).cls
 
@@ -711,7 +705,7 @@ def _nilpotent_bound(sizes) -> int:
     return bound
 
 
-def nilpotency_class_group(group: PermGroup) -> int | Infinite:
+def nilpotency_class_group(group: PermGroup) -> int | float:
     """Length of the lower central series down to the trivial group;
     INFINITE without the series when |G| does not divide the nilpotent
     order bound of its orbits (module docstring)."""

@@ -4,14 +4,15 @@ The pool has two halves: every loop of order at most 6 reachable from
 exhaustive small-cocycle extension spaces plus the standard group tables,
 and a fixed count of seeded random abelian extensions of orders 8..16.
 Entries carry a human-readable tag; extension entries keep their cocycle
-so round-trip checks can reuse it.
+so round-trip checks can reuse it.  The census is every loop of a small
+order up to isomorphism, independent of the extension code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LoopTable
+from .core import LoopTable, fingerprint
 from .extensions import (
     AbelianGroupTable,
     Cocycle,
@@ -19,7 +20,7 @@ from .extensions import (
     iter_cocycles_exhaustive,
     iter_cocycles_random,
 )
-from .tables import cyclic, elementary_abelian, klein, small_groups
+from .tables import cyclic, elementary_abelian, klein, reduced_latin_squares, small_groups
 from .util import SplitMix64
 
 POOL_MASTER_SEED = 0xA11CE
@@ -45,6 +46,18 @@ def exhaustive_small_extensions() -> list[PoolEntry]:
         for i, gamma in enumerate(iter_cocycles_exhaustive(A, f_table)):
             out.append(PoolEntry(f"{tag}#{i}", build_extension(gamma), gamma))
     return out
+
+
+def census(n: int) -> list[LoopTable]:
+    """One loop of order n per isomorphism class, in fingerprint order:
+    of each fingerprint, the first square of reduced_latin_squares(n)
+    (a loop with neutral 0).  There are 1, 1, 1, 2, 6, 109 classes for
+    n = 1..6 (OEIS A057771)."""
+    first = {}
+    for square in reduced_latin_squares(n):
+        Q = LoopTable(square)
+        first.setdefault(fingerprint(Q), Q)
+    return [first[fp] for fp in sorted(first)]
 
 
 def group_pool() -> list[PoolEntry]:

@@ -1,4 +1,7 @@
-"""Small shared values: the INFINITE sentinel, seeded RNG, 64-bit mixing.
+"""Small shared values: INFINITE, report value text, seeded RNG, 64-bit mixing.
+
+INFINITE is math.inf: it compares above every integer and prints as inf.
+format_value and parse_value are the one text form of report values.
 
 The random generator is splitmix64 with the standard constants
 (increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
@@ -8,6 +11,10 @@ candidate sequence drawn from it, so search hits are replayable.
 
 from __future__ import annotations
 
+import math
+
+from .errors import Malformed
+
 _MASK64 = (1 << 64) - 1
 
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -15,71 +22,33 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 FINGERPRINT_BASIS = 0xCBF29CE484222325
 
+INFINITE = math.inf
 
-class Infinite:
-    """Distinguished value for a series that never reaches the trivial term.
-
-    Compares greater than every integer and equal only to itself; prints
-    as "inf".  A single shared instance INFINITE is used everywhere.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("loopkit-infinite")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-INFINITE = Infinite()
+_KIND_TEXT = {"bool": "true or false", "int": "a decimal integer", "class": "a decimal or inf"}
 
 
 def is_finite(value) -> bool:
+    """value is not INFINITE: an identity test, as every inf class is that object."""
     return value is not INFINITE
 
 
-def fmt_class(value) -> str:
-    """Render a class value for reports: integers as decimal, INFINITE as inf."""
-    return "inf" if value is INFINITE else str(value)
-
-
-def parse_class(text: str):
-    return INFINITE if text == "inf" else int(text)
-
-
 def format_value(value) -> str:
-    """Render a report value: booleans as true/false, classes by fmt_class."""
+    """A report value as text: true/false, a decimal, or inf for INFINITE."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return fmt_class(value)
+    return str(value)
 
 
-def parse_value(text: str):
-    """Inverse of format_value."""
-    if text in ("true", "false"):
+def parse_value(text: str, kind: str, label: str = "value"):
+    """format_value's inverse for the kind "bool", "int" or "class" (an int
+    or INFINITE); text that does not fit raises Malformed naming label."""
+    if kind == "bool" and text in ("true", "false"):
         return text == "true"
-    return parse_class(text)
+    if kind == "class" and text == "inf":
+        return INFINITE
+    if kind != "bool" and text.isascii() and text.isdecimal():
+        return int(text)
+    raise Malformed(f"{label} needs {_KIND_TEXT[kind]}, got {text!r}")
 
 
 def mix64(value: int) -> int:

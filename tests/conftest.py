@@ -25,6 +25,7 @@ from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles
 from loopkit.multgrp import INNER_ARITY, INNER_WORDS, inner_generator, inner_maps, word_rows
 from loopkit.perm import PermGroup, Permutation
 from loopkit.pools import (
+    census,
     central_cocycle_pool,
     exhaustive_small_extensions,
     group_pool,
@@ -52,6 +53,11 @@ def random_extensions():
 @pytest.fixture(scope="session")
 def pool(groups, small_extensions, random_extensions):
     return groups + small_extensions + random_extensions
+
+
+@pytest.fixture(scope="session")
+def census_tables():
+    return {n: census(n) for n in range(1, 7)}
 
 
 @pytest.fixture(scope="session")

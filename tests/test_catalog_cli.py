@@ -24,7 +24,7 @@ from loopkit.extensions import AbelianGroupTable, iter_cocycles_exhaustive, iter
 from loopkit.multgrp import assoc_group, word_rows
 from loopkit.perm import PermGroup, derived_series, group_order
 from loopkit.tables import cyclic, reduced_latin_squares, symmetric
-from loopkit.util import INFINITE
+from loopkit.util import INFINITE, format_value, parse_value
 
 from conftest import ORDER_5_LOOP, hunt_candidates
 
@@ -52,6 +52,44 @@ def test_record_roundtrip():
     assert back.report == hierarchy_report(symmetric(3))
 
 
+def test_value_text_round_trips_and_inf_sorts_last():
+    cases = [
+        (True, "bool"), (False, "bool"), (0, "int"), (10**59 + 7, "class"), (INFINITE, "class")
+    ]
+    for value, kind in cases:
+        back = parse_value(format_value(value), kind)
+        assert back == value and type(back) is type(value)
+    assert parse_value("inf", "class") is INFINITE
+    assert sorted([INFINITE, 10**400, 0]) == [0, 10**400, INFINITE] and INFINITE > 10**400
+
+
+def test_report_text_of_the_wrong_kind_is_malformed():
+    text = hierarchy_report(symmetric(3)).to_lines()
+    for field, bad in [("order", "true"), ("commutative", "1"), ("nilpotency_class", "-1")]:
+        lines = [ln for ln in text.splitlines() if not ln.startswith(field + ":")]
+        with pytest.raises(Malformed, match=f"{field} needs"):
+            HierarchyReport.from_lines("\n".join(lines + [f"{field}: {bad}"]))
+        with pytest.raises(Malformed, match=f"{field} needs"):  # the field is missing
+            HierarchyReport.from_lines("\n".join(lines))
+
+
+def test_census_reports_and_records_round_trip(census_tables):
+    # OEIS A057771: loops of order n up to isomorphism
+    assert [len(census_tables[n]) for n in range(1, 7)] == [1, 1, 1, 2, 6, 109]
+    infinite = 0
+    for n, tables in census_tables.items():
+        fps = [fingerprint(Q) for Q in tables]
+        assert fps == sorted(set(fps)) and {Q.order for Q in tables} == {n}
+        for Q, fp in zip(tables, fps):
+            rep = hierarchy_report(Q)
+            rep.check()
+            assert HierarchyReport.from_lines(rep.to_lines()) == rep
+            record = CatalogRecord(fp, n, rep, "census")
+            assert CatalogRecord.from_line(record.to_line()) == record
+            infinite += rep.congruence_solvability_class is INFINITE
+    assert infinite == 100  # 5 of order 5, 95 of order 6
+
+
 def test_append_skips_duplicates(tmp_path):
     path = tmp_path / "cat.tsv"
     rec = record_for(cyclic(2), source="a")
@@ -77,6 +115,9 @@ def test_query_rejects_bad_filters():
         parse_filter("no-operator")
     with pytest.raises(Malformed):
         parse_filter("unknown_field=3")
+    for bad in ("supernilpotent=2", "nilpotency_class=true", "order=inf"):
+        with pytest.raises(Malformed, match="needs"):
+            parse_filter(bad)
 
 
 # -- command line ---------------------------------------------------------------
@@ -286,6 +327,24 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
     cat.write_bytes(b"\xff" + record)
     assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+    # a complete line with a bad value: an input error naming the column
+    header, line = record.decode().splitlines()
+    cols = line.split("\t")
+    bad_columns = [
+        (0, "zz", "fingerprint"),
+        (5, "x", "center_size"),
+        (3, "maybe", "commutative"),
+        (1, "3", "order"),  # the report's order is 2
+    ]
+    for i, value, column in bad_columns:
+        text = f"{header}\n" + "\t".join(cols[:i] + [value] + cols[i + 1:]) + "\n"
+        cat.write_text(text)
+        for argv in (["catalog", "query", "order>=1"], ["catalog", "add", s3]):
+            assert main(argv + ["--catalog", str(cat)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and column in err, err
+        assert cat.read_text() == text
 
 
 def test_catalog_v2_header_and_unversioned_catalog_exits_2(tmp_path, capsys):
