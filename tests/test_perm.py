@@ -207,7 +207,7 @@ def test_derived_subgroup_is_normal():
         (lambda: PermGroup(3, []), 0),
         (s3, 2),
         (d4, 2),
-        (a5, INFINITE),
+        pytest.param(a5, INFINITE, id="a5-expected3"),  # the id predates INFINITE being a float
     ],
 )
 def test_solvable_class(factory, expected):
@@ -256,7 +256,7 @@ def test_solvable_class_recursion():
     [
         (lambda: PermGroup(3, [perm((0, 1, 2), degree=3)]), 1),
         (d4, 2),
-        (s3, INFINITE),
+        pytest.param(s3, INFINITE, id="s3-expected2"),  # the id predates INFINITE being a float
     ],
 )
 def test_nilpotency_class(factory, expected):
@@ -276,7 +276,7 @@ def test_nilpotent_bound(sizes, bound):
 @pytest.mark.parametrize(
     "factory, expected, by_bound",
     [
-        (s3, INFINITE, True),  # 6 does not divide 3
+        pytest.param(s3, INFINITE, True, id="s3-expected0-True"),  # 6 does not divide 3
         (d4, 2, False),  # 8 divides 2^3
         (lambda: PermGroup(8, quaternion().mul), 2, False),  # regular Q8: 8 divides 2^7
         (lambda: PermGroup(6, [perm(tuple(range(6)), degree=6)]), 1, False),  # Z6: 6 divides 6
@@ -420,7 +420,9 @@ A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
         # S3 acting diagonally on {0, 1, 2} and {3, 4, 5}: |G| = 6, not 36
         (6, [(0, S3_GENS), (3, S3_GENS)], 6, 2),
         # Z2 on {0, 1}, then A5 on {2..6}: the second orbit decides
-        (7, [(0, [(1, 0)]), (2, A5_GENS)], 120, INFINITE),
+        pytest.param(
+            7, [(0, [(1, 0)]), (2, A5_GENS)], 120, INFINITE, id="7-blocks2-120-expected2"
+        ),
         # the trivial group
         (5, [(0, [])], 1, 0),
     ],
