@@ -74,7 +74,7 @@ def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
 def _load(path) -> tuple[list[CatalogRecord], bytes]:
     """The records of the complete lines, and the torn last line (b"" if
     none).  A malformed complete line, or a first line that is not
-    HEADER, raises Malformed."""
+    HEADER, raises Malformed naming the file (and the 1-based line)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -97,7 +97,13 @@ def _load(path) -> tuple[list[CatalogRecord], bytes]:
             f"catalog {path} does not start with {HEADER!r}; its fingerprints "
             "are from an earlier canonical form"
         )
-    records = [CatalogRecord.from_line(ln) for ln in lines if ln.strip() and ln[0] != "#"]
+    records = []
+    for number, ln in enumerate(lines, 1):
+        if ln.strip() and ln[0] != "#":
+            try:
+                records.append(CatalogRecord.from_line(ln))
+            except Malformed as exc:
+                raise Malformed(f"catalog {path} line {number}: {exc}") from None
     return records, torn
 
 

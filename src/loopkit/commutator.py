@@ -43,7 +43,7 @@ from .core import LoopTable
 from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
 from .multgrp import TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
-from .perm import group_order, nilpotency_class_group, solvable_class
+from .perm import group_order, nilpotency_class_group, order_within, solvable_class
 from .structure import (
     Subloop,
     coset_representatives,
@@ -54,6 +54,7 @@ from .structure import (
 from .util import INFINITE, format_value, is_finite, is_prime_power, parse_value
 
 REPORT_ORDER_CAP = 128
+A3_CHUNK_ENTRIES = 2**16
 
 
 def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop):
@@ -125,10 +126,11 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     mul, rdiv = Q.mul, Q.rdiv
     n = Q.order
     idx = np.fromiter(A.elements, dtype=np.int64)
-    # INN's distinct maps on A, n at a time: never n^2 maps x |A|^2 at once
+    # INN's maps on A, A3_CHUNK_ENTRIES products but at least n maps at a time
     maps = word_rows(Q, "INN")[:, idx]
+    step = max(n, A3_CHUNK_ENTRIES // len(idx) ** 2)
     cond_i = all(
-        _restricts_to_automorphisms(Q, A, maps[i : i + n]) for i in range(0, len(maps), n)
+        _restricts_to_automorphisms(Q, A, maps[i : i + step]) for i in range(0, len(maps), step)
     )
     sub = mul[np.ix_(idx, idx)]
     cond_ii = bool(np.array_equal(sub, sub.T))
@@ -403,10 +405,16 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
           centrally nilpotent: Mlt(Q) nilpotent makes Q centrally
           nilpotent (Bruck 1946).
       mlt_solvable_class  inf when Inn is not solvable, as Inn <= Mlt.
+      inn_order  Inn's chain stops at |Mlt| / n when INN's rows, words in
+          translations, fix e: they lie in Mlt_e, of that order.  A chain never
+          outgrows its group, so a short INN family still shows as |Mlt| != n |Inn|.
     """
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = assoc_group(Q, "INN")
+    mlt_order = group_order(mlt)
+    if (word_rows(Q, "INN")[:, Q.neutral] == Q.neutral).all():
+        order_within(inn, mlt_order // Q.order)
     inn_solvable = solvable_class(inn)
     upper, nilpotency = upper_central_series(Q)
     # INFINITE compares above every integer
@@ -422,7 +430,7 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
         congruence_solvability_class=congruence,
         classical_solvability_class=classical,
         supernilpotent=is_finite(mlt_nilpotency),
-        mlt_order=group_order(mlt),
+        mlt_order=mlt_order,
         mlt_solvable_class=INFINITE if inn_solvable is INFINITE else solvable_class(mlt),
         mlt_nilpotency_class=mlt_nilpotency,
         inn_order=group_order(inn),

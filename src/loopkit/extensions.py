@@ -324,7 +324,13 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     table does not match Q under (a, x) -> a*x.  Normality of A is
     assumed (checked by the callers).  Every map is formed for all cells
     at once, as (k, k, |A|) arrays over the k coset representatives.
+    Memoised on Q per element tuple; each call gets a fresh transversal list.
     """
+    result = Q.memo(("extract_cocycle", A.elements), lambda: _extract_cocycle(Q, A))
+    return None if result is None else (result[0], list(result[1]))
+
+
+def _extract_cocycle(Q: LoopTable, A: Subloop):
     try:
         fiber = AbelianGroupTable(A.induced_table())
     except NotAbelianGroup:
@@ -332,7 +338,7 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     n, na = Q.order, fiber.order
     mul, rdiv = Q.mul, Q.rdiv
     idx = np.fromiter(A.elements, dtype=np.int64)
-    rep = coset_representatives(Q, A)
+    rep = coset_representatives(Q, A).copy()
     rep[rep == rep[Q.neutral]] = Q.neutral  # the neutral represents the fiber
     reps = np.unique(rep)
     xy = mul[np.ix_(reps, reps)]
@@ -362,7 +368,7 @@ def extract_cocycle(Q: LoopTable, A: Subloop):
     built = _raw_extension_table(gamma)
     if not np.array_equal(witness[built], mul[np.ix_(witness, witness)]):
         return None
-    return gamma, reps.tolist()
+    return gamma, tuple(reps.tolist())
 
 
 def decompose_extension(Q: LoopTable, A: Subloop):

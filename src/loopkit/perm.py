@@ -75,8 +75,9 @@ a series gets other generators.  Transversals are discovered along fewer
 generators, so a base may differ from the textbook run's; it stays
 deterministic.
 
-A normal closure also stops at a known order: G' lies in G and
-[G, N] in N, so its chain is given |G| or |N| as a bound.  A chain's
+A chain may also stop at the order of a group known to hold its
+generators (`order_within`): G' lies in G and [G, N] in N, so a normal
+closure's chain is given |G| or |N| as a bound.  A chain's
 order, the product of its transversal lengths, never exceeds the order
 of the group its generators generate.  Once it reaches the bound, every
 transversal is a full orbit and the last stabilizer is trivial, so every
@@ -411,11 +412,11 @@ class _Chain:
                 self._establish(m, sifted)
 
 
-def _grow(gens, divides: int | None = None) -> _Chain | None:
-    """The chain of gens, added in order.  When divides is given, None as
-    soon as the order of a chain still missing generators does not divide
-    it: that partial chain is dropped, a complete one is returned."""
-    chain = _Chain()
+def _grow(gens, divides: int | None = None, bound: int | None = None) -> _Chain | None:
+    """The chain of gens, added in order, stopping at bound.  When divides
+    is given, None as soon as the order of a chain still missing generators
+    does not divide it: that partial chain is dropped, a complete one kept."""
+    chain = _Chain(bound)
     for g in gens:
         if divides is not None and divides % chain.order():
             return None
@@ -496,6 +497,14 @@ class PermGroup:
 
 def group_order(group: PermGroup) -> int:
     """Exact order via the stabilizer chain, an unbounded Python integer."""
+    return group.order()
+
+
+def order_within(group: PermGroup, bound: int) -> int:
+    """Exact order of a group known to lie in one of order bound.  A chain not
+    built yet stops at bound, and equals an unbounded build's (module docstring)."""
+    if group._chain_cache is None:
+        group._chain_cache = _grow(group._gens, bound=bound)
     return group.order()
 
 

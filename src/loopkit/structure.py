@@ -91,12 +91,16 @@ def inner_orbits(Q: LoopTable) -> np.ndarray:
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:
-    """True when the element set is a union of inner-mapping orbits."""
+    """True when the element set is a union of inner-mapping orbits (memoised)."""
     if A.loop is not Q and A.loop != Q:
         raise ValueError("subloop belongs to a different table")
-    member = np.zeros(Q.order, dtype=bool)
-    member[list(A.elements)] = True
-    return bool((member == member[inner_orbits(Q)]).all())
+
+    def verdict():
+        member = np.zeros(Q.order, dtype=bool)
+        member[list(A.elements)] = True
+        return bool((member == member[inner_orbits(Q)]).all())
+
+    return Q.memo(("is_normal", A.elements), verdict)
 
 
 def normal_closure(Q: LoopTable, seed) -> Subloop:
@@ -158,8 +162,14 @@ def _normal_subloop_elements(Q: LoopTable) -> tuple[tuple[int, ...], ...]:
 
 def coset_representatives(Q: LoopTable, A: Subloop) -> np.ndarray:
     """rep[x] = the least element of the right coset A*x of a normal
-    subloop A, for every x of Q."""
-    return Q.mul[np.fromiter(A.elements, dtype=np.int64)].min(axis=0)
+    subloop A, for every x of Q; read-only, memoised on Q."""
+
+    def labels():
+        rep = Q.mul[np.fromiter(A.elements, dtype=np.int64)].min(axis=0)
+        rep.setflags(write=False)
+        return rep
+
+    return Q.memo(("coset_representatives", A.elements), labels)
 
 
 def quotient(Q: LoopTable, A: Subloop):

@@ -321,14 +321,16 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
     cat.write_bytes(fragment + b"\n")
     capsys.readouterr()
     assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
-    assert "columns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "columns" in err and f"catalog {cat} line 2:" in err, err
     assert main(["catalog", "add", s3, "--catalog", str(cat)]) == 2
     assert cat.read_bytes() == fragment + b"\n"
     cat.write_bytes(b"\xff" + record)
     assert main(["catalog", "query", "order>=1", "--catalog", str(cat)]) == 2
     assert "UTF-8" in capsys.readouterr().err
 
-    # a complete line with a bad value: an input error naming the column
+    # a complete line with a bad value: an input error naming the
+    # catalog, the line and the column
     header, line = record.decode().splitlines()
     cols = line.split("\t")
     bad_columns = [
@@ -343,7 +345,7 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
         for argv in (["catalog", "query", "order>=1"], ["catalog", "add", s3]):
             assert main(argv + ["--catalog", str(cat)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and column in err, err
+            assert err.startswith(f"error: catalog {cat} line 2:") and column in err, err
         assert cat.read_text() == text
 
 

@@ -36,8 +36,8 @@ from loopkit.cli import main
 from loopkit.core import LoopTable, parse_table
 from loopkit.errors import NotNormal
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group, inner_generator
-from loopkit.perm import PermGroup, derived_series, nilpotency_class_group
+from loopkit.multgrp import assoc_group, inner_generator, word_rows
+from loopkit.perm import PermGroup, derived_series, group_order, nilpotency_class_group
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, reduced_latin_squares, symmetric
 
@@ -472,6 +472,27 @@ def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):
     assert skipped == 10
     pin = Path(__file__).parent / "data" / "z2cubed-nonsolvable-inn-seed3-0000.report"
     assert rep.to_lines() == pin.read_text()
+
+
+def test_report_inn_chain_stops_at_mlt_over_n_as_the_unbounded_chain(pool):
+    """The report builds Inn's chain with the bound |Mlt| / n.  On every
+    pool table it has the grown list, base, transversals and order of an
+    unbounded build over the same rows, and on some it stops early."""
+    stopped = 0
+    for entry in pool:
+        Q = LoopTable(entry.table.mul)  # fresh: no chain built yet
+        hierarchy_report(Q)
+        chain = assoc_group(Q, "INN")._chain
+        assert chain.bound == group_order(assoc_group(Q, "MLT")) // Q.order
+        fresh = PermGroup(Q.order, word_rows(Q, "INN"))._chain
+        assert chain.grown == fresh.grown, entry.tag
+        assert chain.base_sequence() == fresh.base_sequence(), entry.tag
+        assert [list(lv.transversal) for lv in chain.levels] == [
+            list(lv.transversal) for lv in fresh.levels
+        ], entry.tag
+        assert chain.order() == fresh.order(), entry.tag
+        stopped += chain.full
+    assert stopped > 0
 
 
 def test_hierarchy_report_of_a_prime_order_loop_with_non_solvable_mlt():

@@ -37,7 +37,9 @@ from loopkit.extensions import (
     iter_cocycles_random,
     pair_index,
 )
+from loopkit.commutator import is_abelian_in_A4, is_central_in
 from loopkit.multgrp import inner_generator
+from loopkit.structure import coset_representatives
 from loopkit.tables import cyclic, elementary_abelian, klein, symmetric
 
 from conftest import extract_cocycle_oracle
@@ -429,6 +431,36 @@ def test_extract_cocycle_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(extensions, "LoopTable", broken)
     with pytest.raises(IndexError):
         extract_cocycle(q, Subloop(q, (0, 1)))
+
+
+def test_a4_then_c4_extract_once_per_subloop(monkeypatch):
+    """The extraction is kept on the table under the subloop's elements:
+    A4 then C4 run it once, and a Subloop rebuilt with the same elements
+    reads the same entry."""
+    calls = []
+    real = extensions._extract_cocycle
+    monkeypatch.setattr(
+        extensions, "_extract_cocycle", lambda Q, A: calls.append(A.elements) or real(Q, A)
+    )
+    q = build_extension(z4_cocycle())
+    gamma = is_abelian_in_A4(q, Subloop(q, (0, 1)))
+    assert gamma is not None and is_central_in(q, Subloop(q, (0, 1)), "C4")
+    assert extract_cocycle(q, Subloop(q, (1, 0)))[0] is gamma
+    assert calls == [(0, 1)]
+
+
+def test_memoised_labels_are_read_only_and_transversals_fresh():
+    q = build_extension(z4_cocycle())
+    A = Subloop(q, (0, 1))
+    rep = coset_representatives(q, A)
+    with pytest.raises(ValueError):
+        rep[0] = 1
+    gamma, transversal = extract_cocycle(q, A)
+    want = list(transversal)
+    transversal[0] = 7
+    transversal.append(99)
+    assert extract_cocycle(q, A) == (gamma, want)
+    assert coset_representatives(q, A) is rep and rep.tolist() == [0, 0, 2, 2]
 
 
 # -- multiplication group element form ------------------------------------------------
