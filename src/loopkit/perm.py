@@ -7,16 +7,18 @@ first-in-first-out discovery order with generators applied in install
 order, so two constructions from the same generator list produce
 identical base sequences and identical orders.
 
-A PermGroup has degree at most 256 (`_pack` raises CapExceeded above
+A PermGroup has degree d at most 256 (`_pack` raises CapExceeded above
 it).  Inside the chain, the normal closures and the series, a
-permutation is a 256-byte `bytes`: its images, padded with fixed points.
-Then "p after q" is q.translate(p), the inverse of p is
-bytes.maketrans(p, _ID) and the identity test is p == _ID, one C call
-each.  `Permutation` keeps its image tuple; a PermGroup keeps only the
-bytes of its generators, packed in numpy from Permutations or from an
-image array (`_pack`), and rebuilds Permutations when asked.  Each
-transversal representative is stored with its inverse, so sifting
-composes and never inverts.
+permutation is the d-byte `bytes` of its images, and "p after q" is
+q.translate(t) for p's translation table t: p's images padded with
+fixed points to 256 bytes, made once where t is (a level's generators,
+the inverse representatives bytes.maketrans(p, _ID[:d]), closure
+conjugators, commutator factors).  So products, hashes and the identity
+test p == _ID[:d] cost d points, not 256.  `Permutation` keeps its
+image tuple; a PermGroup keeps only the bytes of its generators, packed
+in numpy from Permutations or from an image array (`_pack`), and
+rebuilds Permutations when asked.  Each transversal representative is
+stored with its inverse table, so sifting composes and never inverts.
 
 Each chain records the generators whose sift grew it (`_Chain.grown`),
 and the series and normal closures use only those.  This is exact:
@@ -160,7 +162,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import lcm
 from operator import index
 
@@ -170,22 +172,6 @@ from .errors import CapExceeded
 from .util import INFINITE, prime_divisors
 
 _ID = bytes(range(256))
-
-
-def _tuple_then(q: tuple, p: tuple) -> tuple:
-    """Image tuple of p after q: x -> p(q(x))."""
-    return tuple(map(p.__getitem__, q))
-
-
-def _tuple_invert(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _bytes_invert(p: bytes) -> bytes:
-    return bytes.maketrans(p, _ID)
 
 
 class Permutation:
@@ -231,10 +217,13 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(x) = p(q(x)): q acts first, matching L_x R_y style words.
-        return Permutation._wrap(_tuple_then(other.images, self.images))
+        return Permutation._wrap(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(_tuple_invert(self.images))
+        inv = [0] * len(self.images)
+        for i, v in enumerate(self.images):
+            inv[v] = i
+        return Permutation._wrap(tuple(inv))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -287,45 +276,47 @@ class _Level:
     (a) of the module docstring).  Transversal entries are never
     replaced once written, which keeps previously processed Schreier
     generators valid; inverses holds their inverses.  Both are keyed in
-    orbit discovery order.  pair_queue holds (point, gen index) pairs that
-    still need Schreier processing.
+    orbit discovery order.  gens and inverses hold translation tables.
+    pair_queue holds (point, gen index) pairs awaiting Schreier processing.
     """
 
     __slots__ = ("base", "gens", "transversal", "inverses", "pair_queue")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, identity: bytes):
         self.base = base
         self.gens: list = []
-        self.transversal: dict = {base: _ID}
+        self.transversal: dict = {base: identity}
         self.inverses: dict = {base: _ID}
         self.pair_queue: deque = deque()
 
-    def add_gen(self, g):
-        self.gens.append(g)
-        gi = len(self.gens) - 1
-        self.pair_queue.extend((p, gi) for p in self.transversal)
+    def add_gen(self, table):
+        self.gens.append(table)
+        self.pair_queue.extend(zip(self.transversal, repeat(len(self.gens) - 1)))
 
     def add_point(self, q: int, rep, rep_inverse):
         self.transversal[q] = rep
         self.inverses[q] = rep_inverse
-        self.pair_queue.extend((q, gi) for gi in range(len(self.gens)))
+        self.pair_queue.extend(zip(repeat(q), range(len(self.gens))))
 
 
 class _Chain:
-    """Mutable deterministic stabilizer chain over bytes permutations.
-    grown lists the added generators whose sift grew it.
+    """Mutable deterministic stabilizer chain over bytes permutations of
+    the degree.  grown lists the added generators whose sift grew it.
 
     bound, when given, is the order of a group known to contain every
     generator the chain will be given.  Once the order reaches it the
     chain is complete (`full`): its pair queues are cleared and
-    add_generator returns False without sifting.
+    add_generator returns False without sifting.  The order, the product
+    of the transversal lengths, is kept up to date as points are added.
     """
 
-    def __init__(self, bound: int | None = None):
+    def __init__(self, degree: int, bound: int | None = None):
+        self.identity = _ID[:degree]
         self.levels: list[_Level] = []
         self.grown: list = []
         self.bound = bound
         self.full = False
+        self._order = 1
 
     def strip(self, p, start: int = 0):
         for i in range(start, len(self.levels)):
@@ -341,13 +332,10 @@ class _Chain:
 
     def contains(self, p) -> bool:
         residue, _ = self.strip(p)
-        return residue == _ID
+        return residue == self.identity
 
     def order(self) -> int:
-        total = 1
-        for level in self.levels:
-            total *= len(level.transversal)
-        return total
+        return self._order
 
     def base_sequence(self):
         return tuple(level.base for level in self.levels)
@@ -358,7 +346,7 @@ class _Chain:
         if self.full:
             return False
         residue, where = self.strip(p)
-        if residue == _ID:
+        if residue == self.identity:
             return False
         self.grown.append(p)
         self._install(residue, where)
@@ -371,10 +359,12 @@ class _Chain:
         """Add residue (which fixes the first `where` base points) to levels
         first..where."""
         if where == len(self.levels):
-            base = next(i for i, v in enumerate(residue) if v != i)
-            self.levels.append(_Level(base))
+            moved = int.from_bytes(residue, "little") ^ int.from_bytes(self.identity, "little")
+            base = ((moved & -moved).bit_length() - 1) >> 3  # the first byte that differs
+            self.levels.append(_Level(base, self.identity))
+        table = residue + _ID[len(residue):]
         for m in range(first, where + 1):
-            self.levels[m].add_gen(residue)
+            self.levels[m].add_gen(table)
 
     def _establish(self, k: int, sifted: dict):
         """Drain level k's pair queue; deeper levels are re-established on
@@ -391,8 +381,9 @@ class _Chain:
             g_u_p = transversal[p].translate(g)
             u_q = transversal.get(q)
             if u_q is None:
-                level.add_point(q, g_u_p, _bytes_invert(g_u_p))
-                if self.bound is not None and self.order() == self.bound:
+                level.add_point(q, g_u_p, bytes.maketrans(g_u_p, self.identity))
+                self._order = self._order // (len(transversal) - 1) * len(transversal)
+                if self._order == self.bound:
                     self.full = True
                     for lv in self.levels:
                         lv.pair_queue.clear()
@@ -405,18 +396,19 @@ class _Chain:
                 continue  # rule (e): it already lies in level k + 1's group
             sifted[schreier] = k + 1
             residue, where = self.strip(schreier, k + 1)
-            if residue == _ID:
+            if residue == self.identity:
                 continue
             self._install(residue, where, k + 1)  # rule (a)
             for m in range(min(where, len(self.levels) - 1), k, -1):
                 self._establish(m, sifted)
 
 
-def _grow(gens, divides: int | None = None, bound: int | None = None) -> _Chain | None:
+def _grow(degree: int, gens, divides: int | None = None,
+          bound: int | None = None) -> _Chain | None:
     """The chain of gens, added in order, stopping at bound.  When divides
     is given, None as soon as the order of a chain still missing generators
     does not divide it: that partial chain is dropped, a complete one kept."""
-    chain = _Chain(bound)
+    chain = _Chain(degree, bound)
     for g in gens:
         if divides is not None and divides % chain.order():
             return None
@@ -435,8 +427,8 @@ def _as_permutation(g, degree: int) -> Permutation:
 
 def _pack(degree: int, generators) -> list:
     """Permutations or image sequences of the degree, or a (k, degree)
-    integer array of image rows, as bytes; ValueError for anything that
-    is not such a permutation, CapExceeded for a degree above 256."""
+    integer array of image rows, as bytes of that length; ValueError for a
+    non-permutation, CapExceeded for a degree above 256."""
     if degree > len(_ID):
         raise CapExceeded(f"permutation degree {degree} exceeds cap {len(_ID)}")
     rows = generators
@@ -447,10 +439,10 @@ def _pack(degree: int, generators) -> list:
         raise ValueError(f"generator rows must be integer arrays of degree {degree}")
     if not (np.sort(rows, axis=1) == np.arange(degree)).all():
         raise ValueError("images do not form a permutation")
-    full = np.empty((len(rows), len(_ID)), dtype=np.uint8)
-    full[:, :degree] = rows
-    full[:, degree:] = np.arange(degree, len(_ID))
-    return full.view((np.void, len(_ID))).ravel().tolist()  # one bytes per row
+    if not degree:
+        return [b""] * len(rows)
+    packed = np.ascontiguousarray(rows, dtype=np.uint8)
+    return packed.view((np.void, degree)).ravel().tolist()  # one bytes per row
 
 
 class PermGroup:
@@ -461,7 +453,7 @@ class PermGroup:
 
     def __init__(self, degree: int, generators=(), _chain: _Chain | None = None):
         store = dict.fromkeys(_pack(degree, generators) if _chain is None else _chain.grown)
-        store.pop(_ID, None)
+        store.pop(_ID[:degree], None)
         self.degree = degree
         self._gens = tuple(store)
         self._chain_cache = _chain
@@ -469,12 +461,12 @@ class PermGroup:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation._wrap(tuple(p[: self.degree])) for p in self._gens)
+        return tuple(Permutation._wrap(tuple(p)) for p in self._gens)
 
     @property
     def _chain(self) -> _Chain:
         if self._chain_cache is None:
-            self._chain_cache = _grow(self._gens)
+            self._chain_cache = _grow(self.degree, self._gens)
         return self._chain_cache
 
     def order(self) -> int:
@@ -504,7 +496,7 @@ def order_within(group: PermGroup, bound: int) -> int:
     """Exact order of a group known to lie in one of order bound.  A chain not
     built yet stops at bound, and equals an unbounded build's (module docstring)."""
     if group._chain_cache is None:
-        group._chain_cache = _grow(group._gens, bound=bound)
+        group._chain_cache = _grow(group.degree, group._gens, bound=bound)
     return group.order()
 
 
@@ -526,8 +518,11 @@ def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
     """Normal closure in group of seeds as bytes, conjugating
     by the generators that grew group's chain; bound, if not None, is the
     order of a subgroup of group known to contain the closure."""
-    chain = _Chain(bound)
-    conjugators = [(g, _bytes_invert(g)) for g in group._chain.grown]
+    chain = _Chain(group.degree, bound)
+    pad = _ID[group.degree:]
+    # g s g^-1 is g^-1's images through s's table, then through g's
+    conjugators = [(g + pad, bytes.maketrans(g, chain.identity)[: group.degree])
+                   for g in group._chain.grown]
     sifted = set()
 
     def grows(candidate) -> bool:  # rule (d): each distinct candidate once
@@ -538,7 +533,7 @@ def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
 
     queue = deque(s for s in seeds if grows(s))
     while queue and not chain.full:
-        s = queue.popleft()
+        s = queue.popleft() + pad
         for g, g_inv in conjugators:
             conj = g_inv.translate(s).translate(g)
             if grows(conj):
@@ -546,12 +541,14 @@ def _closure(group: PermGroup, seeds: list, bound: int | None) -> PermGroup:
     return PermGroup(group.degree, _chain=chain)
 
 
-def _commutators(pairs) -> list:
+def _commutators(degree: int, pairs) -> list:
     """The non-identity [a, b] = a b a^-1 b^-1 over pairs (a, b)."""
+    identity, pad = _ID[:degree], _ID[degree:]
     out = []
     for a, b in pairs:
-        c = _bytes_invert(b).translate(_bytes_invert(a)).translate(b).translate(a)
-        if c != _ID:
+        b_inv = bytes.maketrans(b, identity)[:degree]
+        c = b_inv.translate(bytes.maketrans(a, identity)).translate(b + pad).translate(a + pad)
+        if c != identity:
             out.append(c)
     return out
 
@@ -562,7 +559,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     if group._derived is None:
         chain = group._chain
         pairs = combinations(chain.grown, 2)
-        group._derived = _closure(group, _commutators(pairs), group.order())
+        group._derived = _closure(group, _commutators(group.degree, pairs), group.order())
     return group._derived
 
 
@@ -589,9 +586,8 @@ def lower_central_series(group: PermGroup) -> SeriesResult:
     def step(current: PermGroup) -> PermGroup:
         if current is group:  # gamma_2 = [G, G] = G', kept on the group
             return derived_subgroup(group)
-        top = group._chain
-        pairs = product(top.grown, current._chain.grown)
-        return _closure(group, _commutators(pairs), current.order())
+        pairs = product(group._chain.grown, current._chain.grown)
+        return _closure(group, _commutators(group.degree, pairs), current.order())
 
     return _descend(group, step)
 
@@ -634,8 +630,7 @@ def _orbits(group: PermGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (k, degree) image rows of group's generators (k >= 1), their
     orbit_roots, and the roots of the orbits of more than one point in
     increasing order (a root is its orbit's least point)."""
-    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, len(_ID))
-    images = images[:, : group.degree]
+    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, group.degree)
     root = orbit_roots(images)
     return images, root, np.flatnonzero(np.bincount(root) > 1)
 
@@ -686,7 +681,7 @@ def solvable_order_primes(group: PermGroup) -> tuple[int, ...] | None:
     for part, m in _parts(group):
         if m > 1 and prime_divisors(m, m) == (m,):
             limit = m * (m - 1)
-            part._chain_cache = _grow(part._gens, limit)
+            part._chain_cache = _grow(part.degree, part._gens, limit)
             if part._chain_cache is None or limit % part.order():
                 return None
         elif len(prime_divisors(part.order(), part.degree)) > 2:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +34,7 @@ from conftest import (
     constituents_oracle,
     hunt_candidates,
     parts_split,
+    textbook_closure,
     textbook_derived_length,
     textbook_series,
 )
@@ -834,5 +836,40 @@ def test_strip_skips_fixed_base_points():
         if p[level.base] != level.base:
             moved_bases += 1
             p = p.translate(level.inverses[p[level.base]])
-    assert p == perm_module._ID
+    assert p == perm_module._ID[:16]
     assert len(calls) == moved_bases < len(chain.levels)
+
+
+def dihedral_images(degree):
+    """The rotation x -> x + 1 and the reflection x -> -x of 0..degree-1."""
+    return [[(x + 1) % degree for x in range(degree)], [-x % degree for x in range(degree)]]
+
+
+@pytest.mark.parametrize("degree, order", [(0, 1), (1, 1), (2, 2), (255, 510), (256, 512)])
+def test_permutations_are_degree_length_and_tables_256(degree, order):
+    """A permutation is its degree-length images, a translation table its
+    images padded to 256 bytes, from degree 0 to the cap (no pad at 256).
+    Order, membership, the generators, a normal closure and both series
+    are those of the textbook chain."""
+    gens = dihedral_images(degree)
+    group = PermGroup(degree, gens)
+    assert group.order() == order and all(len(p) == degree for p in group._gens)
+    chain = group._chain
+    assert chain.order() == math.prod(len(level.transversal) for level in chain.levels)
+    for level in chain.levels:
+        assert all(len(u) == degree for u in level.transversal.values())
+        assert all(len(t) == 256 for t in level.gens + list(level.inverses.values()))
+    assert [g.images for g in group.generators] == [
+        tuple(g) for g in gens if g != list(range(degree))
+    ]
+    assert PermGroup(degree, group.generators)._gens == group._gens
+    assert [(x + 2) % degree for x in range(degree)] in group
+    if degree >= 2:
+        assert (perm((0, 1), degree=degree) in group) is (degree == 2)
+    assert_matches_textbook(group)
+    closure = normal_closure(group, [gens[1]])  # the reflection
+    grown = [tuple(p) for p in chain.grown]
+    want = textbook_closure(grown, [tuple(gens[1])], degree, group.order())
+    assert closure.order() == want.order()
+    assert [tuple(p) for p in closure._chain.grown] == want.grown
+    assert all(len(p) == degree for p in closure._gens)
