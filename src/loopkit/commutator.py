@@ -42,7 +42,7 @@ import numpy as np
 from .core import LoopTable
 from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
-from .multgrp import TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
+from .multgrp import CHUNK_ENTRIES, TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
 from .perm import group_order, nilpotency_class_group, order_within, solvable_class
 from .structure import (
     Subloop,
@@ -54,7 +54,6 @@ from .structure import (
 from .util import INFINITE, format_value, is_finite, is_prime_power, parse_value
 
 REPORT_ORDER_CAP = 128
-A3_CHUNK_ENTRIES = 2**16
 
 
 def commutator_generators(Q: LoopTable, A: Subloop, B: Subloop):
@@ -126,9 +125,9 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     mul, rdiv = Q.mul, Q.rdiv
     n = Q.order
     idx = np.fromiter(A.elements, dtype=np.int64)
-    # INN's maps on A, A3_CHUNK_ENTRIES products but at least n maps at a time
+    # INN's maps on A, CHUNK_ENTRIES products but at least n maps at a time
     maps = word_rows(Q, "INN")[:, idx]
-    step = max(n, A3_CHUNK_ENTRIES // len(idx) ** 2)
+    step = max(n, CHUNK_ENTRIES // len(idx) ** 2)
     cond_i = all(
         _restricts_to_automorphisms(Q, A, maps[i : i + step]) for i in range(0, len(maps), step)
     )

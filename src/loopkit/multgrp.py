@@ -15,7 +15,10 @@ a genuine cross-check).
 Each table keeps one array per group, `word_rows`: the distinct maps of
 its generating family.  `assoc_group` wraps it as a PermGroup, and the
 Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
-their arguments come from `inner_maps`.
+their arguments come from `inner_maps`.  INN's and TINN's words are
+evaluated in blocks of consecutive first arguments of at most
+CHUNK_ENTRIES entries (at least one first argument), so no (n, n, n)
+array is ever formed; up to n = 32 one block holds every x.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .perm import PermGroup, Permutation
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
 TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
 INNER_WORDS = ("T", "L", "R")
+CHUNK_ENTRIES = 2**16  # entries of one block of word values, here and in A3 (i)
 
 
 def inner_generator(Q: LoopTable, name: str, args) -> Permutation:
@@ -62,25 +66,27 @@ def inner_generator(Q: LoopTable, name: str, args) -> Permutation:
     return Permutation._wrap(tuple(images.tolist()))
 
 
-def inner_maps(Q: LoopTable, word: str, points=None) -> np.ndarray:
-    """W_args(z) for every argument tuple of the word and every z in points.
+def inner_maps(Q: LoopTable, word: str, points=None, first=slice(None)) -> np.ndarray:
+    """W_args(z) for the argument tuples whose first argument lies in the
+    slice first (default all) and every z in points (default the loop).
 
-    The result has shape (n,)*arity + (len(points),): entry [x, z] is
-    W_x(points[z]) and entry [x, y, z] is W_{x,y}(points[z]).  points
-    defaults to the whole loop.  Computed on demand; nothing is cached.
+    For the k first arguments of the slice, the result has shape
+    (k,) + (n,)*(arity-1) + (len(points),): entry [i, z] is W_x(points[z])
+    and entry [i, y, z] is W_{x,y}(points[z]) for the i-th x of the slice.
+    Computed on demand; nothing is cached.
     """
     mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
     z = np.arange(Q.order) if points is None else np.asarray(points, dtype=np.int64)
     if word == "T":  # (x z) / x
-        return rdiv[mul[:, z], np.arange(Q.order)[:, None]]
+        return rdiv[mul[first, z], np.arange(Q.order)[first, None]]
     if word == "U":  # (z \ x) / x
-        return rdiv[ldiv[z].T, np.arange(Q.order)[:, None]]
+        return rdiv[ldiv[z, first].T, np.arange(Q.order)[first, None]]
     if word == "L":  # (x y) \ (x (y z))
-        return ldiv[mul[:, :, None], mul[:, mul[:, z]]]
+        return ldiv[mul[first, :, None], mul[first, mul[:, z]]]
     if word == "R":  # ((z y) x) / (y x)
-        return rdiv[mul.T[:, mul[z].T], mul.T[:, :, None]]
+        return rdiv[mul.T[first, mul[z].T], mul.T[first, :, None]]
     if word == "M":  # (y \ x) / ((z \ y) \ x)
-        return rdiv[ldiv.T[:, :, None], ldiv.T[:, ldiv[z].T]]
+        return rdiv[ldiv.T[first, :, None], ldiv.T[first, ldiv[z].T]]
     raise ArityMismatch(f"unknown inner generator {word!r}")
 
 
@@ -97,7 +103,12 @@ def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
         blocks = (Q.mul, Q.mul.T, Q.ldiv.T)[: 2 if which == "MLT" else 3]
     elif which in ("INN", "TINN"):
         words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
-        blocks = (inner_maps(Q, w).reshape(-1, n) for w in words)  # one at a time
+        blocks = (  # one block at a time, CHUNK_ENTRIES entries but at least one x
+            inner_maps(Q, w, first=slice(x, x + step)).reshape(-1, n)
+            for w in words
+            for step in [max(1, CHUNK_ENTRIES // n ** INNER_ARITY[w])]
+            for x in range(0, n, step)
+        )
     else:
         raise ValueError(f"unknown associated group {which!r}")
     dtype = np.dtype(np.uint8 if n <= 256 else np.uint16)

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from loopkit import LoopTable, assoc_group, inner_generator
+from loopkit import LoopTable, assoc_group, inner_generator, multgrp
 from loopkit.errors import ArityMismatch
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
 from loopkit.multgrp import TOT_INNER_WORDS, inner_maps, word_rows
@@ -132,11 +133,15 @@ def test_inner_maps_match_scalar_generators(pool):
             assert (inner_maps(q, word, points) == maps[..., points]).all()
 
 
-def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensions):
+def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensions, monkeypatch):
     """word_rows holds each distinct generating map once, in first-occurrence
     order, read-only, as the identity followed by the group's generators:
     the translations for MLT/TMLT and the words for INN/TINN, on the pool
-    tables and on Z4 by a non-associative order-16 pool loop (order 64)."""
+    tables and on Z4 by a non-associative order-16 pool loop (order 64).
+    On the pool tables of order <= 16, INN and TINN evaluated in blocks of
+    one first argument, and of five with an uneven last block, give the
+    same rows, and inner_maps on a slice of first arguments gives those
+    rows of the whole array."""
     F = next(
         e.table for e in random_extensions
         if e.table.order == 16 and not e.table.is_associative
@@ -160,11 +165,24 @@ def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensio
             )
         for which, maps in families.items():
             rows = word_rows(q, which)
+            expected = list(dict.fromkeys(maps))
             assert not rows.flags.writeable
-            assert [tuple(r) for r in rows.tolist()] == list(dict.fromkeys(maps)), which
+            assert [tuple(r) for r in rows.tolist()] == expected, which
             # the neutral is 0, so the identity comes first; PermGroup drops it
             gens = [g.images for g in assoc_group(q, which).generators]
             assert [tuple(r) for r in rows.tolist()] == [tuple(range(n))] + gens, which
+            if n > 16 or which not in ("INN", "TINN"):
+                continue
+            for budget in (1, 5 * n * n):
+                monkeypatch.setattr(multgrp, "CHUNK_ENTRIES", budget)
+                blocked = multgrp._word_rows(q, which)  # rows equals the oracle, above
+                assert blocked.dtype == rows.dtype and np.array_equal(blocked, rows), budget
+            monkeypatch.undo()
+        if n <= 16:
+            for word in TOT_INNER_WORDS:
+                whole = inner_maps(q, word)
+                for a, b in ((0, n), (1, n - 1), (n // 2, n // 2 + 1), (n - 1, n)):
+                    assert np.array_equal(inner_maps(q, word, first=slice(a, b)), whole[a:b])
 
 
 def test_word_rows_above_256_points_are_uint16():
@@ -172,6 +190,27 @@ def test_word_rows_above_256_points_are_uint16():
     rows = word_rows(q, "MLT")
     assert rows.dtype == np.uint16
     assert rows.tolist() == [list(q.left_translation(x).images) for x in range(257)]
+
+
+def test_inner_word_rows_peak_stays_below_one_cube(random_extensions):
+    """INN's and TINN's rows on Z8 by the first non-associative order-16
+    pool loop (order 128) are found in blocks of first arguments: the
+    traced peak stays under 16 MiB, the size of one (n, n, n) int64 word."""
+    F = next(
+        e.table for e in random_extensions
+        if e.table.order == 16 and not e.table.is_associative
+    )
+    gamma = next(iter(iter_cocycles_random(AbelianGroupTable(cyclic(8)), F, seed=0, budget=1)))
+    q = build_extension(gamma)
+    assert q.order == 128
+    tracemalloc.start()
+    try:
+        word_rows(q, "INN")
+        word_rows(q, "TINN")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_array_fed_groups_match_the_permutation_path(pool):
