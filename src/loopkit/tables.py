@@ -115,54 +115,38 @@ def dicyclic3() -> LoopTable:
     return _table_from_elements(elements, multiply)
 
 
-def latin_squares(n: int):
-    """All n x n Latin squares, in lexicographic row-major order."""
-
-    def rows_from(partial):
-        if len(partial) == n:
-            yield tuple(partial)
-            return
-        cols = [set(r[j] for r in partial) for j in range(n)]
-
-        def extend_row(row):
-            j = len(row)
-            if j == n:
-                yield tuple(row)
-                return
-            for v in range(n):
-                if v not in row and v not in cols[j]:
-                    row.append(v)
-                    yield from extend_row(row)
-                    row.pop()
-
-        for row in extend_row([]):
-            partial.append(row)
-            yield from rows_from(partial)
-            partial.pop()
-
-    yield from rows_from([])
-
-
-def reduced_latin_squares(n: int):
-    """All n x n Latin squares whose first row and first column are
-    0..n-1 (the loops with neutral 0), in lexicographic row order."""
-    rows = [tuple(range(n))] if n else []
-    held = [{v} for v in range(n)]  # held[j]: the values column j has
+def _squares(n: int, reduced: bool):
+    """Depth first over the cells in row-major order, each value tried in
+    increasing order, so the squares come in lexicographic row-major
+    order.  When reduced, row 0 and column 0 are held at 0..n-1."""
+    rows = []
+    held = [set() for _ in range(n)]  # held[j]: the values column j has
 
     def fill(row):
-        j = len(row)
+        i, j = len(rows), len(row)
         if j == n:  # the row is complete: start the next, or the square is
             rows.append(tuple(row))
-            yield from fill([len(rows)]) if len(rows) < n else [tuple(rows)]
+            yield from fill([]) if len(rows) < n else [tuple(rows)]
             rows.pop()
             return
-        for v in range(n):
+        for v in [j] if reduced and i == 0 else [i] if reduced and j == 0 else range(n):
             if v not in row and v not in held[j]:
                 held[j].add(v)
                 yield from fill(row + [v])
                 held[j].discard(v)
 
-    yield from fill([1]) if n > 1 else [tuple(rows)]
+    return fill([]) if n else iter([()])
+
+
+def latin_squares(n: int):
+    """All n x n Latin squares, in lexicographic row-major order."""
+    return _squares(n, reduced=False)
+
+
+def reduced_latin_squares(n: int):
+    """All n x n Latin squares whose first row and first column are
+    0..n-1 (the loops with neutral 0), in lexicographic row order."""
+    return _squares(n, reduced=True)
 
 
 def small_groups() -> dict[str, LoopTable]:

@@ -32,7 +32,7 @@ from loopkit.pools import (
     random_extension_pool,
 )
 from loopkit.tables import cyclic, klein, latin_squares, symmetric
-from loopkit.util import is_finite
+from loopkit.util import SplitMix64, is_finite
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +61,25 @@ def census_tables():
 
 
 @pytest.fixture(scope="session")
+def census_classes(census_tables):
+    """The 120 loops of order <= 6 up to isomorphism, by order, each with
+    neutral 0; 100 of them are not congruence solvable."""
+    return [Q for n in range(1, 7) for Q in census_tables[n]]
+
+
+@pytest.fixture(scope="session")
+def census_loops(census_classes):
+    """The census classes, then a seeded relabeling of each in the same
+    order (240 tables).  Above order 1 each relabeling moves the neutral
+    off 0."""
+    moved = [
+        next(r for r in seeded_relabelings(Q, i, count=8) if r.neutral or Q.order == 1)
+        for i, Q in enumerate(census_classes)
+    ]
+    return census_classes + moved
+
+
+@pytest.fixture(scope="session")
 def central_pool():
     return central_cocycle_pool(100)
 
@@ -81,6 +100,18 @@ def ac4_witness():
     """The first Z4[oplus] loop of the AC-4 search: order 8, not
     congruence solvable, classical class 2, Mlt solvable."""
     return g_oplus(cyclic(4), next(itertools.islice(latin_squares(4), 1, None)))
+
+
+def seeded_relabelings(q, seed, count=3):
+    """count relabelings of q, each by a Fisher-Yates shuffle drawn from
+    SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        images = list(range(q.order))
+        for j in range(q.order - 1, 0, -1):
+            k = rng.below(j + 1)
+            images[j], images[k] = images[k], images[j]
+        yield q.relabel(images)
 
 
 # a non-associative loop of order 5: its Mlt is S5, its Inn S4

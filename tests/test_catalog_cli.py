@@ -108,6 +108,9 @@ def test_query_filters():
     assert [r.fingerprint for r in query(records, [])] == sorted(
         r.fingerprint for r in records
     )
+    sourced = [record_for(cyclic(2), source="census"), record_for(cyclic(3), source="pool 7")]
+    assert [r.order for r in query(sourced, [parse_filter("source = pool 7")])] == [3]
+    assert [r.order for r in query(sourced, [parse_filter("source!=pool 7")])] == [2]
 
 
 def test_query_rejects_bad_filters():
@@ -207,15 +210,31 @@ def test_cli_extend_and_decompose_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out == table_text
 
 
+Z2_COCYCLE = "A\n2\n0 1\n1 0\nF\n2\n0 1\n1 0\nPHI\n0 0\n0 0\nPSI\n0 0\n0 0\nTHETA\n0 0\n0 0\n"
+
+
 def test_cli_extend_invalid_cocycle_exits_2(tmp_path, capsys):
-    bad = (
-        "A\n2\n0 1\n1 0\nF\n2\n0 1\n1 0\n"
-        "PHI\n0 0\n0 0\nPSI\n0 0\n0 0\nTHETA\n0 1\n0 0\n"
-    )
     path = tmp_path / "bad.cocycle"
-    path.write_text(bad)
+    path.write_text(Z2_COCYCLE.replace("THETA\n0 0", "THETA\n0 1"))
     assert main(["extend", str(path)]) == 2
     assert "theta border" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (Z2_COCYCLE + "A\n2\n0 1\n1 0\n", "duplicate section A"),
+        ("2\n" + Z2_COCYCLE, "content before first section: '2'"),
+        (Z2_COCYCLE.replace("PSI\n0 0", "PSI\n0 y"), "bad token in PSI row '0 y'"),
+        (Z2_COCYCLE.replace("THETA\n0 0", "THETA\n0 0 0"), "THETA row has 3 entries, expected 2"),
+    ],
+    ids=["duplicate-section", "before-first-section", "bad-token", "row-length"],
+)
+def test_cli_extend_malformed_cocycle_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cocycle"
+    path.write_text(text)
+    assert main(["extend", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_decompose_nonabelian_fiber_exits_3(tmp_path, capsys):
@@ -231,13 +250,17 @@ def test_cli_decompose_nonabelian_fiber_exits_3(tmp_path, capsys):
 
 def test_cli_decompose_non_subloop_exits_3(tmp_path, capsys):
     path = write_table(tmp_path, "s3.table", symmetric(3))
-    assert main(["decompose", path, "--fiber", "0,1"]) == 3
+    assert main(["decompose", path, "--fiber", "0,1"]) == 3  # a subloop, not normal
+    assert main(["decompose", path, "--fiber", "0,1,2"]) == 3  # generates S3
+    assert "listed elements do not form a subloop" in capsys.readouterr().err
 
 
 def test_cli_decompose_fiber_out_of_range_exits_2(tmp_path, capsys):
     path = write_table(tmp_path, "s3.table", symmetric(3))
     assert main(["decompose", path, "--fiber", "0,9"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["decompose", path, "--fiber", "0,x"]) == 2
+    assert "bad fiber list '0,x'" in capsys.readouterr().err
 
 
 def test_cli_decompose_automorphism_cap_names_order_and_cap(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -66,13 +67,6 @@ A3 = Subloop(S3, (0, 3, 4))
 
 def whole(q):
     return Subloop(q, tuple(range(q.order)))
-
-
-def small_loops(step):
-    """Every loop with neutral 0 of order <= 5 and every step-th of order 6."""
-    squares = [sq for n in range(1, 6) for sq in reduced_latin_squares(n)]
-    squares += itertools.islice(reduced_latin_squares(6), 0, None, step)
-    return [LoopTable(sq) for sq in squares]
 
 
 def larger_tables(pool):
@@ -189,18 +183,21 @@ def test_derived_subloop_matches_quotient_oracle(pool):
         assert derived_subloop(entry.table).elements == want, entry.tag
 
 
-def test_derived_subloop_on_reduced_squares():
-    """Q' against the quotient oracle and [Q, Q] on every loop with
-    neutral 0 of order <= 5 and every 24th of order 6, where most loops
-    are not solvable (Q' = Q); the pool has none of those."""
-    tables = small_loops(24)
+def test_derived_subloop_on_reduced_squares(census_loops):
+    """Q' against the quotient oracle and [Q, Q] on the census loops,
+    where most loops are not solvable (Q' = Q); the pool has none of
+    those."""
     perfect = 0
-    for q in tables:
+    for q in census_loops:
         got = derived_subloop(q).elements
         assert got == least_commutative_group_kernel(q).elements, q
         assert got == commutator_subloop(q, whole(q), whole(q)).elements, q
         perfect += len(got) == q.order
-    assert 0 < perfect < len(tables)
+    # the trivial loop and each of the 100 classes that are not congruence
+    # solvable are perfect: the 5 of order 5 because a loop of prime order
+    # is simple (Q' is 1 or Q), the 95 of order 6 as counted; twice, for
+    # the classes and their relabelings
+    assert perfect == 2 * 101
 
 
 def test_congruence_series_matches_commutator_oracle(pool):
@@ -308,22 +305,27 @@ def test_abelian_in_fiber_is_a_commutative_group():
             assert t.is_commutative and t.is_associative
 
 
-def test_series_consistency_on_sample(small_extensions, class_three):
-    """Q^(i) <= D_i term by term, with Q^(1) = D_1 = Q', on 24 small
-    extensions and the congruence class 3 tables.  Past the congruence
+def test_series_consistency_on_sample(census_loops, class_three):
+    """Q^(i) <= D_i term by term, with Q^(1) = D_1 = Q', on the census
+    loops and the congruence class 3 tables.  Past the congruence
     series' last term D_m (trivial, or the term it stops at) Q^(i) lies
-    in D_m."""
+    in D_m.  Q' is the second term, or the only one: the series of the
+    trivial loop and of a perfect loop stop at Q."""
     below = 0
-    for q in [e.table for e in small_extensions[:24]] + class_three:
+    for q in census_loops + class_three:
         congruence, ccls = congruence_derived_series(q)
         classical, kcls = classical_derived_series(q)
         for i, term in enumerate(classical):
             assert set(term.elements) <= set(congruence[min(i, len(congruence) - 1)].elements)
-        assert classical[1].elements == congruence[1].elements == derived_subloop(q).elements
+        derived = derived_subloop(q).elements
+        assert classical[min(1, len(classical) - 1)].elements == derived
+        assert congruence[min(1, len(congruence) - 1)].elements == derived
         if is_finite(ccls):
             assert is_finite(kcls)
             assert kcls <= ccls
             below += kcls < ccls
+    # Z2-by-S3 draws 1, 4 and 8; on the census the classes agree, as each
+    # finite congruence class there is at most 2
     assert below == 3
 
 
@@ -341,26 +343,24 @@ def test_class_three_tables(class_three):
     assert {classical[i] for i in (1, 4, 8)} == {2}
 
 
-def test_classical_class_is_the_least_abelian_series_length(class_three):
+def test_classical_class_is_the_least_abelian_series_length(census_loops, class_three):
     """The derived-subloop length against a brute-force minimum over all
-    subnormal series with commutative-group factors, on every loop with
-    neutral 0 of order <= 5, every 12th of order 6, the AC-4 witness and
-    the congruence class 3 tables."""
+    subnormal series with commutative-group factors, on the census loops,
+    the AC-4 witness and the congruence class 3 tables."""
     seen = collections.Counter()
-    for Q in small_loops(12) + [ac4_witness()] + class_three:
+    for Q in census_loops + [ac4_witness()] + class_three:
         cls = classical_derived_series(Q)[1]
         assert cls == least_abelian_series_length(Q), Q
         seen[cls] += 1
     assert set(seen) == {0, 1, 2, 3, INFINITE}
 
 
-def test_report_fields_match_the_full_series(pool, class_three):
+def test_report_fields_match_the_full_series(pool, census_loops, class_three):
     """The fields `hierarchy_report` takes from the theorems in its
     docstring equal the full series, `center_subloop` and Mlt's own
-    nilpotency class, on the pool, the order-32 and order-64 tables,
-    every loop with neutral 0 of order <= 5, every 24th of order 6, the
-    AC-4 witness and the congruence class 3 tables."""
-    tables = [e.table for e in pool] + larger_tables(pool) + small_loops(24)
+    nilpotency class, on the pool, the order-32 and order-64 tables, the
+    census loops, the AC-4 witness and the congruence class 3 tables."""
+    tables = [e.table for e in pool] + larger_tables(pool) + census_loops
     fired = collections.Counter()
     for Q in tables + [ac4_witness()] + class_three:
         rep = hierarchy_report(Q)
@@ -417,6 +417,21 @@ def test_hierarchy_report_s3():
     rep.check()
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(nilpotency_class=1, congruence_solvability_class=INFINITE), "nilpotent but not"),
+        (dict(classical_solvability_class=INFINITE), "congruence solvable but not"),
+        (dict(supernilpotent=True), "supernilpotent but not"),
+    ],
+    ids=["nilpotent", "congruence-solvable", "supernilpotent"],
+)
+def test_hierarchy_report_check_rejects_each_broken_implication(changes, message):
+    rep = hierarchy_report(S3)  # not nilpotent, both solvability classes 2
+    with pytest.raises(AssertionError, match=message):
+        dataclasses.replace(rep, **changes).check()
+
+
 def test_hierarchy_report_serialization_roundtrip():
     for q in (S3, Z6, D4):
         rep = hierarchy_report(q)
@@ -424,13 +439,13 @@ def test_hierarchy_report_serialization_roundtrip():
         assert "nilpotency_class: inf" in hierarchy_report(S3).to_lines()
 
 
-def test_hierarchy_cross_implications(groups, small_extensions):
+def test_hierarchy_cross_implications(groups, census_loops):
     # vertical edges between the loop column and the group columns:
     # nilpotent loops have solvable multiplication groups, solvable
     # multiplication groups force classical solvability, nilpotent
     # multiplication groups force central nilpotence
-    for entry in groups + small_extensions[:30]:
-        rep = hierarchy_report(entry.table)
+    for Q in [entry.table for entry in groups] + census_loops:
+        rep = hierarchy_report(Q)
         if is_finite(rep.nilpotency_class):
             assert is_finite(rep.mlt_solvable_class)
         if is_finite(rep.mlt_solvable_class):

@@ -28,9 +28,8 @@ from loopkit.tables import (
     cyclic, dihedral, elementary_abelian, klein, latin_squares, quaternion, reduced_latin_squares,
     symmetric,
 )
-from loopkit.util import SplitMix64
 
-from conftest import group_inverse, profiles_oracle
+from conftest import group_inverse, profiles_oracle, seeded_relabelings
 
 
 Z2 = cyclic(2)
@@ -72,6 +71,12 @@ def test_parse_rejects_no_neutral():
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(Malformed):
+        parse_table(text)
+
+
+@pytest.mark.parametrize("text", ["0", "-1\n0"])
+def test_parse_rejects_a_non_positive_order(text):
+    with pytest.raises(Malformed, match="non-positive order"):
         parse_table(text)
 
 
@@ -377,7 +382,7 @@ def test_isomorphisms_to_relabelings_are_ordered_and_valid(name, count, random_e
     assert q.is_associative == (name in named)
     autos = list(isomorphisms(q, q))
     assert count in (None, len(autos))
-    for r in _seeded_relabelings(q, len(name)):
+    for r in seeded_relabelings(q, len(name)):
         found = list(isomorphisms(q, r))
         assert len(found) == len(autos)
         assert all(f < g for f, g in zip(found, found[1:]))
@@ -430,16 +435,6 @@ def test_fingerprint_invariant_under_relabeling(images):
     assert fingerprint(POOL16.relabel(images)) == fingerprint(POOL16)
 
 
-def _seeded_relabelings(q, seed, count=3):
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        images = list(range(q.order))
-        for j in range(q.order - 1, 0, -1):
-            k = rng.below(j + 1)
-            images[j], images[k] = images[k], images[j]
-        yield q.relabel(images)
-
-
 def _analyze_corpus_tables():
     """The benchmark's order-32 extension (Z8 by K4) and order-64 table
     (the first order-16 pool table times Z4)."""
@@ -459,7 +454,7 @@ def test_fingerprint_invariant_on_symmetric_and_large_tables():
         fp = fingerprint(q)
         took = time.perf_counter() - start
         assert took <= limit, (q, took)
-        assert all(fingerprint(r) == fp for r in _seeded_relabelings(q, q.order))
+        assert all(fingerprint(r) == fp for r in seeded_relabelings(q, q.order))
 
 
 def test_fingerprint_invariant_on_order16_pool_loops(pool):
@@ -470,13 +465,13 @@ def test_fingerprint_invariant_on_order16_pool_loops(pool):
     loops.append(direct_product(next(e.table for e in pool if e.tag == "K4byZ2#79"), Z2))
     for i, q in enumerate(loops):
         fp = fingerprint(q)
-        assert all(fingerprint(r) == fp for r in _seeded_relabelings(q, i, count=2))
+        assert all(fingerprint(r) == fp for r in seeded_relabelings(q, i, count=2))
 
 
 def test_equal_fingerprints_iff_isomorphic_on_the_pool(pool):
     """is_isomorphic is the oracle: it never calls canonicalize."""
     tables = [e.table for e in pool]
-    copies = [next(_seeded_relabelings(q, i, count=1)) for i, q in enumerate(tables)]
+    copies = [next(seeded_relabelings(q, i, count=1)) for i, q in enumerate(tables)]
     fps = [fingerprint(q) for q in tables]
     copy_fps = [fingerprint(q) for q in copies]
     assert fps == copy_fps
@@ -485,6 +480,15 @@ def test_equal_fingerprints_iff_isomorphic_on_the_pool(pool):
             isomorphic = is_isomorphic(tables[i], copies[j]) is not None
             assert isomorphic == (fps[i] == copy_fps[j]), (pool[i].tag, pool[j].tag)
     assert len(set(fps)) == 227
+
+
+def test_census_relabelings_are_isomorphic_with_equal_fingerprints(census_classes, census_loops):
+    moved = census_loops[len(census_classes):]
+    for q, r in zip(census_classes, moved, strict=True):
+        f = is_isomorphic(q, r)
+        assert f is not None, q
+        _check_witness(q, r, f)
+        assert fingerprint(r) == fingerprint(q), q
 
 
 def test_canonical_form_budget_names_order_and_budget(monkeypatch):

@@ -47,9 +47,9 @@ def test_arity_mismatch():
         inner_generator(Z3, "Q", (0,))
 
 
-def test_generators_fix_neutral(small_extensions):
-    for entry in small_extensions[:12]:
-        q = entry.table
+def test_generators_fix_neutral(census_loops):
+    """On the census loops, whose relabelings have the neutral off 0."""
+    for q in census_loops:
         for g in inner_generator_family(q, ("T", "U", "L", "R", "M")):
             assert g(q.neutral) == q.neutral
 
@@ -73,30 +73,28 @@ def test_assoc_group_is_memoized_on_its_table():
     assert assoc_group(twin, "MLT") is not assoc_group(S3, "MLT")
 
 
-def test_stabilizer_identity(groups, small_extensions):
-    sample = groups + small_extensions[:20]
-    for entry in sample:
-        q = entry.table
+def test_stabilizer_identity(groups, census_loops):
+    for q in [entry.table for entry in groups] + census_loops:
         n = q.order
         assert group_order(assoc_group(q, "MLT")) == n * group_order(assoc_group(q, "INN"))
         assert group_order(assoc_group(q, "TMLT")) == n * group_order(assoc_group(q, "TINN"))
 
 
-def test_assoc_group_orders_match_bfs_closure(small_extensions):
+def test_assoc_group_orders_match_bfs_closure(census_classes):
+    """On S3 and the census classes of order <= 5: the closure walks every
+    element, and 93 of the 109 order-6 Mlts are S6."""
     from conftest import closure_order
 
-    targets = [S3] + [e.table for e in small_extensions[:6]]
-    for q in targets:
+    for q in [S3] + [Q for Q in census_classes if Q.order <= 5]:
         for which in ("MLT", "INN", "TMLT", "TINN"):
             group = assoc_group(q, which)
             raw = [g.images for g in group.generators]
             assert group.order() == closure_order(raw)
 
 
-def test_normality_quantifications_agree(small_extensions):
+def test_normality_quantifications_agree(census_classes):
     # stability under the inner families iff stability under the tot-inner ones
-    for entry in small_extensions[:16]:
-        q = entry.table
+    for q in census_classes:
         inner = inner_generator_family(q, ("T", "L", "R"))
         total = inner_generator_family(q, ("T", "U", "L", "R", "M"))
         for seed in range(q.order):

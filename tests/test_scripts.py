@@ -31,9 +31,3 @@ def test_find_counterexamples_runs_from_another_directory(tmp_path):
         "== fiber meets the identity conditions but not the restriction one (order 8)",
         "== fiber meets restriction + four identities but not the pair condition (order 8)",
     ]
-
-
-def test_classify_small_loops_runs_from_another_directory(tmp_path):
-    proc = run_script("classify_small_loops.py", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "isomorphism types of order <= 6 in the pool" in proc.stdout

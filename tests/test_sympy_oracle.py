@@ -25,22 +25,27 @@ from test_perm import a5, d4, gen_lists, s3, s16
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 
-def sympy_invariants(group):
+def sympy_invariants(group, lower=True):
     """(order, derived orders, derived length, lower central orders,
-    nilpotency class), classes INFINITE where the series stalls."""
+    nilpotency class) from one derived series and, when lower, one lower
+    central series of sympy's group; classes INFINITE where the series
+    stalls, and the lower central entries None when not lower."""
+    oracle = sympy_group(group)
+    derived = tuple(h.order() for h in oracle.derived_series())
+    central = tuple(h.order() for h in oracle.lower_central_series()) if lower else None
+    nilpotency = _series_class(central) if lower else None
+    return oracle.order(), derived, _series_class(derived), central, nilpotency
+
+
+def sympy_group(group):
     gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
-    oracle = combinatorics.PermutationGroup(
+    return combinatorics.PermutationGroup(
         gens or [combinatorics.Permutation(list(range(group.degree)))]
     )
-    derived = tuple(h.order() for h in oracle.derived_series())
-    lower = tuple(h.order() for h in oracle.lower_central_series())
 
-    def cls(orders):
-        return len(orders) - 1 if orders[-1] == 1 else INFINITE
 
-    assert oracle.is_solvable == (cls(derived) is not INFINITE)
-    assert oracle.is_nilpotent == (cls(lower) is not INFINITE)
-    return oracle.order(), derived, cls(derived), lower, cls(lower)
+def _series_class(orders):
+    return len(orders) - 1 if orders[-1] == 1 else INFINITE
 
 
 def loopkit_invariants(group):
@@ -51,47 +56,50 @@ def loopkit_invariants(group):
 
 @pytest.mark.parametrize("factory", [s3, d4, a5, s16])
 def test_small_groups_match_sympy(factory):
-    assert loopkit_invariants(factory()) == sympy_invariants(factory())
+    want = sympy_invariants(factory())
+    assert loopkit_invariants(factory()) == want
+    oracle = sympy_group(factory())
+    assert oracle.is_solvable == (want[2] is not INFINITE)
+    assert oracle.is_nilpotent == (want[4] is not INFINITE)
 
 
-def test_mlt_and_inn_of_small_pool_tables_match_sympy(pool):
+@pytest.fixture(scope="module")
+def small_pool_groups(pool):
+    """One sympy pass per group of the 118 pool tables of order <= 8:
+    (Q, which, group, sympy_invariants) for MLT, INN, TMLT and TINN, the
+    lower central series for MLT and INN only.  92 of the 118 Inns and
+    98 of the TInns have two or more nontrivial orbits and take the
+    transitive-constituent route."""
     tables = [entry.table for entry in pool if entry.table.order <= 8]
     assert len(tables) == 118
-    for Q in tables:
-        for which in ("MLT", "INN"):
-            group = assoc_group(Q, which)
-            assert loopkit_invariants(group) == sympy_invariants(group), (Q, which)
-
-
-def test_solvable_class_of_fresh_small_pool_groups_matches_sympy(pool):
-    """solvable_class on chainless copies, against sympy's derived
-    length; 92 of the 118 Inns and 98 of the TInns have two or more
-    nontrivial orbits and take the transitive-constituent route."""
-    tables = [entry.table for entry in pool if entry.table.order <= 8]
+    rows = []
     for Q in tables:
         for which in ("MLT", "INN", "TMLT", "TINN"):
             group = assoc_group(Q, which)
-            fresh = PermGroup(group.degree, group.generators)
-            assert solvable_class(fresh) == sympy_derived_length(group), (Q, which)
+            rows.append((Q, which, group, sympy_invariants(group, lower=which in ("MLT", "INN"))))
+    return rows
 
 
-def test_is_solvable_of_fresh_small_pool_groups_matches_sympy(pool):
-    tables = [entry.table for entry in pool if entry.table.order <= 8]
-    for Q in tables:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
-            group = assoc_group(Q, which)
-            fresh = PermGroup(group.degree, group.generators)
-            gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
-            want = not gens or combinatorics.PermutationGroup(gens).is_solvable
-            assert is_solvable(fresh) == want, (Q, which)
+def test_mlt_and_inn_of_small_pool_tables_match_sympy(small_pool_groups):
+    checked = 0
+    for Q, which, group, want in small_pool_groups:
+        if which in ("MLT", "INN"):
+            assert loopkit_invariants(group) == want, (Q, which)
+            checked += 1
+    assert checked == 2 * 118
 
 
-def sympy_derived_length(group):
-    gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
-    if not gens:
-        return 0
-    orders = [h.order() for h in combinatorics.PermutationGroup(gens).derived_series()]
-    return len(orders) - 1 if orders[-1] == 1 else INFINITE
+def test_solvable_class_of_fresh_small_pool_groups_matches_sympy(small_pool_groups):
+    """solvable_class on chainless copies, against sympy's derived length."""
+    for Q, which, group, want in small_pool_groups:
+        fresh = PermGroup(group.degree, group.generators)
+        assert solvable_class(fresh) == want[2], (Q, which)
+
+
+def test_is_solvable_of_fresh_small_pool_groups_matches_sympy(small_pool_groups):
+    for Q, which, group, want in small_pool_groups:
+        fresh = PermGroup(group.degree, group.generators)
+        assert is_solvable(fresh) == (want[2] is not INFINITE), (Q, which)
 
 
 closure_inputs = gen_lists.flatmap(lambda gens: st.tuples(
