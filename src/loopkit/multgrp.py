@@ -75,18 +75,23 @@ def inner_maps(Q: LoopTable, word: str, points=None, first=slice(None)) -> np.nd
     and entry [i, y, z] is W_{x,y}(points[z]) for the i-th x of the slice.
     Computed on demand; nothing is cached.
     """
-    mul, ldiv, rdiv = Q.mul, Q.ldiv, Q.rdiv
-    z = np.arange(Q.order) if points is None else np.asarray(points, dtype=np.int64)
+    n, mul, ldiv, rdiv = Q.order, Q.mul, Q.ldiv, Q.rdiv
+    z = np.arange(n) if points is None else np.asarray(points, dtype=np.int64)
     if word == "T":  # (x z) / x
-        return rdiv[mul[first, z], np.arange(Q.order)[first, None]]
+        return rdiv[mul[first, z], np.arange(n)[first, None]]
     if word == "U":  # (z \ x) / x
-        return rdiv[ldiv[z, first].T, np.arange(Q.order)[first, None]]
+        return rdiv[ldiv[z, first].T, np.arange(n)[first, None]]
+    # two arguments: one flat take from the outer division, its index built in place
     if word == "L":  # (x y) \ (x (y z))
-        return ldiv[mul[first, :, None], mul[first, mul[:, z]]]
+        v = mul[first].take(mul[:, z], axis=1)
+        return ldiv.take(np.add(v, mul[first, :, None] * n, out=v))
     if word == "R":  # ((z y) x) / (y x)
-        return rdiv[mul.T[first, mul[z].T], mul.T[first, :, None]]
+        v = mul.T[first].take(mul[z].T, axis=1)
+        v *= n
+        return rdiv.take(np.add(v, mul.T[first, :, None], out=v))
     if word == "M":  # (y \ x) / ((z \ y) \ x)
-        return rdiv[ldiv.T[first, :, None], ldiv.T[first, ldiv[z].T]]
+        v = ldiv.T[first].take(ldiv[z].T, axis=1)
+        return rdiv.take(np.add(v, ldiv.T[first, :, None] * n, out=v))
     raise ArityMismatch(f"unknown inner generator {word!r}")
 
 

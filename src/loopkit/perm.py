@@ -120,6 +120,10 @@ generated so far, and by Lagrange |K| divides |G|, so the first partial
 order that does not divide p(p - 1) proves G not solvable: the
 remaining generators are never sifted and the partial chain is
 dropped.  Only a chain that took every generator is kept on a group.
+The rule lives in `_galois_solvable`.  `galois_witness` runs it alone on
+the prime-degree constituents of a group given by image rows and is
+one-sided: True proves the group not solvable (a constituent is a
+quotient), False proves nothing (S6 on 6 points has no such constituent).
 
 Every other part is settled by its order when it can be: a group whose
 order has at most two prime divisors is solvable (Burnside's p^a q^b
@@ -663,6 +667,22 @@ def _parts(group: PermGroup):
     yield group, int(np.count_nonzero(root == roots[0]))
 
 
+def _galois_solvable(part: PermGroup, m: int) -> bool:
+    """Galois's rule on a chainless part, faithful and transitive on m points, m prime."""
+    limit = m * (m - 1)
+    part._chain_cache = _grow(part.degree, part._gens, limit)
+    return part._chain_cache is not None and limit % part.order() == 0
+
+
+def galois_witness(images: np.ndarray) -> bool:
+    """Whether the group generated by the rows of a (k, n) image array
+    (k >= 1) has a prime-degree constituent that fails Galois's rule;
+    False proves nothing."""
+    root = orbit_roots(images)
+    return any(prime_divisors(m, m) == (m,) and not _galois_solvable(_restrict(images, root, r), m)
+               for r, m in enumerate(np.bincount(root).tolist()) if m > 3)  # S2, S3 solvable
+
+
 def solvable_class(group: PermGroup) -> int | float:
     """Length of the derived series down to the trivial group."""
     return derived_series(group).cls
@@ -679,10 +699,8 @@ def solvable_order_primes(group: PermGroup) -> tuple[int, ...] | None:
     docstring)."""
     primes = set()
     for part, m in _parts(group):
-        if m > 1 and prime_divisors(m, m) == (m,):
-            limit = m * (m - 1)
-            part._chain_cache = _grow(part.degree, part._gens, limit)
-            if part._chain_cache is None or limit % part.order():
+        if prime_divisors(m, m) == (m,):
+            if not _galois_solvable(part, m):
                 return None
         elif len(prime_divisors(part.order(), part.degree)) > 2:
             if derived_series(part).cls is INFINITE:

@@ -40,7 +40,7 @@ from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles
 from loopkit.multgrp import assoc_group, inner_generator, word_rows
 from loopkit.perm import PermGroup, derived_series, group_order, nilpotency_class_group
 from loopkit.pools import POOL_MASTER_SEED
-from loopkit.tables import cyclic, dihedral, klein, reduced_latin_squares, symmetric
+from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 from conftest import (
     ORDER_5_LOOP,
@@ -200,12 +200,11 @@ def test_derived_subloop_on_reduced_squares(census_loops):
     assert perfect == 2 * 101
 
 
-def test_congruence_series_matches_commutator_oracle(pool):
+def test_congruence_series_matches_commutator_oracle(pool, census_classes):
     """Every term against the series with [Q, Q] formed by the commutator,
-    on the pool, the order-32 and order-64 tables and the order-5 loops
-    with neutral 0."""
-    tables = [e.table for e in pool] + larger_tables(pool)
-    tables += [LoopTable(sq) for sq in reduced_latin_squares(5)]
+    on the pool, the order-32 and order-64 tables and the census
+    classes."""
+    tables = [e.table for e in pool] + larger_tables(pool) + census_classes
     classes = []
     for Q in tables:
         series, cls = congruence_derived_series(Q)
@@ -262,12 +261,11 @@ def test_upper_central_series_matches_quotient_oracle(pool):
     assert INFINITE in classes and any(is_finite(c) and c > 1 for c in classes)
 
 
-def test_center_matches_the_defining_identities(pool):
+def test_center_matches_the_defining_identities(pool, census_classes):
     """The fixed points of INN's rows against the identities checked one
     element at a time, on the pool, the order-32 and order-64 tables and
-    every loop with neutral 0 of order <= 5."""
-    tables = [e.table for e in pool] + larger_tables(pool)
-    tables += [LoopTable(sq) for n in range(1, 6) for sq in reduced_latin_squares(n)]
+    the census classes."""
+    tables = [e.table for e in pool] + larger_tables(pool) + census_classes
     kinds = set()
     for Q in tables:
         got = center_subloop(Q).elements
@@ -474,10 +472,13 @@ def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):
     """The report skips Mlt's derived series when Inn is not solvable
     (Inn <= Mlt).  Its class still equals the derived series of a fresh
     Mlt, on the pool and on the table the analyze pin in tests/data is
-    made from; that report is byte-identical to the pin."""
+    made from; that table and report are byte-identical to their pins."""
     argv = ["search", "--preset", "z2cubed-nonsolvable-inn", "--seed", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    pinned = parse_table((tmp_path / "z2cubed-nonsolvable-inn-0000.table").read_text())
+    data = Path(__file__).parent / "data"
+    text = (tmp_path / "z2cubed-nonsolvable-inn-0000.table").read_text()
+    assert text == (data / "z2cubed-nonsolvable-inn-seed3-0000.table").read_text()
+    pinned = parse_table(text)
     skipped = 0
     for Q in [e.table for e in pool] + [pinned]:
         rep = hierarchy_report(Q)
@@ -485,8 +486,7 @@ def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):
         assert rep.mlt_solvable_class == derived_series(PermGroup(Q.order, mlt.generators)).cls
         skipped += rep.inn_solvable_class is INFINITE
     assert skipped == 10
-    pin = Path(__file__).parent / "data" / "z2cubed-nonsolvable-inn-seed3-0000.report"
-    assert rep.to_lines() == pin.read_text()
+    assert rep.to_lines() == (data / "z2cubed-nonsolvable-inn-seed3-0000.report").read_text()
 
 
 def test_report_inn_chain_stops_at_mlt_over_n_as_the_unbounded_chain(pool):

@@ -16,6 +16,7 @@ from loopkit.perm import (
     contains,
     derived_series,
     derived_subgroup,
+    galois_witness,
     group_order,
     is_solvable,
     lower_central_series,
@@ -709,6 +710,45 @@ def test_galois_exit_leaves_no_partial_chain(degree, gens, order):
     assert group.order() == order == PermGroup(degree, gens).order()
     assert solvable_class(group) is INFINITE
     assert textbook_derived_length(group) is INFINITE
+
+
+def s_n(n):
+    return PermGroup(n, [perm((0, 1), degree=n), perm(tuple(range(n)), degree=n)])
+
+
+def agl17_beside_s4():
+    """AGL(1, 7) on 0..6 and S4 on 7..10, generated side by side."""
+    shifted = [[7 + x for x in g.images] for g in s_n(4).generators]
+    return PermGroup(11, [list(g.images) + list(range(7, 11)) for g in agl1(7, 3).generators]
+                     + [list(range(7)) + g for g in shifted])
+
+
+WITNESS = [  # name, factory, witnessed, solvable
+    ("S5", lambda: prime_symmetric(5), True, False),
+    ("A5", a5, True, False),
+    ("S7", lambda: prime_symmetric(7), True, False),
+    ("A5 on 5 of 9 points", lambda: PermGroup(9, [perm((0, 1, 2, 3, 4), degree=9),
+                                                  perm((0, 1, 2), degree=9)]), True, False),
+    ("AGL(1,5)", lambda: agl1(5, 2), False, True),
+    ("AGL(1,7)", lambda: agl1(7, 3), False, True),
+    ("C7", lambda: prime_cyclic(7), False, True),
+    ("S4", lambda: s_n(4), False, True),
+    ("S6", lambda: s_n(6), False, False),  # the check is one-sided
+    ("AGL(1,7) beside S4", agl17_beside_s4, False, True),
+    ("trivial", lambda: PermGroup(3, []), False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, witnessed, solvable", [case[1:] for case in WITNESS], ids=[c[0] for c in WITNESS]
+)
+def test_galois_witness(factory, witnessed, solvable):
+    """A witness is a prime-degree constituent that fails Galois's rule:
+    it proves the group not solvable, and its absence proves nothing."""
+    group = factory()  # its generators' rows, after the identity's
+    images = np.array([range(group.degree)] + [g.images for g in group.generators])
+    assert galois_witness(images) is witnessed
+    assert solvable_oracle(factory()) is solvable
 
 
 def test_galois_rule_on_hunt_groups():
