@@ -54,7 +54,7 @@ from .extensions import (
     trivial_cocycle,
     validate_cocycle,
 )
-from .multgrp import assoc_group, inner_generator
+from .multgrp import assoc_group, inner_generator, inner_group
 from .perm import (
     PermGroup,
     Permutation,

@@ -42,12 +42,15 @@ import numpy as np
 from .core import LoopTable
 from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
-from .multgrp import CHUNK_ENTRIES, TOT_INNER_WORDS, assoc_group, inner_maps, word_rows
-from .perm import group_order, nilpotency_class_group, order_within, solvable_class
+from .multgrp import (
+    CHUNK_ENTRIES, TOT_INNER_WORDS, assoc_group, inner_group, inner_maps, word_rows,
+)
+from .perm import generator_rows, group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
     coset_representatives,
     direct_decomposition,
+    inner_orbits,
     is_normal,
     normal_closure,
 )
@@ -206,16 +209,18 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
 # -- series and classes -----------------------------------------------------------
 
 
-def congruence_derived_series(Q: LoopTable):
+def congruence_derived_series(Q: LoopTable, rows=None):
     """Iterated commutator with the whole loop as ambient: D0 = Q,
-    D_{i+1} = [D_i, D_i], with D1 = [Q, Q] formed as the derived subloop.
-    Returns (series, class or INFINITE)."""
+    D_{i+1} = [D_i, D_i], with D1 = [Q, Q] formed as the derived subloop
+    from rows (as for `derived_subloop`).  Returns (series, class or
+    INFINITE)."""
     series = [_whole(Q)]
     while True:
         current = series[-1]
         if current.is_trivial():
             return series, len(series) - 1
-        nxt = derived_subloop(Q) if current.is_whole() else commutator_subloop(Q, current, current)
+        nxt = (derived_subloop(Q, rows) if current.is_whole()
+               else commutator_subloop(Q, current, current))
         if nxt.elements == current.elements:
             return series, INFINITE
         if not set(nxt.elements) <= set(current.elements):
@@ -223,24 +228,29 @@ def congruence_derived_series(Q: LoopTable):
         series.append(nxt)
 
 
-def derived_subloop(Q: LoopTable) -> Subloop:
+def derived_subloop(Q: LoopTable, rows=None) -> Subloop:
     """Least normal subloop with a commutative-group quotient: the normal
-    closure of g(a)/a for every row g of INN's word rows and every a.
+    closure of g(a)/a for every g of a generating set of Inn and every a.
+    rows holds the set's image rows, INN's word rows by default.
 
     For a normal N, x/y lies in N iff xN = yN.  Q/N is a commutative group
     iff its every T_x (commutativity) and L_{x,y} (x(yz) = (xy)z) is the
-    identity, and Q's T, L and R words induce all of Q/N's (as in
-    `upper_central_series`).  So Q/N is a commutative group iff N holds
-    every g(a)/a.  `normal_closure` reads the same rows for `inner_orbits`.
+    identity, that is iff Inn(Q/N) is trivial.  Inn(Q) maps onto Inn(Q/N)
+    (as in `upper_central_series`), so that holds iff each g acts trivially
+    on Q/N, that is iff N holds every g(a)/a.  The same rows give the
+    `inner_orbits` that `normal_closure` reads.
     """
+    rows = word_rows(Q, "INN") if rows is None else rows
     seeds = np.zeros(Q.order, dtype=bool)
-    seeds[Q.rdiv[word_rows(Q, "INN"), np.arange(Q.order)]] = True
+    seeds[Q.rdiv[rows, np.arange(Q.order)]] = True
+    inner_orbits(Q, rows)
     return normal_closure(Q, np.flatnonzero(seeds).tolist())
 
 
-def classical_derived_series(Q: LoopTable):
+def classical_derived_series(Q: LoopTable, rows=None):
     """Derived-subloop iteration, each step inside the previous term:
-    Q^(0) = Q, Q^(i+1) = (Q^(i))'.
+    Q^(0) = Q, Q^(i+1) = (Q^(i))', with Q' taken from rows (as for
+    `derived_subloop`) and each later term from its own INN rows.
 
     Its length is the classical solvability class, the least length of a
     subnormal series with commutative-group factors.  The iteration is
@@ -261,27 +271,28 @@ def classical_derived_series(Q: LoopTable):
         if current.is_trivial():
             return series, len(series) - 1
         # Q itself for the whole loop: an induced copy would rebuild INN and its orbits
-        table = Q if current.is_whole() else current.induced_table()
-        derived = derived_subloop(table)
+        table, table_rows = (Q, rows) if current.is_whole() else (current.induced_table(), None)
+        derived = derived_subloop(table, table_rows)
         lifted = tuple(current.elements[i] for i in derived.elements)
         if lifted == current.elements:
             return series, INFINITE
         series.append(Subloop(Q, lifted))
 
 
-def upper_central_series(Q: LoopTable):
+def upper_central_series(Q: LoopTable, rows=None):
     """Z0 = 1, Z_{i+1} = preimage of the center of Q/Z_i.
 
-    Z_{i+1} is the set of a with g(a) Z_i = a Z_i for every row g of
-    INN's word rows: one gather per step, and no table of Q/Z_i.  A word
-    in translations of Q induces the same word in translations of Q/Z_i
-    (xa Z_i = xZ_i aZ_i), so the T, L and R words of Q induce the T, L
-    and R words of Q/Z_i over all its argument tuples.  These generate
-    Inn(Q/Z_i), and the center of a loop is the fixed set of its inner
-    mapping group (Bruck 1958), so the cosets every row fixes are
-    exactly Z(Q/Z_i).
+    Z_{i+1} is the set of a with g(a) Z_i = a Z_i for every g of a
+    generating set of Inn, whose image rows are rows (INN's word rows by
+    default): one gather per step, and no table of Q/Z_i.  A word in
+    translations of Q induces the same word in translations of Q/Z_i
+    (xa Z_i = xZ_i aZ_i), so Mlt(Q) maps onto Mlt(Q/Z_i), and Q's T, L
+    and R words onto those of Q/Z_i, which generate Inn(Q/Z_i).  So
+    Inn(Q) maps onto Inn(Q/Z_i), and the images of the g generate it.
+    The center of a loop is the fixed set of its inner mapping group
+    (Bruck 1958), so the cosets every g fixes are exactly Z(Q/Z_i).
     """
-    rows = word_rows(Q, "INN")
+    rows = word_rows(Q, "INN") if rows is None else rows
     series = [Subloop(Q, (Q.neutral,))]
     while True:
         Z = series[-1]
@@ -394,7 +405,7 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
 
     Fields read off work already done:
       center_size  Z_1 of the upper central series, the fixed set of
-          INN's rows (`center_subloop`).
+          Inn (`center_subloop`).
       congruence_solvability_class  the nilpotency class k when k <= 2:
           Q/Z(Q) is a commutative group, so Q' <= Z(Q) and
           [Q', Q'] <= [Z(Q), Q] = 1 (Stanovsky and Vojtechovsky 2014).
@@ -404,21 +415,20 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
           centrally nilpotent: Mlt(Q) nilpotent makes Q centrally
           nilpotent (Bruck 1946).
       mlt_solvable_class  inf when Inn is not solvable, as Inn <= Mlt.
-      inn_order  Inn's chain stops at |Mlt| / n when INN's rows, words in
-          translations, fix e: they lie in Mlt_e, of that order.  A chain never
-          outgrows its group, so a short INN family still shows as |Mlt| != n |Inn|.
+      inn_order, inn_solvable_class  Inn = Mlt_e from Mlt's chain
+          (`inner_group`).  The center, the upper central series, Q' and
+          the inner orbits read its generators, as any generating set of
+          Inn serves, so INN's word rows are never formed.
     """
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
-    inn = assoc_group(Q, "INN")
-    mlt_order = group_order(mlt)
-    if (word_rows(Q, "INN")[:, Q.neutral] == Q.neutral).all():
-        order_within(inn, mlt_order // Q.order)
+    inn = inner_group(Q)
+    rows = generator_rows(inn)
     inn_solvable = solvable_class(inn)
-    upper, nilpotency = upper_central_series(Q)
+    upper, nilpotency = upper_central_series(Q, rows)
     # INFINITE compares above every integer
-    congruence = nilpotency if nilpotency <= 2 else congruence_derived_series(Q)[1]
-    classical = congruence if congruence <= 2 else classical_derived_series(Q)[1]
+    congruence = nilpotency if nilpotency <= 2 else congruence_derived_series(Q, rows)[1]
+    classical = congruence if congruence <= 2 else classical_derived_series(Q, rows)[1]
     mlt_nilpotency = nilpotency_class_group(mlt) if is_finite(nilpotency) else INFINITE
     report = HierarchyReport(
         order=Q.order,
@@ -429,7 +439,7 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
         congruence_solvability_class=congruence,
         classical_solvability_class=classical,
         supernilpotent=is_finite(mlt_nilpotency),
-        mlt_order=mlt_order,
+        mlt_order=group_order(mlt),
         mlt_solvable_class=INFINITE if inn_solvable is INFINITE else solvable_class(mlt),
         mlt_nilpotency_class=mlt_nilpotency,
         inn_order=group_order(inn),

@@ -8,14 +8,22 @@ The inner generator families are the standard words
     M_{x,y} = M_{y\\x}^-1 M_x M_y
 
 and the groups are generated from these explicit word families over all
-argument tuples (not by a stabilizer computation inside the
-multiplication group, so the stabilizer identity |MLT| = n * |INN| stays
-a genuine cross-check).
+argument tuples.
 
 Each table keeps one array per group, `word_rows`: the distinct maps of
 its generating family.  `assoc_group` wraps it as a PermGroup, and the
 Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
-their arguments come from `inner_maps`.  INN's and TINN's words are
+their arguments come from `inner_maps`.
+
+Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  The
+report takes it from MLT's chain, which it builds anyway (`inner_group`);
+what does not build Mlt reads INN's cheaper rows.  Either serves, as any
+generating set of Inn does: the center is its common fixed set, the
+inner orbits are its orbits, and its image generates each Inn(Q/N) (the
+upper central series, Q').  So the report's |MLT| = n * |INN| holds by
+construction; the tests check `inner_group` against INN's rows.
+
+INN's and TINN's words are
 evaluated in blocks of consecutive first arguments of at most
 CHUNK_ENTRIES entries (at least one first argument), so no (n, n, n)
 array is ever formed; up to n = 32 one block holds every x.
@@ -27,7 +35,7 @@ import numpy as np
 
 from .core import LoopTable
 from .errors import ArityMismatch
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, base_stabilizer, generator_rows, order_within
 
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
 TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
@@ -129,3 +137,24 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
     distinct generating maps (word_rows, identity dropped), built once per
     table."""
     return Q.memo(("assoc_group", which), lambda: PermGroup(Q.order, word_rows(Q, which)))
+
+
+def inner_group(Q: LoopTable) -> PermGroup:
+    """Inn(Q) = Mlt_e from MLT's chain, once per table.  Mlt's first base
+    point b is 0, as L_x moves 0 for every x != e (x0 = 0 = e0 forces
+    x = e); `perm.base_stabilizer` gives Mlt_b, of order |Mlt| / n.  When
+    e != b, L_c with c = e/b sends b to e, so Inn = L_c Mlt_b L_c^-1 is
+    generated by Mlt_b's generators conjugated by L_c, chained up to that
+    order."""
+
+    def build() -> PermGroup:
+        mlt = assoc_group(Q, "MLT")
+        stab = base_stabilizer(mlt)
+        if stab.is_trivial() or mlt.base_sequence()[0] == Q.neutral:
+            return stab
+        c = Q.rdiv[Q.neutral, mlt.base_sequence()[0]]
+        inn = PermGroup(Q.order, Q.mul[c][generator_rows(stab)[:, Q.ldiv[c]]])
+        order_within(inn, stab.order())
+        return inn
+
+    return Q.memo("inner_group", build)

@@ -91,6 +91,11 @@ A seed of `normal_closure` outside the group it is closed under voids
 that bound, so the public closure uses it only when every seed sifts
 into the group's chain.
 
+A complete chain, bounded or not, holds the stabilizer G_{b_0} of its
+first base point (`base_stabilizer`): levels 1 and below are a complete
+chain of H_1 = G_{b_0}, of order |G| / |b_0^G|, and level 1's generators
+S_1 generate H_1, so they serve as its grown list.
+
 `solvable_class` is the derived series.  Where only solvability is
 asked (`is_solvable` and `solvable_order_primes`, as in the search
 presets), three shortcuts come first.
@@ -504,6 +509,27 @@ def order_within(group: PermGroup, bound: int) -> int:
     return group.order()
 
 
+def base_stabilizer(group: PermGroup) -> PermGroup:
+    """The stabilizer of the first base point, as levels 1 and below of
+    group's chain (module docstring); trivial for a chain of at most one
+    level.  It shares those levels, so it is built full and never grows."""
+    chain = group._chain
+    orbit = len(chain.levels[0].transversal) if chain.levels else 1
+    sub = _Chain(group.degree, chain.order() // orbit)
+    if len(chain.levels) > 1:
+        sub.levels = chain.levels[1:]
+        sub.grown = [g[: group.degree] for g in chain.levels[1].gens]
+    sub._order, sub.full = sub.bound, True
+    return PermGroup(group.degree, _chain=sub)
+
+
+def generator_rows(group: PermGroup) -> np.ndarray:
+    """The identity's and the generators' images as a read-only
+    (1 + k, degree) uint8 array."""
+    packed = _ID[: group.degree] + b"".join(group._gens)
+    return np.frombuffer(packed, np.uint8).reshape(-1, group.degree)
+
+
 def contains(group: PermGroup, p) -> bool:
     return p in group
 
@@ -634,7 +660,7 @@ def _orbits(group: PermGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (k, degree) image rows of group's generators (k >= 1), their
     orbit_roots, and the roots of the orbits of more than one point in
     increasing order (a root is its orbit's least point)."""
-    images = np.frombuffer(b"".join(group._gens), np.uint8).reshape(-1, group.degree)
+    images = generator_rows(group)[1:]
     root = orbit_roots(images)
     return images, root, np.flatnonzero(np.bincount(root) > 1)
 

@@ -83,11 +83,14 @@ def subloop_generated(Q: LoopTable, seed) -> Subloop:
     return Subloop(Q, tuple(np.flatnonzero(member).tolist()))
 
 
-def inner_orbits(Q: LoopTable) -> np.ndarray:
+def inner_orbits(Q: LoopTable, rows=None) -> np.ndarray:
     """root[x] = the least element of x's orbit under the inner mapping
     group, computed once per table (read-only) by `perm.orbit_roots` over
-    INN's word rows."""
-    return Q.memo("inner_orbits", lambda: orbit_roots(word_rows(Q, "INN")))
+    rows, the image rows of any generating set of Inn (INN's word rows by
+    default).  The orbits of a generating set are the group's, so the
+    memo holds the same labels whichever rows filled it."""
+    return Q.memo("inner_orbits",
+                  lambda: orbit_roots(word_rows(Q, "INN") if rows is None else rows))
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:
@@ -121,8 +124,8 @@ def normal_closure(Q: LoopTable, seed) -> Subloop:
 
 def center_subloop(Q: LoopTable) -> Subloop:
     """Elements commuting and associating with everything: the fixed set
-    of the inner mapping group (Bruck), that is the points every row of
-    INN's word rows fixes."""
+    of the inner mapping group (Bruck), that is the points every map of a
+    generating set of Inn fixes, here INN's word rows."""
     fixed = (word_rows(Q, "INN") == np.arange(Q.order)).all(axis=0)
     return Subloop(Q, tuple(np.flatnonzero(fixed).tolist()))
 

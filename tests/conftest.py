@@ -80,6 +80,12 @@ def census_loops(census_classes):
 
 
 @pytest.fixture(scope="session")
+def generic_loops():
+    """`generic_loop(k)` for k = 3..6: orders 8, 16, 32 and 64."""
+    return [generic_loop(k) for k in range(3, 7)]
+
+
+@pytest.fixture(scope="session")
 def central_pool():
     return central_cocycle_pool(100)
 
@@ -112,6 +118,31 @@ def seeded_relabelings(q, seed, count=3):
             k = rng.below(j + 1)
             images[j], images[k] = images[k], images[j]
         yield q.relabel(images)
+
+
+def generic_loop(k: int, seed: int = 0) -> LoopTable:
+    """Z2^k's table (k >= 2) after 40 * 2^k intercalate switches that keep
+    row and column 0, so the neutral stays 0.  Each try draws rows r, s
+    and a column c from 1..n-1 with SplitMix64(seed); with d the column
+    of row r holding s*c, the cells (r, c), (s, c), (r, d), (s, d) form an
+    intercalate a b / b a when r != s, d != 0 and s*d = r*c, and the
+    switch swaps a and b in them.  On orders 8-64 its Mlt is S_n."""
+    n = 2**k
+    mul = [[x ^ y for y in range(n)] for x in range(n)]
+    column = [row[:] for row in mul]  # column[r][v]: where row r holds v
+    rng = SplitMix64(seed)
+    switches = 0
+    while switches < 40 * n:
+        r, s, c = (1 + rng.below(n - 1) for _ in range(3))
+        a, b = mul[r][c], mul[s][c]
+        d = column[r][b]
+        if r != s and d and mul[s][d] == a:
+            mul[r][c] = mul[s][d] = b
+            mul[r][d] = mul[s][c] = a
+            column[r][b] = column[s][a] = c
+            column[r][a] = column[s][b] = d
+            switches += 1
+    return LoopTable(mul)
 
 
 # a non-associative loop of order 5: its Mlt is S5, its Inn S4

@@ -37,8 +37,8 @@ from loopkit.cli import main
 from loopkit.core import LoopTable, parse_table
 from loopkit.errors import NotNormal
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group, inner_generator, word_rows
-from loopkit.perm import PermGroup, derived_series, group_order, nilpotency_class_group
+from loopkit.multgrp import assoc_group, inner_generator, inner_group
+from loopkit.perm import PermGroup, derived_series, nilpotency_class_group
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
@@ -55,6 +55,7 @@ from conftest import (
     hunt_candidates,
     least_abelian_series_length,
     least_commutative_group_kernel,
+    seeded_relabelings,
     upper_central_oracle,
 )
 
@@ -490,24 +491,46 @@ def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):
 
 
 def test_report_inn_chain_stops_at_mlt_over_n_as_the_unbounded_chain(pool):
-    """The report builds Inn's chain with the bound |Mlt| / n.  On every
-    pool table it has the grown list, base, transversals and order of an
-    unbounded build over the same rows, and on some it stops early."""
+    """The report's Inn is `inner_group`.  On each pool table (neutral 0)
+    its chain is Mlt's levels 1 and below.  On a relabeling of each with
+    the neutral off 0 it is built with the bound |Mlt| / n, and has the
+    grown list, base, transversals and order of an unbounded build over
+    the same generators; on some it stops early."""
     stopped = 0
     for entry in pool:
-        Q = LoopTable(entry.table.mul)  # fresh: no chain built yet
-        hierarchy_report(Q)
-        chain = assoc_group(Q, "INN")._chain
-        assert chain.bound == group_order(assoc_group(Q, "MLT")) // Q.order
-        fresh = PermGroup(Q.order, word_rows(Q, "INN"))._chain
-        assert chain.grown == fresh.grown, entry.tag
-        assert chain.base_sequence() == fresh.base_sequence(), entry.tag
-        assert [list(lv.transversal) for lv in chain.levels] == [
-            list(lv.transversal) for lv in fresh.levels
-        ], entry.tag
-        assert chain.order() == fresh.order(), entry.tag
-        stopped += chain.full
+        relabelings = seeded_relabelings(entry.table, 0, count=8)
+        moved = next(r for r in relabelings if r.neutral or r.order == 1)
+        for Q in (LoopTable(entry.table.mul), moved):  # fresh: no chain built yet
+            hierarchy_report(Q)
+            mlt = assoc_group(Q, "MLT")._chain
+            inn = inner_group(Q)
+            chain = inn._chain
+            assert chain.order() == mlt.order() // Q.order, entry.tag
+            if Q.neutral == 0:
+                assert chain.levels == mlt.levels[1:], entry.tag
+                continue
+            assert chain.bound == mlt.order() // Q.order
+            fresh = PermGroup(Q.order, inn.generators)._chain
+            assert chain.grown == fresh.grown, entry.tag
+            assert chain.base_sequence() == fresh.base_sequence(), entry.tag
+            assert [list(lv.transversal) for lv in chain.levels] == [
+                list(lv.transversal) for lv in fresh.levels
+            ], entry.tag
+            assert chain.order() == fresh.order(), entry.tag
+            stopped += chain.full
     assert stopped > 0
+
+
+def test_report_forms_no_inn_word_rows(census_loops, pool, generic_loops):
+    """The report reads Inn from Mlt's chain: on fresh copies of the
+    census loops, the pool tables and the generic loops of orders 8-32,
+    it leaves no INN word rows in the table's memo."""
+    tables = census_loops + [e.table for e in pool] + generic_loops[:3]
+    for Q in tables:
+        fresh = LoopTable(Q.mul)
+        hierarchy_report(fresh)
+        assert ("word_rows", "INN") not in fresh._memo, Q
+        assert ("assoc_group", "INN") not in fresh._memo, Q
 
 
 def test_hierarchy_report_of_a_prime_order_loop_with_non_solvable_mlt():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,25 @@ def test_stabilizer_identity(groups, census_loops):
         n = q.order
         assert group_order(assoc_group(q, "MLT")) == n * group_order(assoc_group(q, "INN"))
         assert group_order(assoc_group(q, "TMLT")) == n * group_order(assoc_group(q, "TINN"))
+
+
+def test_inner_group_is_the_group_of_inn_word_rows(census_loops, pool, generic_loops):
+    """Inn as the stabilizer in Mlt's chain equals the group of INN's
+    word rows: equal orders, and each group's generators lie in the
+    other.  On the census loops (half with the neutral off 0, where Mlt's
+    stabilizer is conjugated), the pool tables of orders 8-16 and the
+    generic loops of orders 8-64, whose Inn is S_(n-1)."""
+    tables = census_loops + [e.table for e in pool if 8 <= e.table.order <= 16] + generic_loops
+    for q in tables:
+        inn = multgrp.inner_group(q)
+        rows = PermGroup(q.order, word_rows(q, "INN"))
+        assert inn is multgrp.inner_group(q)
+        assert inn.order() == rows.order() == group_order(assoc_group(q, "MLT")) // q.order
+        assert all(g in rows for g in inn.generators), q
+        assert all(g in inn for g in rows.generators), q
+    assert [multgrp.inner_group(q).order() for q in generic_loops] == [
+        math.factorial(q.order - 1) for q in generic_loops
+    ]
 
 
 def test_assoc_group_orders_match_bfs_closure(census_classes):
