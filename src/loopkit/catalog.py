@@ -13,7 +13,8 @@ fingerprints of an earlier canonical form and is rejected.  Writers are
 expected to be exclusive (single-writer rule); readers may run at any
 time.  A writer that dies mid-record leaves a last line without its
 trailing newline: readers skip it with a warning, and the next append
-cuts it off before writing.
+cuts it off before writing.  A source tag is one column of one line, so
+a tab, CR or LF in it raises Malformed before anything is written.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .util import parse_value
 HEADER = "# loopkit-catalog v2"
 
 _FINGERPRINT = re.compile("[0-9a-f]{16}")
+_SOURCE_BREAKS = re.compile("[\t\r\n]")
 
 _log = logging.getLogger(__name__)
 
@@ -41,6 +43,9 @@ class CatalogRecord:
     order: int
     report: HierarchyReport
     source: str
+
+    def __post_init__(self):
+        _check_source(self.source)
 
     def to_line(self) -> str:
         cols = [f"{self.fingerprint:016x}", str(self.order)]
@@ -60,6 +65,12 @@ class CatalogRecord:
         if parse_value(cols[1], "int", "order") != report.order:
             raise Malformed(f"order column {cols[1]} differs from the report's {report.order}")
         return cls(int(cols[0], 16), report.order, report, cols[-1])
+
+
+def _check_source(source: str) -> None:
+    """Malformed, naming the source, when it holds a tab, CR or LF."""
+    if _SOURCE_BREAKS.search(source):
+        raise Malformed(f"source {source!r} holds a tab or line break")
 
 
 def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
@@ -134,8 +145,10 @@ def append_record(path, record: CatalogRecord) -> bool:
 
 def add_table(path, Q: LoopTable, source: str = "") -> tuple[bool, int]:
     """(added, fingerprint) for adding Q's record; the catalog is read
-    once, and the report is built only for a new fingerprint.  An order
-    above the report cap raises CapExceeded before any of that."""
+    once, and the report is built only for a new fingerprint.  A source
+    with a tab or line break (Malformed) and an order above the report
+    cap (CapExceeded) raise before any of that."""
+    _check_source(source)
     check_report_order(Q)
     fp = fingerprint(Q)
 

@@ -42,11 +42,11 @@ from .extensions import (
     parse_cocycle,
     search_cocycles,
 )
-from .multgrp import assoc_group, inner_maps
-from .perm import galois_witness, is_solvable, solvable_order_primes
+from .multgrp import assoc_group, inner_group, inner_maps
+from .perm import galois_witness, is_solvable
 from .structure import Subloop, subloop_generated
 from .tables import cyclic, elementary_abelian
-from .util import INFINITE, is_finite, prime_divisors
+from .util import INFINITE, is_finite
 
 _INPUT_ERRORS = (Malformed, NotLatin, NoNeutral, CocycleInvalid, ArityMismatch, CapExceeded)
 _MATH_ERRORS = (NotNormal, NotAbelianIn, NotNeutralAt, NotAbelianGroup)
@@ -118,14 +118,15 @@ def _predicate_order6_nilpotent(Q: LoopTable) -> bool:
 # every x and L_{n-1,y}, R_{n-1,y} for every y: 3n of INN's n + 2n^2 maps, all in
 # Inn, so a witness proves Inn not solvable.  On the first 120 hunt candidates at
 # seeds 0, 4, ..., 28 it settles all 907 non-solvable Inns (T alone settles none,
-# T and L 633), and 89 of the 95 among the census classes; the rest go to INN's test.
+# T and L 633), and 89 of the 95 among the census classes.  The rest take Inn as
+# Mlt's stabiliser (`inner_group`): neither forms INN's word rows.
 def _inn_witnessed(Q: LoopTable) -> bool:
     maps = [inner_maps(Q, w, first=slice(-1, None))[0] for w in ("L", "R")]  # x = n - 1
     return galois_witness(np.concatenate([inner_maps(Q, "T")] + maps))
 
 
 def _predicate_inn_nonsolvable(Q: LoopTable) -> bool:
-    return _inn_witnessed(Q) or not is_solvable(assoc_group(Q, "INN"))
+    return _inn_witnessed(Q) or not is_solvable(inner_group(Q))
 
 
 def _predicate_problem35(Q: LoopTable) -> bool:
@@ -133,16 +134,15 @@ def _predicate_problem35(Q: LoopTable) -> bool:
     # non-associative loop of order 5 (Mlt = S5, Inn = S4), none of which
     # is congruence solvable; the question is open only among congruence
     # solvable loops, and the preset's extensions of Z2^3 by Z2 are all
-    # congruence solvable (abelian fiber, abelian factor).  Inn is the
-    # stabilizer of the neutral in Mlt, so |Mlt| = n |Inn| (Bruck 1958):
-    # when n and |Inn| have at most two primes between them, Mlt is
-    # solvable by Burnside's p^a q^b theorem, and it is never built
+    # congruence solvable (abelian fiber, abelian factor).  Without a
+    # witness, Mlt's chain is built once, and `is_solvable` settles Mlt by
+    # Burnside's p^a q^b theorem when |Mlt| has at most two primes, else by
+    # its derived series.  Mlt goes first, as no hunt candidate seen has a
+    # non-solvable Mlt, so Inn, read off Mlt's chain, is formed only for a
+    # would-be hit
     if _inn_witnessed(Q):
         return False
-    primes = solvable_order_primes(assoc_group(Q, "INN"))
-    if primes is None or len(set(primes).union(prime_divisors(Q.order, Q.order))) <= 2:
-        return False
-    return not is_solvable(assoc_group(Q, "MLT"))
+    return not is_solvable(assoc_group(Q, "MLT")) and is_solvable(inner_group(Q))
 
 
 PRESETS = {

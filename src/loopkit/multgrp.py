@@ -16,12 +16,13 @@ Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
 their arguments come from `inner_maps`.
 
 Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  The
-report takes it from MLT's chain, which it builds anyway (`inner_group`);
-what does not build Mlt reads INN's cheaper rows.  Either serves, as any
-generating set of Inn does: the center is its common fixed set, the
-inner orbits are its orbits, and its image generates each Inn(Q/N) (the
-upper central series, Q').  So the report's |MLT| = n * |INN| holds by
-construction; the tests check `inner_group` against INN's rows.
+report, which builds Mlt anyway, and the Inn search presets take it from
+MLT's chain (`inner_group`); the other paths read INN's cheaper rows.
+Either serves, as any generating set of Inn does: the center is its
+common fixed set, the inner orbits are its orbits, and its image
+generates each Inn(Q/N) (the upper central series, Q').  So the
+report's |MLT| = n * |INN| holds by construction; the tests check
+`inner_group` against INN's rows.
 
 INN's and TINN's words are
 evaluated in blocks of consecutive first arguments of at most

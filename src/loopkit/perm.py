@@ -97,8 +97,10 @@ chain of H_1 = G_{b_0}, of order |G| / |b_0^G|, and level 1's generators
 S_1 generate H_1, so they serve as its grown list.
 
 `solvable_class` is the derived series.  Where only solvability is
-asked (`is_solvable` and `solvable_order_primes`, as in the search
-presets), three shortcuts come first.
+asked (`is_solvable`), three shortcuts come first.  The Inn search
+presets meet the first two only through `galois_witness` on a sample of
+Inn; a group they pass to `is_solvable` has its chain (Mlt, and Inn as
+its stabilizer), so only the third applies there.
 
 A chainless group with two or more orbits of more than one point is
 split into its transitive constituents.  Let O_1..O_r be those orbits
@@ -136,12 +138,6 @@ theorem).  The chain that gives the order is the one the derived series
 would build first, so an order with three or more prime divisors costs
 a trial division by 2..degree and nothing else.  The derived series
 decides the rest.
-
-`solvable_order_primes` takes the same walk and returns the primes of a
-solvable group's order: G embeds in the product of its parts and each
-part is a quotient of G, so |G| has exactly its parts' primes.  A caller
-that knows |H| as a multiple of |G| can then settle H by Burnside's
-theorem without its chain, as `cli` does for |Mlt| = n |Inn|.
 
 The order of a nilpotent group is bounded by its orbits
 (`nilpotency_class_group`).  A transitive nilpotent group G of degree
@@ -714,30 +710,22 @@ def solvable_class(group: PermGroup) -> int | float:
     return derived_series(group).cls
 
 
-def solvable_order_primes(group: PermGroup) -> tuple[int, ...] | None:
-    """The primes dividing |G|, increasing, when G is solvable, else None.
+def is_solvable(group: PermGroup) -> bool:
+    """Whether the derived series reaches the trivial group.
 
     Each transitive constituent of a chainless group with two or more
     nontrivial orbits, or else the group itself, is settled by Galois's
     rule when it is chainless and transitive on a prime number of
     points, by its order when that has at most two prime divisors, and
-    by its derived series otherwise; |G| has its parts' primes (module
-    docstring)."""
-    primes = set()
+    by its derived series otherwise (module docstring)."""
     for part, m in _parts(group):
         if prime_divisors(m, m) == (m,):
             if not _galois_solvable(part, m):
-                return None
+                return False
         elif len(prime_divisors(part.order(), part.degree)) > 2:
             if derived_series(part).cls is INFINITE:
-                return None
-        primes.update(prime_divisors(part.order(), part.degree))
-    return tuple(sorted(primes))
-
-
-def is_solvable(group: PermGroup) -> bool:
-    """Whether the derived series reaches the trivial group."""
-    return solvable_order_primes(group) is not None
+                return False
+    return True
 
 
 def _nilpotent_bound(sizes) -> int:

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from loopkit import build_extension, catalog, cli, format_table, hierarchy_report
+from loopkit import build_extension, catalog, cli, format_table, hierarchy_report, perm
 from loopkit.catalog import (
     HEADER,
     CatalogRecord,
+    add_table,
     append_record,
     load_catalog,
     parse_filter,
@@ -28,7 +29,7 @@ from loopkit.core import LoopTable, fingerprint
 from loopkit.errors import Malformed
 from loopkit.extensions import AbelianGroupTable, iter_cocycles_exhaustive, iter_cocycles_random
 from loopkit.multgrp import assoc_group, word_rows
-from loopkit.perm import PermGroup, derived_series, group_order, solvable_order_primes
+from loopkit.perm import PermGroup, derived_series, group_order, is_solvable
 from loopkit.tables import cyclic, symmetric
 from loopkit.util import INFINITE, format_value, parse_value
 
@@ -436,6 +437,50 @@ def test_catalog_add_above_report_cap_exits_2_before_fingerprinting(
     assert not cat.exists()
 
 
+@pytest.mark.parametrize("source", ["a\tb", "a\nb", "a\rb", "\n"])
+def test_cli_catalog_add_rejects_a_source_with_a_tab_or_line_break(
+    tmp_path, capsys, monkeypatch, source
+):
+    """Such a source would split its record into the wrong number of
+    columns or lines and break every later read of the catalog."""
+    cat = tmp_path / "cat.tsv"
+    assert main(["catalog", "add", write_table(tmp_path, "s3.table", symmetric(3)),
+                 "--catalog", str(cat), "--source", "ok"]) == 0
+    before = cat.read_bytes()
+    capsys.readouterr()
+
+    def no_fingerprint(Q):
+        raise AssertionError("fingerprint computed for a bad source")
+
+    monkeypatch.setattr(catalog, "fingerprint", no_fingerprint)
+    z2 = write_table(tmp_path, "z2.table", cyclic(2))
+    assert main(["catalog", "add", z2, "--catalog", str(cat), "--source", source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(source) in captured.err
+    assert cat.read_bytes() == before
+    assert main(["catalog", "add", z2, "--catalog", str(tmp_path / "new.tsv"),
+                 "--source", source]) == 2
+    assert not (tmp_path / "new.tsv").exists()
+    assert main(["catalog", "query", "--catalog", str(cat)]) == 0
+    assert capsys.readouterr().out.endswith("\tok\n")
+
+
+@pytest.mark.parametrize("source", ["a\tb", "a\nb", "a\rb"])
+def test_catalog_record_refuses_a_source_with_a_tab_or_line_break(tmp_path, source):
+    cat = tmp_path / "cat.tsv"
+    good = record_for(cyclic(2), source="ok")
+    assert append_record(cat, good)
+    before = cat.read_bytes()
+    with pytest.raises(Malformed, match="source"):
+        CatalogRecord(good.fingerprint, good.order, good.report, source)
+    with pytest.raises(Malformed, match="source"):
+        add_table(cat, symmetric(3), source)
+    with pytest.raises(Malformed, match="source"):
+        record_for(symmetric(3), source)
+    assert cat.read_bytes() == before
+    assert load_catalog(cat) == [good]
+
+
 def test_cli_search_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -505,11 +550,18 @@ def series_class(Q, which):
 
 @pytest.fixture
 def asked(monkeypatch):
-    """The groups the predicates ask assoc_group for, in order."""
+    """The groups the predicates ask assoc_group for, in order, with
+    "derived" for each derived series run."""
     calls = []
-    real = cli.assoc_group
+    real, real_series = cli.assoc_group, perm.derived_series
     monkeypatch.setattr(cli, "assoc_group", lambda Q, which: calls.append(which) or real(Q, which))
+    monkeypatch.setattr(perm, "derived_series", lambda G: calls.append("derived") or real_series(G))
     return calls
+
+
+def assert_no_inn_rows(Q):
+    """Neither INN's word rows nor INN's group is memoised on Q."""
+    assert not {("word_rows", "INN"), ("assoc_group", "INN")} & Q._memo.keys(), Q
 
 
 @pytest.mark.parametrize(
@@ -519,36 +571,42 @@ def asked(monkeypatch):
 def test_problem35_predicate_matches_the_derived_series(asked, seed, by_burnside):
     """On the first 240 hunt candidates.  A Galois witness on 3n inner
     maps settles every non-solvable Inn, and assoc_group is asked for
-    nothing.  Mlt is asked for only when Inn is solvable and
-    |Mlt| = 16 |Inn| has three or more prime divisors; where Burnside's
-    theorem settles it, no Mlt is built at all."""
+    nothing.  Otherwise Mlt's chain is built once; where |Mlt| has at
+    most two prime divisors, Burnside's theorem settles it and no
+    derived series is run.  Every other Mlt here is solvable, so Inn is
+    never formed.  Neither Inn predicate forms INN's word rows."""
     settled = []
     for i, Q in enumerate(hunt_candidates(seed, 240)):
         asked.clear()
         got = _predicate_problem35(Q)
+        assert_no_inn_rows(Q)
+        calls = list(asked)
+        fresh = LoopTable(Q.mul)
+        got_inn = _predicate_inn_nonsolvable(fresh)
+        assert_no_inn_rows(fresh)
         inn_solvable = series_class(Q, "INN") is not INFINITE
         assert got is (inn_solvable and series_class(Q, "MLT") is INFINITE), i
+        assert got_inn is not inn_solvable, i
         if not inn_solvable:
-            assert asked == [] and _inn_witnessed(Q), i
-        elif asked == ["INN"]:
+            assert calls == [] and _inn_witnessed(Q), i
+        elif calls == ["MLT"]:
             settled.append(i)
         else:
-            assert asked == ["INN", "MLT"], i
+            assert calls == ["MLT", "derived"] and "inner_group" not in Q._memo, i
     assert settled == by_burnside
 
 
 def test_inn_witness_is_sound(pool, census_loops):
-    """A witness proves Inn not solvable: solvable_order_primes of a
-    fresh INN and its derived series agree, on the pool and the census
-    loops.  It finds all 9 non-solvable Inns of the pool and 173 of the
+    """A witness proves Inn not solvable: is_solvable of a fresh INN and
+    its derived series agree, on the pool and the census loops.  It finds all 9 non-solvable Inns of the pool and 173 of the
     190 of the census loops; the 17 it misses, all of order 6, fall
-    through to INN's own test (the check is one-sided)."""
+    through to Inn as Mlt's stabiliser (the check is one-sided)."""
     witnessed = missed = 0
     for Q in [e.table for e in pool] + census_loops:
         inn_infinite = series_class(Q, "INN") is INFINITE
         if _inn_witnessed(Q):
             assert inn_infinite, Q
-            assert solvable_order_primes(PermGroup(Q.order, word_rows(Q, "INN"))) is None, Q
+            assert not is_solvable(PermGroup(Q.order, word_rows(Q, "INN"))), Q
             witnessed += 1
         else:
             missed += inn_infinite
@@ -559,13 +617,19 @@ def test_problem35_predicate_on_small_loops(census_loops):
     """Both Inn predicates against the derived series on the census
     loops, whose relabelings move the neutral off 0; in 27 of them it is
     n - 1, where the witness's sample is T alone.  The 5 non-associative
-    classes of order 5 have Inn = S4 and Mlt = S5: only n = 5 brings a
-    third prime, so n's primes are what sends them to Mlt's own test."""
+    classes of order 5 have Inn = S4 and Mlt = S5: |Mlt| = 120 has three
+    primes, so Mlt's derived series decides them, and Inn is read off
+    Mlt's chain.  Each predicate runs on a fresh copy and forms no INN
+    word rows."""
     hits = 0
     for Q in census_loops:
         inn_infinite = series_class(Q, "INN") is INFINITE
-        assert _predicate_inn_nonsolvable(Q) is inn_infinite, Q
-        got = _predicate_problem35(Q)
+        fresh = LoopTable(Q.mul)
+        assert _predicate_inn_nonsolvable(fresh) is inn_infinite, Q
+        assert_no_inn_rows(fresh)
+        fresh = LoopTable(Q.mul)
+        got = _predicate_problem35(fresh)
+        assert_no_inn_rows(fresh)
         assert got is (not inn_infinite and series_class(Q, "MLT") is INFINITE), Q
         hits += got
     assert hits == 10

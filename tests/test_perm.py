@@ -23,7 +23,6 @@ from loopkit.perm import (
     nilpotency_class_group,
     normal_closure,
     solvable_class,
-    solvable_order_primes,
 )
 from loopkit.pools import POOL_MASTER_SEED
 from loopkit.tables import cyclic, klein, quaternion
@@ -505,13 +504,6 @@ def solvable_oracle(group):
     return series_class_of_copy(group) is not INFINITE
 
 
-def assert_order_primes(group, solvable):
-    """solvable_order_primes(group), asked first, is the primes dividing
-    the order of group's chain when the group is solvable, else None."""
-    got = solvable_order_primes(group)
-    assert got == (prime_divisors(group.order(), group.degree) if solvable else None)
-
-
 def agl1(p, a):
     """AGL(1, p)'s subgroup x -> a^k x + b on 0..p-1."""
     return PermGroup(p, [Permutation([(x + 1) % p for x in range(p)]),
@@ -560,13 +552,12 @@ def test_is_solvable_examples(factory, expected, by_order):
     ],
 )
 def test_is_solvable_on_constituents_hand_made(degree, blocks, expected):
-    """Two nontrivial orbits: no chain on the whole degree is built, and
-    the primes of |G| are the union of the constituents' primes, also
+    """Two nontrivial orbits: no chain on the whole degree is built, also
     when G is a subdirect product (S3 acting diagonally)."""
     group = PermGroup(degree, side_by_side(degree, *blocks))
     assert is_solvable(group) is expected
     assert group._chain_cache is None
-    assert_order_primes(group, expected)
+    assert solvable_oracle(group) is expected
 
 
 @given(gen_lists, gen_lists, st.integers(0, 2))
@@ -583,15 +574,14 @@ def test_is_solvable_matches_the_whole_group_series(left, right, gap):
 def test_is_solvable_of_pool_groups(pool):
     """Chainless copies take the constituent route where they can, the
     pool's own groups (chains built by the earlier oracle) never do;
-    solvable_order_primes gives the primes of the order on both."""
+    both agree with the oracle."""
     for entry in pool:
         for which in ("MLT", "INN", "TMLT", "TINN"):
             group = assoc_group(entry.table, which)
             want = solvable_oracle(group)
-            assert_order_primes(PermGroup(group.degree, group.generators), want)
+            assert is_solvable(PermGroup(group.degree, group.generators)) == want, (entry.tag, which)
             group.order()
             assert is_solvable(group) == want, (entry.tag, which)
-            assert_order_primes(group, want)
 
 
 def test_is_solvable_of_hunt_groups():
@@ -685,7 +675,6 @@ def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     assert group._derived is None
     assert solvable_oracle(group) is solvable
     assert solvable_class(factory()) == textbook_derived_length(group)
-    assert_order_primes(factory(), solvable)
     assert group.order() == order == closure_order([g.images for g in group.generators])
 
 
@@ -752,13 +741,15 @@ def test_galois_witness(factory, witnessed, solvable):
 
 
 def test_galois_rule_on_hunt_groups():
-    """solvable_order_primes of INN and MLT of the first 240 hunt
-    candidates at seed 0, asked before their chains exist, against the
-    derived series of a copy."""
+    """is_solvable of INN and MLT of the first 240 hunt candidates at
+    seed 0, asked before their chains exist, against the derived series
+    of a copy."""
     for Q in hunt_candidates(seed=0, count=240):
         for which in ("INN", "MLT"):
             group = assoc_group(Q, which)
-            assert_order_primes(group, solvable_oracle(group))
+            want = solvable_oracle(group)
+            assert group._chain_cache is None
+            assert is_solvable(group) is want, which
 
 
 def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
