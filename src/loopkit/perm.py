@@ -96,48 +96,30 @@ first base point (`base_stabilizer`): levels 1 and below are a complete
 chain of H_1 = G_{b_0}, of order |G| / |b_0^G|, and level 1's generators
 S_1 generate H_1, so they serve as its grown list.
 
-`solvable_class` is the derived series.  Where only solvability is
-asked (`is_solvable`), three shortcuts come first.  The Inn search
-presets meet the first two only through `galois_witness` on a sample of
-Inn; a group they pass to `is_solvable` has its chain (Mlt, and Inn as
-its stabilizer), so only the third applies there.
+`solvable_class` is the derived series.  `is_solvable` asks the order
+first: a group whose order has at most two prime divisors is solvable
+(Burnside's p^a q^b theorem).  The chain that gives the order is the one
+the derived series would build first, so an order with three or more
+prime divisors costs a trial division by 2..degree and nothing else.  The
+derived series decides the rest.
 
-A chainless group with two or more orbits of more than one point is
-split into its transitive constituents.  Let O_1..O_r be those orbits
-and p_i the restriction to O_i.  Then g -> (p_i(g))_i is injective and
-p_i(G^(k)) = p_i(G)^(k), so G^(k) = 1 iff every p_i(G)^(k) = 1: G is
-solvable iff every constituent is, subdirect products
-(|G| < prod |p_i(G)|) included.  A constituent acts on fewer points and
-is often smaller by far than G, so a non-solvable group is decided
-without G's chain.  A group whose chain exists is not split: its own
-derived series reuses its grown generators and its order.  The orbits
-are found at once (`orbit_roots`), but each constituent is packed only
-when the loop reaches it, so nothing after one that is not solvable is
-packed.
-
-A part that acts faithfully and transitively on a prime number p of
-points (a constituent of prime degree, or a chainless group with one
-nontrivial orbit, of p points) is settled by Galois's theorem: such a
-group is solvable iff its order divides p(p - 1).  (A solvable one lies
-in AGL(1, p).  Conversely, if |G| divides p(p - 1), the number of Sylow
-p-subgroups is 1 mod p and divides p - 1, so there is one, and G lies
-in its normalizer AGL(1, p).)  The part builds its chain one generator
-at a time.  After each one the chain is complete for the subgroup K
-generated so far, and by Lagrange |K| divides |G|, so the first partial
-order that does not divide p(p - 1) proves G not solvable: the
-remaining generators are never sifted and the partial chain is
-dropped.  Only a chain that took every generator is kept on a group.
-The rule lives in `_galois_solvable`.  `galois_witness` runs it alone on
-the prime-degree constituents of a group given by image rows and is
-one-sided: True proves the group not solvable (a constituent is a
-quotient), False proves nothing (S6 on 6 points has no such constituent).
-
-Every other part is settled by its order when it can be: a group whose
-order has at most two prime divisors is solvable (Burnside's p^a q^b
-theorem).  The chain that gives the order is the one the derived series
-would build first, so an order with three or more prime divisors costs
-a trial division by 2..degree and nothing else.  The derived series
-decides the rest.
+`galois_witness` takes a group as image rows and refutes its solvability
+without the whole group's chain.  A transitive constituent, the
+restriction to one orbit, is a quotient of the group, so a constituent
+that is not solvable proves the group not solvable.  A constituent that
+acts on a prime number p of points is settled by Galois's theorem: a
+transitive group of prime degree p is solvable iff its order divides
+p(p - 1).  (A solvable one lies in AGL(1, p).  Conversely, if |G|
+divides p(p - 1), the number of Sylow p-subgroups is 1 mod p and
+divides p - 1, so there is one, and G lies in its normalizer
+AGL(1, p).)  The constituent's chain is built one generator at a time.
+After each one the chain is complete for the subgroup K generated so
+far, and by Lagrange |K| divides the constituent's order, so the first
+partial order that does not divide p(p - 1) proves it not solvable: the
+remaining generators are never sifted.  Constituents of degree 2 and 3
+are skipped, since S2 and S3 are solvable.  The witness is one-sided:
+True proves the group not solvable, False proves nothing (S6 on 6
+points has no constituent of prime degree).
 
 The order of a nilpotent group is bounded by its orbits
 (`nilpotency_class_group`).  A transitive nilpotent group G of degree
@@ -652,15 +634,6 @@ def orbit_roots(images: np.ndarray) -> np.ndarray:
         root = step
 
 
-def _orbits(group: PermGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, degree) image rows of group's generators (k >= 1), their
-    orbit_roots, and the roots of the orbits of more than one point in
-    increasing order (a root is its orbit's least point)."""
-    images = generator_rows(group)[1:]
-    root = orbit_roots(images)
-    return images, root, np.flatnonzero(np.bincount(root) > 1)
-
-
 def _restrict(images: np.ndarray, root: np.ndarray, r: int) -> PermGroup:
     """The restriction to the orbit with least point r, relabeled 0..m-1
     in increasing order."""
@@ -670,39 +643,19 @@ def _restrict(images: np.ndarray, root: np.ndarray, r: int) -> PermGroup:
     return PermGroup(len(orbit), label[images[:, orbit]])
 
 
-def _parts(group: PermGroup):
-    """Yield (part, m): the transitive constituents of a chainless group
-    with two or more nontrivial orbits, each packed only when reached,
-    else the group itself.  m is the number of points a chainless part
-    acts on faithfully and transitively, 0 for a group with a chain or
-    no generators."""
-    if group._chain_cache is not None or not group._gens:
-        yield group, 0
-        return
-    images, root, roots = _orbits(group)
-    if len(roots) > 1:
-        for r in roots:
-            part = _restrict(images, root, r)
-            yield part, part.degree
-        return
-    # one nontrivial orbit: group acts on it faithfully and transitively
-    yield group, int(np.count_nonzero(root == roots[0]))
-
-
-def _galois_solvable(part: PermGroup, m: int) -> bool:
-    """Galois's rule on a chainless part, faithful and transitive on m points, m prime."""
-    limit = m * (m - 1)
-    part._chain_cache = _grow(part.degree, part._gens, limit)
-    return part._chain_cache is not None and limit % part.order() == 0
-
-
 def galois_witness(images: np.ndarray) -> bool:
     """Whether the group generated by the rows of a (k, n) image array
-    (k >= 1) has a prime-degree constituent that fails Galois's rule;
-    False proves nothing."""
+    (k >= 1) has a constituent of prime degree m > 3 that fails Galois's
+    rule, its order not dividing m(m - 1) (module docstring); False
+    proves nothing."""
     root = orbit_roots(images)
-    return any(prime_divisors(m, m) == (m,) and not _galois_solvable(_restrict(images, root, r), m)
-               for r, m in enumerate(np.bincount(root).tolist()) if m > 3)  # S2, S3 solvable
+    for r, m in enumerate(np.bincount(root).tolist()):
+        if m > 3 and prime_divisors(m, m) == (m,):
+            limit = m * (m - 1)
+            chain = _grow(m, _restrict(images, root, r)._gens, divides=limit)
+            if chain is None or limit % chain.order():
+                return True
+    return False
 
 
 def solvable_class(group: PermGroup) -> int | float:
@@ -711,21 +664,11 @@ def solvable_class(group: PermGroup) -> int | float:
 
 
 def is_solvable(group: PermGroup) -> bool:
-    """Whether the derived series reaches the trivial group.
-
-    Each transitive constituent of a chainless group with two or more
-    nontrivial orbits, or else the group itself, is settled by Galois's
-    rule when it is chainless and transitive on a prime number of
-    points, by its order when that has at most two prime divisors, and
-    by its derived series otherwise (module docstring)."""
-    for part, m in _parts(group):
-        if prime_divisors(m, m) == (m,):
-            if not _galois_solvable(part, m):
-                return False
-        elif len(prime_divisors(part.order(), part.degree)) > 2:
-            if derived_series(part).cls is INFINITE:
-                return False
-    return True
+    """Whether the derived series reaches the trivial group: at once when
+    the order has at most two prime divisors (Burnside's p^a q^b theorem),
+    else by the series."""
+    return (len(prime_divisors(group.order(), group.degree)) <= 2
+            or derived_series(group).cls is not INFINITE)
 
 
 def _nilpotent_bound(sizes) -> int:
@@ -746,7 +689,7 @@ def nilpotency_class_group(group: PermGroup) -> int | float:
     INFINITE without the series when |G| does not divide the nilpotent
     order bound of its orbits (module docstring)."""
     if group._gens:
-        _, root, roots = _orbits(group)
-        if _nilpotent_bound(np.bincount(root)[roots].tolist()) % group.order():
+        sizes = np.bincount(orbit_roots(generator_rows(group)[1:]))
+        if _nilpotent_bound(sizes[sizes > 1].tolist()) % group.order():
             return INFINITE
     return lower_central_series(group).cls

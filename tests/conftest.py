@@ -15,7 +15,6 @@ from loopkit import (
     all_normal_subloops,
     commutator_subloop,
     g_oplus,
-    perm,
     quotient,
 )
 from loopkit.cli import PRESETS
@@ -204,44 +203,6 @@ def permutation_group_oracle(Q, which) -> PermGroup:
     """The associated group built from one Permutation per row of
     word_rows, the path groups took before they were fed arrays."""
     return PermGroup(Q.order, [Permutation(row) for row in word_rows(Q, which).tolist()])
-
-
-def parts_split(group) -> list[tuple]:
-    """The generator image tuples of the parts perm._parts yields for
-    group, [] when it yields group itself (no split)."""
-    parts = [part for part, _ in perm._parts(group)]
-    if parts == [group]:
-        return []
-    return [tuple(g.images for g in p.generators) for p in parts]
-
-
-def constituents_oracle(group) -> list[tuple]:
-    """The generator image tuples of each transitive constituent, as
-    perm._parts should split a chainless group: orbits of more than one point
-    by breadth-first search, in order of least point, each relabeled
-    0..m-1 in increasing order, each image kept once, identity dropped;
-    [] when there are fewer than two such orbits."""
-    gens = [g.images for g in group.generators]
-    seen, orbits = set(), []
-    for start in range(group.degree):
-        if start in seen:
-            continue
-        orbit, frontier = {start}, [start]
-        while frontier:
-            frontier = [g[x] for x in frontier for g in gens if g[x] not in orbit]
-            orbit.update(frontier)
-        seen |= orbit
-        if len(orbit) > 1:
-            orbits.append(sorted(orbit))
-    if len(orbits) < 2:
-        return []
-    out = []
-    for orbit in orbits:
-        label = {p: i for i, p in enumerate(orbit)}
-        images = dict.fromkeys(tuple(label[g[p]] for p in orbit) for g in gens)
-        images.pop(tuple(range(len(orbit))), None)
-        out.append(tuple(images))
-    return out
 
 
 def _then(q: tuple, p: tuple) -> tuple:

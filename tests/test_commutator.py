@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from loopkit import commutator as commutator_module
-from loopkit import perm as perm_module
 from loopkit import (
     INFINITE,
     Subloop,
@@ -48,11 +47,9 @@ from conftest import (
     center_by_identities,
     commutator_oracle,
     congruence_series_oracle,
-    constituents_oracle,
     group_commutator_oracle,
     group_derived_length,
     group_nilpotency_class,
-    hunt_candidates,
     least_abelian_series_length,
     least_commutative_group_kernel,
     seeded_relabelings,
@@ -452,21 +449,6 @@ def test_hierarchy_cross_implications(groups, census_loops):
         if is_finite(rep.mlt_nilpotency_class):
             assert is_finite(rep.nilpotency_class)
         assert rep.supernilpotent == is_finite(rep.mlt_nilpotency_class)
-
-
-def test_hierarchy_report_never_splits_into_constituents(monkeypatch, pool):
-    """The report's classes come from each group's own derived series
-    and its chain, never from its constituents."""
-    tables = [LoopTable(e.table.mul) for e in pool[::10]]
-    tables += hunt_candidates(seed=0, count=3)
-    inns = [PermGroup(Q.order, assoc_group(Q, "INN").generators) for Q in tables]
-    assert sum(bool(constituents_oracle(g)) for g in inns) >= 3  # the split would apply
-    splits = []  # every constituent is packed by _restrict
-    real = perm_module._restrict
-    monkeypatch.setattr(perm_module, "_restrict", lambda *args: splits.append(args) or real(*args))
-    for Q in tables:
-        hierarchy_report(Q)
-    assert splits == []
 
 
 def test_mlt_solvable_class_matches_a_fresh_series(pool, tmp_path):

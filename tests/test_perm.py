@@ -9,7 +9,7 @@ from loopkit import perm as perm_module
 from loopkit.core import LoopTable, direct_product
 from loopkit.errors import CapExceeded
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group
+from loopkit.multgrp import assoc_group, word_rows
 from loopkit.perm import (
     PermGroup,
     Permutation,
@@ -31,9 +31,7 @@ from loopkit.util import INFINITE, prime_divisors
 from conftest import (
     ORDER_5_LOOP,
     closure_order,
-    constituents_oracle,
     hunt_candidates,
-    parts_split,
     textbook_closure,
     textbook_derived_length,
     textbook_series,
@@ -388,9 +386,9 @@ def test_permutation_rejects_non_integer_images():
 
 def series_class_of_copy(group):
     """derived_series(..).cls on a separate copy of group built from the
-    same generators: never split into constituents.  The reference for
-    is_solvable's shortcuts; solvable_class, which is that series, is
-    checked against textbook_derived_length instead."""
+    same generators.  The reference for is_solvable and galois_witness;
+    solvable_class, which is that series, is checked against
+    textbook_derived_length instead."""
     return derived_series(PermGroup(group.degree, group.generators)).cls
 
 
@@ -435,19 +433,6 @@ def test_solvable_class_on_constituents_hand_made(degree, blocks, order, expecte
     assert solvable_class(group) == expected
     assert textbook_derived_length(group) == expected
     assert PermGroup(degree, gens).order() == order
-
-
-def test_constituents_are_the_orbit_images_in_order_of_least_point():
-    group = PermGroup(7, side_by_side(7, (0, [(1, 0)]), (2, A5_GENS)))
-    assert parts_split(group) == constituents_oracle(group) != []
-    parts = list(perm_module._parts(group))
-    assert [(p.degree, p.order(), m) for p, m in parts] == [(2, 2, 2), (5, 60, 5)]
-    assert derived_series(parts[0][0]).cls == 1 and derived_series(parts[1][0]).cls is INFINITE
-    transitive_on_its_support = PermGroup(5, [perm((1, 2, 3), degree=5)])
-    assert list(perm_module._parts(transitive_on_its_support)) == [(transitive_on_its_support, 3)]
-    assert constituents_oracle(transitive_on_its_support) == []
-    group.order()  # a group with a chain is never split
-    assert list(perm_module._parts(group)) == [(group, 0)]
 
 
 @given(gen_lists, gen_lists, st.integers(0, 2))
@@ -497,7 +482,7 @@ def test_solvable_class_of_fresh_hunt_inns():
     assert {cls for which, cls in classes if which == "MLT"} == {2, 3, 4, 5, INFINITE}
 
 
-# -- is_solvable: constituents, then Burnside's p^a q^b ----------------------------
+# -- is_solvable: Burnside's p^a q^b, then the derived series -------------------
 
 
 def solvable_oracle(group):
@@ -525,38 +510,30 @@ def test_prime_divisors(n, limit, expected):
         (s3, True, True),
         (d4, True, True),
         (lambda: PermGroup(4, [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]), True, True),
-        # transitive of prime degree 5: 60 does not divide 5 * 4
-        (a5, False, True),
+        # 60 = 2^2 * 3 * 5: the series decides
+        (a5, False, False),
         (s16, False, False),
         (lambda: PermGroup(5, []), True, True),
-        # order 42 = 2 * 3 * 7 divides 7 * 6: Galois's rule, not Burnside's
-        (lambda: agl1(7, 3), True, True),
+        # 42 = 2 * 3 * 7, solvable by Galois's rule, which is_solvable does not take
+        (lambda: agl1(7, 3), True, False),
+        # two nontrivial orbits: S4 on 0..3 beside Z3 on 4..6, of order 72
+        pytest.param(lambda: PermGroup(7, side_by_side(7, (0, S4_GENS), (4, [(1, 2, 0)]))),
+                     True, True, id="S4 beside Z3"),
+        # S3 acting diagonally on {0, 1, 2} and {3, 4, 5}: |G| = 6, not 36
+        pytest.param(lambda: PermGroup(6, side_by_side(6, (0, S3_GENS), (3, S3_GENS))),
+                     True, True, id="S3 diagonal"),
+        # Z2 on {0, 1} beside A5 on 2..6, of order 120 = 2^3 * 3 * 5
+        pytest.param(lambda: PermGroup(7, side_by_side(7, (0, [(1, 0)]), (2, A5_GENS))),
+                     False, False, id="Z2 beside A5"),
     ],
 )
 def test_is_solvable_examples(factory, expected, by_order):
-    """A transitive group of prime degree, or one whose order has at most
-    two prime divisors, or the trivial group, is settled without building
-    G'."""
+    """A group whose order has at most two prime divisors, the trivial
+    group included, is settled without building G'; any other runs its
+    derived series, whatever its orbits."""
     group = factory()
     assert is_solvable(group) is expected
     assert (group._derived is None) is by_order
-    assert solvable_oracle(group) is expected
-
-
-@pytest.mark.parametrize(
-    "degree, blocks, expected",
-    [
-        (7, [(0, S4_GENS), (4, [(1, 2, 0)])], True),
-        (6, [(0, S3_GENS), (3, S3_GENS)], True),
-        (7, [(0, [(1, 0)]), (2, A5_GENS)], False),
-    ],
-)
-def test_is_solvable_on_constituents_hand_made(degree, blocks, expected):
-    """Two nontrivial orbits: no chain on the whole degree is built, also
-    when G is a subdirect product (S3 acting diagonally)."""
-    group = PermGroup(degree, side_by_side(degree, *blocks))
-    assert is_solvable(group) is expected
-    assert group._chain_cache is None
     assert solvable_oracle(group) is expected
 
 
@@ -572,9 +549,8 @@ def test_is_solvable_matches_the_whole_group_series(left, right, gap):
 
 
 def test_is_solvable_of_pool_groups(pool):
-    """Chainless copies take the constituent route where they can, the
-    pool's own groups (chains built by the earlier oracle) never do;
-    both agree with the oracle."""
+    """Chainless copies and the pool's own groups (chains built by the
+    earlier oracle) both agree with the oracle."""
     for entry in pool:
         for which in ("MLT", "INN", "TMLT", "TINN"):
             group = assoc_group(entry.table, which)
@@ -597,15 +573,6 @@ def test_is_solvable_of_hunt_groups():
             assert got == solvable_oracle(group)
             seen.add((which, got))
     assert seen == {("INN", True), ("INN", False), ("MLT", True), ("MLT", False)}
-
-
-def test_non_solvable_hunt_inn_is_decided_by_is_solvable_without_its_chain():
-    for Q in hunt_candidates(seed=0, count=20):
-        inn = assoc_group(Q, "INN")
-        if not is_solvable(inn):
-            assert inn._chain_cache is None
-            return
-    pytest.fail("no non-solvable Inn among the first 20 candidates")
 
 
 # -- Galois's rule: transitive groups of prime degree --------------------------------
@@ -635,6 +602,12 @@ def psl32():
 def psl211():
     """The transitive group of order 660 on 11 points, PSL(2, 11)."""
     return PermGroup(11, [rotation(11), perm((2, 10), (3, 7), (5, 6), (8, 9), degree=11)])
+
+
+def image_rows(group):
+    """The identity's and group's generators' images, the rows
+    galois_witness takes."""
+    return np.array([range(group.degree)] + [g.images for g in group.generators])
 
 
 def fresh_mlt(Q):
@@ -668,11 +641,12 @@ PRIME_DEGREE = [
 )
 def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     """A transitive group of prime degree p is solvable iff its order
-    divides p(p - 1): is_solvable agrees with the derived series of a
-    fresh copy without building G'."""
+    divides p(p - 1): galois_witness finds a witness exactly in the
+    non-solvable ones (none has degree 2 or 3), and is_solvable agrees
+    with the derived series of a fresh copy."""
     group = factory()
+    assert galois_witness(image_rows(group)) is (group.degree > 3 and not solvable)
     assert is_solvable(group) is solvable
-    assert group._derived is None
     assert solvable_oracle(group) is solvable
     assert solvable_class(factory()) == textbook_derived_length(group)
     assert group.order() == order == closure_order([g.images for g in group.generators])
@@ -689,13 +663,18 @@ def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
         (9, [perm(c, degree=9) for c in ((0, 1, 2, 3, 4), (0, 1, 2), (0, 2, 4, 1, 3))], 60),
     ],
 )
-def test_galois_exit_leaves_no_partial_chain(degree, gens, order):
+def test_galois_exit_leaves_no_partial_chain(monkeypatch, degree, gens, order):
     """The first partial order that does not divide p(p - 1) ends the
-    build, and the partial chain is dropped: order() is still the order
-    of the whole group, as the fresh copy's chain has it."""
+    witness's build before the last generator is sifted."""
     group = PermGroup(degree, gens)
+    sifted = []
+    real = perm_module._Chain.add_generator
+    monkeypatch.setattr(perm_module._Chain, "add_generator",
+                        lambda chain, p: sifted.append(p) or real(chain, p))
+    assert galois_witness(image_rows(group)) is True
+    monkeypatch.undo()
+    assert len(sifted) == 2 < len(gens)
     assert is_solvable(group) is False
-    assert group._chain_cache is None
     assert group.order() == order == PermGroup(degree, gens).order()
     assert solvable_class(group) is INFINITE
     assert textbook_derived_length(group) is INFINITE
@@ -734,9 +713,7 @@ WITNESS = [  # name, factory, witnessed, solvable
 def test_galois_witness(factory, witnessed, solvable):
     """A witness is a prime-degree constituent that fails Galois's rule:
     it proves the group not solvable, and its absence proves nothing."""
-    group = factory()  # its generators' rows, after the identity's
-    images = np.array([range(group.degree)] + [g.images for g in group.generators])
-    assert galois_witness(images) is witnessed
+    assert galois_witness(image_rows(factory())) is witnessed
     assert solvable_oracle(factory()) is solvable
 
 
@@ -753,26 +730,28 @@ def test_galois_rule_on_hunt_groups():
 
 
 def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
-    """226 of the first 240 hunt Inns at seed 0 are not solvable, and each
-    is settled by its first constituent, on 7 points, by its order: no
-    derived series runs and no later constituent is packed."""
+    """Of INN's rows of the first 240 hunt candidates at seed 0, the 226
+    whose Inn is not solvable have a witness on their 7-point orbit, found
+    with one constituent packed and no derived series; the 14 others have
+    none."""
     calls, packed = [], []
     real, real_restrict = perm_module.derived_series, perm_module._restrict
     monkeypatch.setattr(perm_module, "derived_series", lambda g: calls.append(g) or real(g))
     monkeypatch.setattr(
         perm_module, "_restrict", lambda *args: packed.append(args) or real_restrict(*args)
     )
-    settled = 0
-    for Q in hunt_candidates(seed=0, count=240):
-        inn = assoc_group(Q, "INN")
+    witnessed = []
+    for i, Q in enumerate(hunt_candidates(seed=0, count=240)):
         packed.clear()
-        if not is_solvable(PermGroup(inn.degree, inn.generators)):
+        witness = galois_witness(word_rows(Q, "INN"))
+        assert calls == []
+        if witness:
             assert len(packed) == 1 and np.count_nonzero(packed[0][1] == packed[0][2]) == 7
-            assert calls == []
-            assert solvable_class(PermGroup(inn.degree, inn.generators)) is INFINITE
-            settled += 1
-        calls.clear()
-    assert settled == 226
+            assert solvable_class(assoc_group(Q, "INN")) is INFINITE
+            calls.clear()
+            witnessed.append(i)
+    assert len(witnessed) == 226
+    assert not set(witnessed) & set(SOLVABLE_INN_AT_SEED_0)
 
 
 # -- the reduced chain against the textbook one ------------------------------------

@@ -68,8 +68,7 @@ def small_pool_groups(pool):
     """One sympy pass per group of the 118 pool tables of order <= 8:
     (Q, which, group, sympy_invariants) for MLT, INN, TMLT and TINN, the
     lower central series for MLT and INN only.  92 of the 118 Inns and
-    98 of the TInns have two or more nontrivial orbits and take the
-    transitive-constituent route."""
+    98 of the TInns have two or more nontrivial orbits."""
     tables = [entry.table for entry in pool if entry.table.order <= 8]
     assert len(tables) == 118
     rows = []
