@@ -16,8 +16,9 @@ Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
 their arguments come from `inner_maps`.
 
 Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  The
-report, which builds Mlt anyway, and the Inn search presets take it from
-MLT's chain (`inner_group`); the other paths read INN's cheaper rows.
+report, which builds Mlt anyway, and the Inn search presets ask MLT's
+chain for the stabilizer of e (`inner_group`); the other paths read
+INN's cheaper rows.
 Either serves, as any generating set of Inn does: the center is its
 common fixed set, the inner orbits are its orbits, and its image
 generates each Inn(Q/N) (the upper central series, Q').  So the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import LoopTable
 from .errors import ArityMismatch
-from .perm import PermGroup, Permutation, base_stabilizer, generator_rows, order_within
+from .perm import PermGroup, Permutation, point_stabilizer
 
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
 TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
@@ -141,21 +142,7 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
 
 
 def inner_group(Q: LoopTable) -> PermGroup:
-    """Inn(Q) = Mlt_e from MLT's chain, once per table.  Mlt's first base
-    point b is 0, as L_x moves 0 for every x != e (x0 = 0 = e0 forces
-    x = e); `perm.base_stabilizer` gives Mlt_b, of order |Mlt| / n.  When
-    e != b, L_c with c = e/b sends b to e, so Inn = L_c Mlt_b L_c^-1 is
-    generated by Mlt_b's generators conjugated by L_c, chained up to that
-    order."""
-
-    def build() -> PermGroup:
-        mlt = assoc_group(Q, "MLT")
-        stab = base_stabilizer(mlt)
-        if stab.is_trivial() or mlt.base_sequence()[0] == Q.neutral:
-            return stab
-        c = Q.rdiv[Q.neutral, mlt.base_sequence()[0]]
-        inn = PermGroup(Q.order, Q.mul[c][generator_rows(stab)[:, Q.ldiv[c]]])
-        order_within(inn, stab.order())
-        return inn
-
-    return Q.memo("inner_group", build)
+    """Inn(Q) = Mlt_e, the stabilizer of the neutral in MLT's chain
+    (`perm.point_stabilizer`), once per table.  Mlt is transitive, since
+    L_x sends e to x, so e lies in every base point's orbit."""
+    return Q.memo("inner_group", lambda: point_stabilizer(assoc_group(Q, "MLT"), Q.neutral))

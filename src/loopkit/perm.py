@@ -78,8 +78,8 @@ generators, so a base may differ from the textbook run's; it stays
 deterministic.
 
 A chain may also stop at the order of a group known to hold its
-generators (`order_within`): G' lies in G and [G, N] in N, so a normal
-closure's chain is given |G| or |N| as a bound.  A chain's
+generators: G' lies in G and [G, N] in N, so a normal closure's chain
+is given |G| or |N| as a bound.  A chain's
 order, the product of its transversal lengths, never exceeds the order
 of the group its generators generate.  Once it reaches the bound, every
 transversal is a full orbit and the last stabilizer is trivial, so every
@@ -91,10 +91,13 @@ A seed of `normal_closure` outside the group it is closed under voids
 that bound, so the public closure uses it only when every seed sifts
 into the group's chain.
 
-A complete chain, bounded or not, holds the stabilizer G_{b_0} of its
-first base point (`base_stabilizer`): levels 1 and below are a complete
-chain of H_1 = G_{b_0}, of order |G| / |b_0^G|, and level 1's generators
-S_1 generate H_1, so they serve as its grown list.
+A complete chain, bounded or not, holds the stabilizer of every point
+p of its first base point's orbit (`point_stabilizer`).  Levels 1 and
+below are a complete chain of H_1 = G_{b_0}, of order |G| / |b_0^G|,
+and level 1's generators S_1 generate H_1, so they serve as its grown
+list.  For the representative u with u(b_0) = p, G_p = u G_{b_0} u^-1
+is generated by the conjugates u s u^-1 of S_1 and has the same order,
+which bounds their chain.
 
 `solvable_class` is the derived series.  `is_solvable` asks the order
 first: a group whose order has at most two prime divisors is solvable
@@ -479,26 +482,28 @@ def group_order(group: PermGroup) -> int:
     return group.order()
 
 
-def order_within(group: PermGroup, bound: int) -> int:
-    """Exact order of a group known to lie in one of order bound.  A chain not
-    built yet stops at bound, and equals an unbounded build's (module docstring)."""
-    if group._chain_cache is None:
-        group._chain_cache = _grow(group.degree, group._gens, bound=bound)
-    return group.order()
-
-
-def base_stabilizer(group: PermGroup) -> PermGroup:
-    """The stabilizer of the first base point, as levels 1 and below of
-    group's chain (module docstring); trivial for a chain of at most one
-    level.  It shares those levels, so it is built full and never grows."""
-    chain = group._chain
-    orbit = len(chain.levels[0].transversal) if chain.levels else 1
-    sub = _Chain(group.degree, chain.order() // orbit)
-    if len(chain.levels) > 1:
-        sub.levels = chain.levels[1:]
-        sub.grown = [g[: group.degree] for g in chain.levels[1].gens]
-    sub._order, sub.full = sub.bound, True
-    return PermGroup(group.degree, _chain=sub)
+def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
+    """The stabilizer of a point in the orbit of the first base point b
+    (module docstring); ValueError for a point outside it.  G_b shares
+    levels 1 and below of group's chain and builds nothing; G_p is
+    u G_b u^-1 for the representative u with u(b) = p, chained up to
+    |G| / |b^G|.  Every stabilizer of the trivial group is trivial."""
+    chain, degree = group._chain, group.degree
+    if not chain.levels:
+        return PermGroup(degree)
+    top = chain.levels[0]
+    if point not in top.transversal:
+        raise ValueError(f"point {point} is not in the orbit of base point {top.base}")
+    order = chain.order() // len(top.transversal)
+    gens = chain.levels[1].gens if len(chain.levels) > 1 else []
+    if point == top.base:
+        sub = _Chain(degree, order)
+        sub.levels, sub.grown = chain.levels[1:], [g[:degree] for g in gens]
+        sub._order, sub.full = order, True
+    else:  # u g u^-1 is u^-1's images through g's table, then through u's
+        u, u_inv = top.transversal[point] + _ID[degree:], top.inverses[point][:degree]
+        sub = _grow(degree, [u_inv.translate(g).translate(u) for g in gens], bound=order)
+    return PermGroup(degree, _chain=sub)
 
 
 def generator_rows(group: PermGroup) -> np.ndarray:

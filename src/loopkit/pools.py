@@ -20,7 +20,7 @@ from .extensions import (
     iter_cocycles_exhaustive,
     iter_cocycles_random,
 )
-from .tables import cyclic, elementary_abelian, klein, reduced_latin_squares, small_groups
+from .tables import cyclic, reduced_latin_squares, small_groups
 from .util import SplitMix64
 
 POOL_MASTER_SEED = 0xA11CE
@@ -64,80 +64,69 @@ def group_pool() -> list[PoolEntry]:
     return [PoolEntry(name, table) for name, table in sorted(small_groups().items())]
 
 
-_RANDOM_SHAPES = [
-    ("Z2", lambda: cyclic(2), "Z4", lambda: cyclic(4)),
-    ("Z2", lambda: cyclic(2), "K4", klein),
-    ("Z2", lambda: cyclic(2), "Z5", lambda: cyclic(5)),
-    ("Z2", lambda: cyclic(2), "Z6", lambda: cyclic(6)),
-    ("Z2", lambda: cyclic(2), "Z7", lambda: cyclic(7)),
-    ("Z2", lambda: cyclic(2), "Z8", lambda: cyclic(8)),
-    ("Z3", lambda: cyclic(3), "Z3", lambda: cyclic(3)),
-    ("Z3", lambda: cyclic(3), "Z4", lambda: cyclic(4)),
-    ("Z3", lambda: cyclic(3), "K4", klein),
-    ("Z3", lambda: cyclic(3), "Z5", lambda: cyclic(5)),
-    ("Z4", lambda: cyclic(4), "Z2", lambda: cyclic(2)),
-    ("Z4", lambda: cyclic(4), "Z3", lambda: cyclic(3)),
-    ("Z4", lambda: cyclic(4), "Z4", lambda: cyclic(4)),
-    ("K4", klein, "Z2", lambda: cyclic(2)),
-    ("K4", klein, "Z3", lambda: cyclic(3)),
-    ("K4", klein, "K4", klein),
-    ("Z5", lambda: cyclic(5), "Z2", lambda: cyclic(2)),
-    ("Z5", lambda: cyclic(5), "Z3", lambda: cyclic(3)),
-    ("Z6", lambda: cyclic(6), "Z2", lambda: cyclic(2)),
-    ("Z7", lambda: cyclic(7), "Z2", lambda: cyclic(2)),
-    ("Z8", lambda: cyclic(8), "Z2", lambda: cyclic(2)),
-    ("Z2^3", lambda: elementary_abelian(2, 3), "Z2", lambda: cyclic(2)),
+_RANDOM_SHAPES = [  # (A, F) by their small_groups tags
+    ("Z2", "Z4"),
+    ("Z2", "K4"),
+    ("Z2", "Z5"),
+    ("Z2", "Z6"),
+    ("Z2", "Z7"),
+    ("Z2", "Z8"),
+    ("Z3", "Z3"),
+    ("Z3", "Z4"),
+    ("Z3", "K4"),
+    ("Z3", "Z5"),
+    ("Z4", "Z2"),
+    ("Z4", "Z3"),
+    ("Z4", "Z4"),
+    ("K4", "Z2"),
+    ("K4", "Z3"),
+    ("K4", "K4"),
+    ("Z5", "Z2"),
+    ("Z5", "Z3"),
+    ("Z6", "Z2"),
+    ("Z7", "Z2"),
+    ("Z8", "Z2"),
+    ("Z2^3", "Z2"),
+]
+
+_CENTRAL_SHAPES = [
+    ("Z2", "Z2"),
+    ("Z2", "Z3"),
+    ("Z2", "Z4"),
+    ("Z2", "K4"),
+    ("Z2", "Z5"),
+    ("Z2", "Z6"),
+    ("Z2", "Z8"),
+    ("Z3", "Z3"),
+    ("Z3", "Z4"),
+    ("Z4", "Z4"),
+    ("K4", "Z4"),
+    ("Z4", "Z6"),
+    ("Z3", "Z8"),
+    ("K4", "Z8"),
 ]
 
 
-def _build_shapes(shapes):
-    """(tag, A, F) per shape, built once so that every entry of a shape
-    shares its tables and their memoized automorphisms."""
-    return [
-        (f"{a_tag}by{f_tag}", AbelianGroupTable(a_fn()), f_fn())
-        for a_tag, a_fn, f_tag, f_fn in shapes
-    ]
+def _draws(shapes, count: int, master_seed: int, central: bool):
+    """(tag, cocycle) for count seeded draws, one per shape in turn, each
+    from the next seed of SplitMix64(master_seed).  A shape's tables are
+    built once, so its draws share them and their memoized automorphisms."""
+    groups = small_groups()
+    built = [(f"{a}by{f}", AbelianGroupTable(groups[a]), groups[f]) for a, f in shapes]
+    seeds = SplitMix64(master_seed)
+    for i in range(count):
+        tag, A, F = built[i % len(built)]
+        stream = iter_cocycles_random(A, F, seed=seeds.next_u64(), budget=1, central=central)
+        yield f"{tag}#{i}", next(stream)
 
 
 def random_extension_pool(count: int = 200, master_seed: int = POOL_MASTER_SEED):
     """Seeded random abelian extensions of orders 8..16."""
-    shapes = _build_shapes(_RANDOM_SHAPES)
-    out = []
-    seeds = SplitMix64(master_seed)
-    while len(out) < count:
-        tag, A, F = shapes[len(out) % len(shapes)]
-        gamma = next(iter(iter_cocycles_random(A, F, seed=seeds.next_u64(), budget=1)))
-        out.append(PoolEntry(f"{tag}#{len(out)}", build_extension(gamma), gamma))
-    return out
-
-
-_CENTRAL_SHAPES = [
-    ("Z2", lambda: cyclic(2), "Z2", lambda: cyclic(2)),
-    ("Z2", lambda: cyclic(2), "Z3", lambda: cyclic(3)),
-    ("Z2", lambda: cyclic(2), "Z4", lambda: cyclic(4)),
-    ("Z2", lambda: cyclic(2), "K4", klein),
-    ("Z2", lambda: cyclic(2), "Z5", lambda: cyclic(5)),
-    ("Z2", lambda: cyclic(2), "Z6", lambda: cyclic(6)),
-    ("Z2", lambda: cyclic(2), "Z8", lambda: cyclic(8)),
-    ("Z3", lambda: cyclic(3), "Z3", lambda: cyclic(3)),
-    ("Z3", lambda: cyclic(3), "Z4", lambda: cyclic(4)),
-    ("Z4", lambda: cyclic(4), "Z4", lambda: cyclic(4)),
-    ("K4", klein, "Z4", lambda: cyclic(4)),
-    ("Z4", lambda: cyclic(4), "Z6", lambda: cyclic(6)),
-    ("Z3", lambda: cyclic(3), "Z8", lambda: cyclic(8)),
-    ("K4", klein, "Z8", lambda: cyclic(8)),
-]
+    draws = _draws(_RANDOM_SHAPES, count, master_seed, central=False)
+    return [PoolEntry(tag, build_extension(gamma), gamma) for tag, gamma in draws]
 
 
 def central_cocycle_pool(count: int = 100, master_seed: int = POOL_MASTER_SEED ^ 0xC0C):
     """Seeded random central cocycles over assorted (A, F), |F| <= 8."""
-    shapes = _build_shapes(_CENTRAL_SHAPES)
-    out = []
-    seeds = SplitMix64(master_seed)
-    while len(out) < count:
-        tag, A, F = shapes[len(out) % len(shapes)]
-        gamma = next(
-            iter(iter_cocycles_random(A, F, seed=seeds.next_u64(), budget=1, central=True))
-        )
-        out.append((f"central-{tag}#{len(out)}", gamma))
-    return out
+    draws = _draws(_CENTRAL_SHAPES, count, master_seed, central=True)
+    return [(f"central-{tag}", gamma) for tag, gamma in draws]

@@ -161,11 +161,9 @@ def hunt_candidates(seed: int, count: int):
 # -- independent oracles -------------------------------------------------------
 
 
-def closure_order(generators, cap=200_000) -> int:
-    """Breadth-first closure count, independent of the stabilizer chain."""
-    if not generators:
-        return 1
-    degree = len(generators[0])
+def closure_elements(generators, degree: int, cap=200_000) -> set:
+    """The image tuples of the group generated by generators, by a
+    breadth-first closure independent of the stabilizer chain."""
     gens = [tuple(g) for g in generators]
     identity = tuple(range(degree))
     seen = {identity}
@@ -181,7 +179,14 @@ def closure_order(generators, cap=200_000) -> int:
                     if len(seen) > cap:
                         raise RuntimeError("closure oracle cap exceeded")
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def closure_order(generators, cap=200_000) -> int:
+    """Breadth-first closure count, independent of the stabilizer chain."""
+    if not generators:
+        return 1
+    return len(closure_elements(generators, len(generators[0]), cap))
 
 
 def profiles_oracle(Q):

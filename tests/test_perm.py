@@ -22,6 +22,7 @@ from loopkit.perm import (
     lower_central_series,
     nilpotency_class_group,
     normal_closure,
+    point_stabilizer,
     solvable_class,
 )
 from loopkit.pools import POOL_MASTER_SEED
@@ -30,6 +31,7 @@ from loopkit.util import INFINITE, prime_divisors
 
 from conftest import (
     ORDER_5_LOOP,
+    closure_elements,
     closure_order,
     hunt_candidates,
     textbook_closure,
@@ -561,16 +563,16 @@ def test_is_solvable_of_pool_groups(pool):
 
 
 def test_is_solvable_of_hunt_groups():
-    """Inn and Mlt of hunt candidates, the groups the hunt's predicate asks
-    about.  At seed 0 both a solvable and a non-solvable Inn occur, and
-    candidates 21 and 30 have a solvable Mlt whose order has two and
-    three prime divisors."""
+    """Inn and Mlt of the first 240 hunt candidates at seed 0, the groups
+    the hunt's predicate asks about, against the derived series of a copy.
+    Both a solvable and a non-solvable Inn occur, and candidates 21 and 30
+    have a solvable Mlt whose order has two and three prime divisors."""
     seen = set()
-    for Q in hunt_candidates(seed=0, count=40):
+    for Q in hunt_candidates(seed=0, count=240):
         for which in ("INN", "MLT"):
             group = assoc_group(Q, which)
-            got = is_solvable(PermGroup(group.degree, group.generators))
-            assert got == solvable_oracle(group)
+            got = is_solvable(group)
+            assert got is solvable_oracle(group), which
             seen.add((which, got))
     assert seen == {("INN", True), ("INN", False), ("MLT", True), ("MLT", False)}
 
@@ -718,15 +720,16 @@ def test_galois_witness(factory, witnessed, solvable):
 
 
 def test_galois_rule_on_hunt_groups():
-    """is_solvable of INN and MLT of the first 240 hunt candidates at
-    seed 0, asked before their chains exist, against the derived series
-    of a copy."""
+    """Galois's rule on INN's and MLT's word rows of the first 240 hunt
+    candidates at seed 0: a witness only where the derived series of a
+    copy says the group is not solvable, 226 of the Inns and no Mlt."""
+    witnessed = 0
     for Q in hunt_candidates(seed=0, count=240):
         for which in ("INN", "MLT"):
-            group = assoc_group(Q, which)
-            want = solvable_oracle(group)
-            assert group._chain_cache is None
-            assert is_solvable(group) is want, which
+            if galois_witness(word_rows(Q, which)):
+                assert not solvable_oracle(assoc_group(Q, which)), which
+                witnessed += 1
+    assert witnessed == 226
 
 
 def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
@@ -752,6 +755,53 @@ def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
             witnessed.append(i)
     assert len(witnessed) == 226
     assert not set(witnessed) & set(SOLVABLE_INN_AT_SEED_0)
+
+
+# -- point stabilizers ----------------------------------------------------------
+
+
+def test_point_stabilizer_of_every_point_of_census_mlts(census_loops):
+    """On every census loop (half with the neutral off 0), the stabilizer
+    of each point of Mlt is the set of Mlt's elements that fix it: both
+    sides enumerated by a breadth-first closure of image tuples."""
+    for Q in census_loops:
+        mlt = PermGroup(Q.order, word_rows(Q, "MLT"))
+        elements = closure_elements([g.images for g in mlt.generators], Q.order)
+        for p in range(Q.order):
+            stab = point_stabilizer(mlt, p)
+            got = closure_elements([g.images for g in stab.generators], Q.order)
+            assert got == {g for g in elements if g[p] == p}, (Q.order, p)
+            assert stab.order() == len(got), (Q.order, p)
+
+
+def test_point_stabilizer_of_every_point_of_generic_mlts(generic_loops):
+    """On the generic loops of orders 8-32, whose Mlt is S_n, the
+    stabilizer of each point has order |Mlt| / n, and its generators fix
+    the point and lie in Mlt."""
+    for Q in (q for q in generic_loops if q.order <= 32):
+        mlt = assoc_group(Q, "MLT")
+        for p in range(Q.order):
+            stab = point_stabilizer(mlt, p)
+            assert stab.order() == mlt.order() // Q.order, (Q.order, p)
+            assert all(g(p) == p and g in mlt for g in stab.generators), (Q.order, p)
+
+
+def test_point_stabilizer_outside_the_base_orbit():
+    """Z2 on {0, 1} beside A5 on {2..6}: the first base point is 0, the
+    stabilizer of 0 or 1 is A5, and a point of the other orbit, or a
+    fixed point, raises.  Every stabilizer of the trivial group is
+    trivial."""
+    group = PermGroup(8, side_by_side(8, (0, [(1, 0)]), (2, A5_GENS)))
+    assert group.base_sequence()[0] == 0
+    for p in (0, 1):
+        stab = point_stabilizer(group, p)
+        assert stab.order() == 60
+        assert all(g(0) == 0 and g(1) == 1 and g in group for g in stab.generators)
+    for p in (2, 6, 7):
+        with pytest.raises(ValueError):
+            point_stabilizer(group, p)
+    trivial = point_stabilizer(PermGroup(3, []), 1)
+    assert trivial.is_trivial() and trivial.order() == 1
 
 
 # -- the reduced chain against the textbook one ------------------------------------
