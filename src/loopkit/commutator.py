@@ -18,16 +18,22 @@ The generators lie in A and in B, and so does [A, B]: each word fixes
 the neutral and respects congruences, so for a in A, W_p(a) and
 W_{rep p}(a) are congruent to e modulo A, and to each other modulo B.
 
-The congruence series takes D1 = [Q, Q] as the derived subloop Q'
-(`derived_subloop`): [Q, Q] is the least normal N with Q/N abelian in
-itself, that is a commutative group (Stanovsky and Vojtechovsky,
-"Commutator theory for loops", J. Algebra 2014).
+So the two ends of the normal-subloop lattice need no words:
+[A, 1] = [1, B] = 1, and [Q, Q] is the derived subloop Q'
+(`derived_subloop`), the least normal N with Q/N abelian in itself,
+that is a commutative group (Stanovsky and Vojtechovsky, "Commutator
+theory for loops", J. Algebra 2014).  The congruence series takes its
+D1 the same way.
 
 Abelianess of a normal subloop has three independent routes here:
 
   A1  the commutator [A,A] is trivial,
   A3  a syntactic scan (restriction automorphisms plus associator and
-      commutator identities),
+      commutator identities), which stops at the first failed condition;
+      it checks them cheapest first: (ii) on |A|^2 entries, (iii) on
+      |A|^2 n, (iv) and (v) on |A| n^2, (vi) on three |A| n^2 arrays,
+      and (i) on |A|^2 per row of INN's (at most n + 2n^2) rows.  Of
+      the first 61 pool tables' normal subloops 114 fail, 86 at (ii).
   A4  extraction of a cocycle presenting Q as an extension of A by Q/A.
 
 Centrality gets the analogous four routes C1, C3, C3', C4.
@@ -81,6 +87,10 @@ def commutator_subloop(Q: LoopTable, A: Subloop, B: Subloop) -> Subloop:
         raise NotNormal("first argument is not normal")
     if not is_normal(Q, B):
         raise NotNormal("second argument is not normal")
+    if A.is_trivial() or B.is_trivial():
+        return Subloop(Q, (Q.neutral,))
+    if A.is_whole() and B.is_whole():
+        return derived_subloop(Q)
     gens = commutator_generators(Q, A, B)
     if not gens:
         return Subloop(Q, (Q.neutral,))
@@ -112,6 +122,32 @@ def _restricts_to_automorphisms(Q: LoopTable, A: Subloop, images: np.ndarray) ->
     return bool(np.array_equal(lhs, rhs))
 
 
+def _a3_conditions(Q: LoopTable, A: Subloop):
+    """The six A3 conditions as (name, holds) pairs, cheapest first; each
+    is computed only when the previous one has been taken."""
+    if not is_normal(Q, A):
+        raise NotNormal("subloop is not normal")
+    mul, rdiv = Q.mul, Q.rdiv
+    n = Q.order
+    idx = np.fromiter(A.elements, dtype=np.int64)
+    sub = mul[np.ix_(idx, idx)]
+    yield "ii", bool(np.array_equal(sub, sub.T))
+    BA = mul[idx]  # BA[i, x] = a_i * x
+    yield "iii", bool(np.array_equal(mul[sub], mul[idx[:, None, None], BA[None, :, :]]))
+    BAX = mul[BA]  # BAX[i, x, u] = (a_i x) u
+    yield "iv", bool(np.array_equal(BAX[:, :, idx], BA[:, mul[:, idx]]))
+    yield "v", bool(np.array_equal(mul[mul[:, idx]][:, :, idx], mul[:, sub]))
+    # u/v in A iff u and v share a right coset Av, that is rep u = rep v
+    W = rdiv[rdiv[BAX, mul], idx[:, None, None]]  # W[i, x, u] = [a_i, x, u]
+    yield "vi", bool(np.array_equal(W, W[:, :, coset_representatives(Q, A)]))
+    # INN's maps on A, CHUNK_ENTRIES products but at least n maps at a time
+    maps = word_rows(Q, "INN")[:, idx]
+    step = max(n, CHUNK_ENTRIES // len(idx) ** 2)
+    yield "i", all(
+        _restricts_to_automorphisms(Q, A, maps[i : i + step]) for i in range(0, len(maps), step)
+    )
+
+
 def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     """The six syntactic sub-conditions of the abelianess characterization
     of a normal subloop A (NotNormal otherwise).
@@ -123,43 +159,12 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
     v    [x,a,b] = 1
     vi   [a,x,u] = [a,x,v] whenever u/v in A
     """
-    if not is_normal(Q, A):
-        raise NotNormal("subloop is not normal")
-    mul, rdiv = Q.mul, Q.rdiv
-    n = Q.order
-    idx = np.fromiter(A.elements, dtype=np.int64)
-    # INN's maps on A, CHUNK_ENTRIES products but at least n maps at a time
-    maps = word_rows(Q, "INN")[:, idx]
-    step = max(n, CHUNK_ENTRIES // len(idx) ** 2)
-    cond_i = all(
-        _restricts_to_automorphisms(Q, A, maps[i : i + step]) for i in range(0, len(maps), step)
-    )
-    sub = mul[np.ix_(idx, idx)]
-    cond_ii = bool(np.array_equal(sub, sub.T))
-    BA = mul[idx]  # BA[i, x] = a_i * x
-    cond_iii = bool(
-        np.array_equal(mul[sub], mul[idx[:, None, None], BA[None, :, :]])
-    )
-    BAX = mul[BA]  # BAX[i, x, u] = (a_i x) u
-    cond_iv = bool(np.array_equal(BAX[:, :, idx], BA[:, mul[:, idx]]))
-    cond_v = bool(
-        np.array_equal(mul[mul[:, idx]][:, :, idx], mul[:, sub])
-    )
-    # u/v in A iff u and v share a right coset Av, that is rep u = rep v
-    W = rdiv[rdiv[BAX, mul], idx[:, None, None]]  # W[i, x, u] = [a_i, x, u]
-    cond_vi = bool(np.array_equal(W, W[:, :, coset_representatives(Q, A)]))
-    return {
-        "i": cond_i,
-        "ii": cond_ii,
-        "iii": cond_iii,
-        "iv": cond_iv,
-        "v": cond_v,
-        "vi": cond_vi,
-    }
+    return dict(sorted(_a3_conditions(Q, A)))  # i, ii, iii, iv, v, vi
 
 
 def is_abelian_in_A3(Q: LoopTable, A: Subloop) -> bool:
-    return all(a3_subconditions(Q, A).values())
+    """All six A3 conditions hold; stops at the first that fails."""
+    return A.is_trivial() or all(holds for _, holds in _a3_conditions(Q, A))
 
 
 def is_abelian_in_A4(Q: LoopTable, A: Subloop):

@@ -13,11 +13,12 @@ from loopkit import (
     INFINITE,
     Subloop,
     all_normal_subloops,
-    commutator_subloop,
     g_oplus,
+    normal_closure,
     quotient,
 )
 from loopkit.cli import PRESETS
+from loopkit.commutator import commutator_generators
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
@@ -605,15 +606,23 @@ def upper_central_oracle(Q):
     return series, len(series) - 1
 
 
+def word_commutator(Q, A, B) -> tuple[int, ...]:
+    """[A, B] as the normal closure of the word deviations at every pair,
+    [Q, Q] included, where commutator_subloop takes the derived subloop
+    instead.  Independent of loopkit.commutator.derived_subloop."""
+    gens = commutator_generators(Q, A, B)
+    return normal_closure(Q, gens).elements if gens else (Q.neutral,)
+
+
 def congruence_series_oracle(Q):
     """(element tuples of D0, D1, ..., class or INFINITE) of the
-    congruence derived series with commutator_subloop at every step,
+    congruence derived series with word_commutator at every step,
     [Q, Q] included.  Independent of loopkit.commutator.derived_subloop,
     which the series itself takes as D1."""
     series = [tuple(range(Q.order))]
     while len(series[-1]) > 1:
         current = Subloop(Q, series[-1])
-        nxt = commutator_subloop(Q, current, current).elements
+        nxt = word_commutator(Q, current, current)
         if nxt == current.elements:
             return series, INFINITE
         series.append(nxt)

@@ -306,6 +306,9 @@ def test_ac7_syntactic_condition_optimality():
     not_vi = _first_goplus(z4, _fails_only("vi"))
     assert not_vi is not None, "no (i)-(v)-but-not-(vi) witness over Z4"
     assert condition_i_oracle(not_vi, Subloop(not_vi, (0, 1, 2, 3)))
+    # the A3 verdict checks the conditions in turn: it must reach (i) and (vi)
+    for q in (not_i, not_vi):
+        assert not is_abelian_in_A3(q, Subloop(q, (0, 1, 2, 3)))
 
     k4 = klein()
     assert k4.neutral == 0

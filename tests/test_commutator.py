@@ -54,6 +54,7 @@ from conftest import (
     least_commutative_group_kernel,
     seeded_relabelings,
     upper_central_oracle,
+    word_commutator,
 )
 
 Z4 = cyclic(4)
@@ -115,9 +116,51 @@ def test_commutator_matches_all_pairs_oracle(pool):
     assert checked == 902
 
 
+def test_commutator_with_the_trivial_subloop_matches_the_oracle(pool):
+    """[A, 1] and [1, B] for every normal A and B of the pool tables of
+    order <= 8, the pairs the all-pairs test leaves out."""
+    checked = 0
+    for entry in pool:
+        q = entry.table
+        if q.order > 8:
+            continue
+        one = Subloop(q, (q.neutral,))
+        for a in all_normal_subloops(q):
+            for pair in ((a, one), (one, a)):
+                assert commutator_subloop(q, *pair).elements == commutator_oracle(q, *pair), (
+                    entry.tag, pair)
+                checked += 1
+    assert checked == 2 * 451
+
+
+def test_commutator_at_the_lattice_ends_scans_no_words(monkeypatch, pool):
+    """[A, 1] = 1 and [Q, Q] = Q' need no word deviations: A1 and C1 on
+    the trivial subloop and on the whole loop of every pool table (orders
+    up to 16) never call commutator_generators."""
+    calls = collections.Counter()
+    scan = commutator_module.commutator_generators
+
+    def counted(Q, A, B):
+        calls[A.size, B.size] += 1
+        return scan(Q, A, B)
+
+    monkeypatch.setattr(commutator_module, "commutator_generators", counted)
+    for entry in pool:
+        q = entry.table
+        for a in (Subloop(q, (q.neutral,)), whole(q)):
+            is_abelian_in_A1(q, a)
+            is_central_in(q, a, "C1")
+    assert max(e.table.order for e in pool) == 16 and not calls
+    is_abelian_in_A1(S3, A3)  # a proper pair still scans its words
+    assert calls == {(3, 3): 1}
+
+
 def test_commutator_requires_normal_arguments():
-    with pytest.raises(NotNormal):
-        commutator_subloop(S3, Subloop(S3, (0, 1)), whole(S3))
+    one = Subloop(S3, (0,))
+    for a, b in ((Subloop(S3, (0, 1)), whole(S3)), (Subloop(S3, (0, 1)), one),
+                 (one, Subloop(S3, (0, 2)))):
+        with pytest.raises(NotNormal):
+            commutator_subloop(S3, a, b)
 
 
 def test_abelian_in_known_cases():
@@ -145,6 +188,38 @@ def test_noncommutative_group_fails_only_commuting_condition():
     sub = a3_subconditions(S3, whole(S3))
     assert not sub["ii"]
     assert sub["i"] and sub["iii"] and sub["iv"] and sub["v"] and sub["vi"]
+
+
+def test_a3_stops_at_the_first_failed_condition(monkeypatch):
+    """S3 fails (ii), the first condition checked, so the A3 verdict never
+    reaches (i), the costliest; the trivial subloop reaches no condition."""
+    def refuse(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(commutator_module, "_restricts_to_automorphisms", refuse)
+    assert not is_abelian_in_A3(S3, whole(S3))
+    monkeypatch.setattr(commutator_module, "_a3_conditions", refuse)
+    assert is_abelian_in_A3(S3, Subloop(S3, (0,)))
+
+
+def test_a3_verdict_is_the_full_table_of_conditions(pool, census_classes):
+    """The A3 verdict, which stops at its first failed condition, against
+    all six conditions on every normal subloop of the census classes and
+    of the pool tables (orders up to 16); the AC-7 test checks the two
+    witnesses where only (i) or only (vi) fails."""
+    tables = census_classes + [e.table for e in pool]
+    checks = ("ii", "iii", "iv", "v", "vi", "i")
+    verdicts = collections.Counter()
+    first_failed = collections.Counter()
+    for q in tables:
+        for a in all_normal_subloops(q):
+            sub = a3_subconditions(q, a)
+            verdict = is_abelian_in_A3(q, a)
+            assert verdict == all(sub.values()), (q, a)
+            verdicts[verdict] += 1
+            first_failed[next((k for k in checks if not sub[k]), None)] += 1
+    assert verdicts[True] and verdicts[False]
+    assert first_failed["ii"] and first_failed["iii"] and first_failed["vi"]
 
 
 def test_centrality_modes():
@@ -189,7 +264,7 @@ def test_derived_subloop_on_reduced_squares(census_loops):
     for q in census_loops:
         got = derived_subloop(q).elements
         assert got == least_commutative_group_kernel(q).elements, q
-        assert got == commutator_subloop(q, whole(q), whole(q)).elements, q
+        assert got == word_commutator(q, whole(q), whole(q)), q
         perfect += len(got) == q.order
     # the trivial loop and each of the 100 classes that are not congruence
     # solvable are perfect: the 5 of order 5 because a loop of prime order
