@@ -166,6 +166,7 @@ _OPS = {
     "<": operator.lt,
     ">": operator.gt,
 }
+_OP_PATTERN = re.compile("|".join(map(re.escape, _OPS)))  # two-character operators first
 
 
 def parse_filter(text: str):
@@ -173,14 +174,10 @@ def parse_filter(text: str):
     operator, value).  The value is parsed with the field's kind here (a
     decimal fingerprint), so a bad one raises Malformed before any
     catalog is read."""
-    for op_text in _OPS:  # two-character operators first
-        if op_text in text:
-            field_name, _, raw = text.partition(op_text)
-            field_name = field_name.strip()
-            raw = raw.strip()
-            break
-    else:
+    match = _OP_PATTERN.search(text)  # the leftmost operator, two characters if it can
+    if match is None:
         raise Malformed(f"no comparison operator in filter {text!r}")
+    field_name, op_text, raw = text[: match.start()].strip(), match[0], text[match.end():].strip()
     if field_name == "source":
         return field_name, _OPS[op_text], raw
     kind = "int" if field_name == "fingerprint" else FIELD_KINDS.get(field_name)

@@ -15,10 +15,11 @@ its generating family.  `assoc_group` wraps it as a PermGroup, and the
 Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
 their arguments come from `inner_maps`.
 
-Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  The
-report, which builds Mlt anyway, and the Inn search presets ask MLT's
-chain for the stabilizer of e (`inner_group`); the other paths read
-INN's cheaper rows.
+Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  Each
+group's chain takes e as its first base point, which L_x moves for
+x != e, so Mlt's levels 1 and below are Inn.  The report, which builds
+Mlt anyway, and the Inn search presets take Inn from there
+(`inner_group`); the other paths read INN's cheaper rows.
 Either serves, as any generating set of Inn does: the center is its
 common fixed set, the inner orbits are its orbits, and its image
 generates each Inn(Q/N) (the upper central series, Q').  So the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import LoopTable
 from .errors import ArityMismatch
-from .perm import PermGroup, Permutation, point_stabilizer
+from .perm import PermGroup, Permutation, base_stabilizer
 
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
 TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
@@ -136,13 +137,14 @@ def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
 
 def assoc_group(Q: LoopTable, which: str) -> PermGroup:
     """MLT, INN, TMLT or TINN of the loop as a permutation group over its
-    distinct generating maps (word_rows, identity dropped), built once per
-    table."""
-    return Q.memo(("assoc_group", which), lambda: PermGroup(Q.order, word_rows(Q, which)))
+    distinct generating maps (word_rows, identity dropped), with the
+    neutral as first base point, built once per table."""
+    return Q.memo(
+        ("assoc_group", which), lambda: PermGroup(Q.order, word_rows(Q, which), Q.neutral)
+    )
 
 
 def inner_group(Q: LoopTable) -> PermGroup:
-    """Inn(Q) = Mlt_e, the stabilizer of the neutral in MLT's chain
-    (`perm.point_stabilizer`), once per table.  Mlt is transitive, since
-    L_x sends e to x, so e lies in every base point's orbit."""
-    return Q.memo("inner_group", lambda: point_stabilizer(assoc_group(Q, "MLT"), Q.neutral))
+    """Inn(Q) = Mlt_e, levels 1 and below of MLT's chain, whose first base
+    point is e (`perm.base_stabilizer`), once per table."""
+    return Q.memo("inner_group", lambda: base_stabilizer(assoc_group(Q, "MLT")))

@@ -1,11 +1,14 @@
 """Permutations and finitely generated permutation groups.
 
 The group engine is a deterministic (non-randomized) Schreier-Sims
-stabilizer chain.  Base points are found by scanning 0, 1, 2, ... for the
-first point moved, orbit points and Schreier generators are processed in
-first-in-first-out discovery order with generators applied in install
-order, so two constructions from the same generator list produce
-identical base sequences and identical orders.
+stabilizer chain.  Level 0's base point is the chain's first base point
+(0 unless given) when the first generator that grows the chain moves it;
+otherwise, and on every deeper level, it is the first of 0, 1, 2, ...
+that the level's first generator moves.  Orbit points and Schreier
+generators are processed in first-in-first-out discovery order with
+generators applied in install order, so two constructions from the same
+generators and first base point produce identical base sequences and
+identical orders.
 
 A PermGroup has degree d at most 256 (`_pack` raises CapExceeded above
 it).  Inside the chain, the normal closures and the series, a
@@ -72,10 +75,10 @@ each exactly:
     then on, which is all Schreier's lemma asks of it at level k.
 
 A generator grows a chain iff it lies outside the group of those before
-it, so none of the five changes an order or a grown list, and no term of
-a series gets other generators.  Transversals are discovered along fewer
-generators, so a base may differ from the textbook run's; it stays
-deterministic.
+it, so neither the five nor the first base point changes an order or a
+grown list, and no term of a series gets other generators.  Transversals
+are discovered along fewer generators, so a base may differ from the
+textbook run's; it stays deterministic.
 
 A chain may also stop at the order of a group known to hold its
 generators: G' lies in G and [G, N] in N, so a normal closure's chain
@@ -91,13 +94,13 @@ A seed of `normal_closure` outside the group it is closed under voids
 that bound, so the public closure uses it only when every seed sifts
 into the group's chain.
 
-A complete chain, bounded or not, holds the stabilizer of every point
-p of its first base point's orbit (`point_stabilizer`).  Levels 1 and
-below are a complete chain of H_1 = G_{b_0}, of order |G| / |b_0^G|,
-and level 1's generators S_1 generate H_1, so they serve as its grown
-list.  For the representative u with u(b_0) = p, G_p = u G_{b_0} u^-1
-is generated by the conjugates u s u^-1 of S_1 and has the same order,
-which bounds their chain.
+A complete chain, bounded or not, holds the stabilizer of its first
+base point (`base_stabilizer`).  Levels 1 and below are a complete chain
+of H_1 = G_{b_0}, of order |G| / |b_0^G|, and level 1's generators S_1
+generate H_1, so they serve as its grown list; nothing is sifted.  A
+chain may be built over any prescribed first base point (Seress, ch. 4),
+so the stabilizer of a point p is that of the chain given p, when its
+first growing generator moves p.
 
 `solvable_class` is the derived series.  `is_solvable` asks the order
 first: a group whose order has at most two prime divisors is solvable
@@ -300,11 +303,12 @@ class _Chain:
     of the transversal lengths, is kept up to date as points are added.
     """
 
-    def __init__(self, degree: int, bound: int | None = None):
+    def __init__(self, degree: int, bound: int | None = None, first_base: int = 0):
         self.identity = _ID[:degree]
         self.levels: list[_Level] = []
         self.grown: list = []
         self.bound = bound
+        self.first_base = first_base
         self.full = False
         self._order = 1
 
@@ -349,8 +353,10 @@ class _Chain:
         """Add residue (which fixes the first `where` base points) to levels
         first..where."""
         if where == len(self.levels):
-            moved = int.from_bytes(residue, "little") ^ int.from_bytes(self.identity, "little")
-            base = ((moved & -moved).bit_length() - 1) >> 3  # the first byte that differs
+            base = self.first_base  # level 0's when the residue moves it
+            if self.levels or residue[base] == base:
+                moved = int.from_bytes(residue, "little") ^ int.from_bytes(self.identity, "little")
+                base = ((moved & -moved).bit_length() - 1) >> 3  # the first byte that differs
             self.levels.append(_Level(base, self.identity))
         table = residue + _ID[len(residue):]
         for m in range(first, where + 1):
@@ -393,12 +399,11 @@ class _Chain:
                 self._establish(m, sifted)
 
 
-def _grow(degree: int, gens, divides: int | None = None,
-          bound: int | None = None) -> _Chain | None:
-    """The chain of gens, added in order, stopping at bound.  When divides
+def _grow(degree: int, gens, divides: int | None = None, first_base: int = 0) -> _Chain | None:
+    """The chain of gens, added in order, over first_base.  When divides
     is given, None as soon as the order of a chain still missing generators
     does not divide it: that partial chain is dropped, a complete one kept."""
-    chain = _Chain(degree, bound)
+    chain = _Chain(degree, first_base=first_base)
     for g in gens:
         if divides is not None and divides % chain.order():
             return None
@@ -437,14 +442,18 @@ def _pack(degree: int, generators) -> list:
 
 class PermGroup:
     """A permutation group given by generators (as _pack takes them), with
-    a cached chain.  `_gens` holds them as bytes, each once
+    a cached chain over first_base.  `_gens` holds them as bytes, each once
     and the identity dropped; `generators` rebuilds the Permutations.
     A group made with _chain is that chain's group, grown list and all."""
 
-    def __init__(self, degree: int, generators=(), _chain: _Chain | None = None):
+    def __init__(self, degree: int, generators=(), first_base: int = 0,
+                 _chain: _Chain | None = None):
+        if first_base and not 0 < first_base < degree:
+            raise ValueError(f"first base point {first_base} is not a point of degree {degree}")
         store = dict.fromkeys(_pack(degree, generators) if _chain is None else _chain.grown)
         store.pop(_ID[:degree], None)
         self.degree = degree
+        self.first_base = first_base
         self._gens = tuple(store)
         self._chain_cache = _chain
         self._derived: PermGroup | None = None
@@ -456,7 +465,7 @@ class PermGroup:
     @property
     def _chain(self) -> _Chain:
         if self._chain_cache is None:
-            self._chain_cache = _grow(self.degree, self._gens)
+            self._chain_cache = _grow(self.degree, self._gens, first_base=self.first_base)
         return self._chain_cache
 
     def order(self) -> int:
@@ -482,27 +491,16 @@ def group_order(group: PermGroup) -> int:
     return group.order()
 
 
-def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
-    """The stabilizer of a point in the orbit of the first base point b
-    (module docstring); ValueError for a point outside it.  G_b shares
-    levels 1 and below of group's chain and builds nothing; G_p is
-    u G_b u^-1 for the representative u with u(b) = p, chained up to
-    |G| / |b^G|.  Every stabilizer of the trivial group is trivial."""
+def base_stabilizer(group: PermGroup) -> PermGroup:
+    """The stabilizer of the first base point: levels 1 and below of
+    group's chain, shared, with level 1's generators as the grown list
+    (module docstring).  The trivial group's is trivial."""
     chain, degree = group._chain, group.degree
-    if not chain.levels:
-        return PermGroup(degree)
-    top = chain.levels[0]
-    if point not in top.transversal:
-        raise ValueError(f"point {point} is not in the orbit of base point {top.base}")
-    order = chain.order() // len(top.transversal)
-    gens = chain.levels[1].gens if len(chain.levels) > 1 else []
-    if point == top.base:
-        sub = _Chain(degree, order)
-        sub.levels, sub.grown = chain.levels[1:], [g[:degree] for g in gens]
-        sub._order, sub.full = order, True
-    else:  # u g u^-1 is u^-1's images through g's table, then through u's
-        u, u_inv = top.transversal[point] + _ID[degree:], top.inverses[point][:degree]
-        sub = _grow(degree, [u_inv.translate(g).translate(u) for g in gens], bound=order)
+    levels = chain.levels[1:]
+    order = chain.order() // len(chain.levels[0].transversal) if chain.levels else 1
+    sub = _Chain(degree, order)
+    sub.levels, sub.grown = levels, [g[:degree] for g in levels[0].gens] if levels else []
+    sub._order, sub.full = order, True
     return PermGroup(degree, _chain=sub)
 
 

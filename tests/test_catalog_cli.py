@@ -120,6 +120,21 @@ def test_query_filters():
     assert [r.order for r in query(sourced, [parse_filter("source!=pool 7")])] == [2]
 
 
+def test_filters_split_at_the_leftmost_operator():
+    """A source may hold operator characters, as `catalog add --source`
+    stores them: the filter splits at its leftmost operator, taking two
+    characters when an operator of two starts there."""
+    assert parse_filter("source=x<=y")[::2] == ("source", "x<=y")
+    assert parse_filter("source=a>b")[::2] == ("source", "a>b")
+    assert parse_filter("source!=a=b")[::2] == ("source", "a=b")
+    assert parse_filter("order<=8")[::2] == ("order", 8)
+    sourced = [record_for(cyclic(2), source="x<=y"), record_for(cyclic(3), source="a=b")]
+    assert [r.order for r in query(sourced, [parse_filter("source=x<=y")])] == [2]
+    assert [r.order for r in query(sourced, [parse_filter("source!=a=b")])] == [2]
+    assert [r.order for r in query(sourced, [parse_filter("source=a>b")])] == []
+    assert sorted(r.order for r in query(sourced, [parse_filter("order<=8")])) == [2, 3]
+
+
 def test_query_rejects_bad_filters():
     with pytest.raises(Malformed):
         parse_filter("no-operator")

@@ -83,7 +83,7 @@ def test_inner_group_is_the_group_of_inn_word_rows(census_loops, pool, generic_l
     """Inn as the stabilizer in Mlt's chain equals the group of INN's
     word rows: equal orders, and each group's generators lie in the
     other.  On the census loops (half with the neutral off 0, where Mlt's
-    stabilizer is conjugated), the pool tables of orders 8-16 and the
+    chain starts at e != 0), the pool tables of orders 8-16 and the
     generic loops of orders 8-64, whose Inn is S_(n-1)."""
     tables = census_loops + [e.table for e in pool if 8 <= e.table.order <= 16] + generic_loops
     for q in tables:

@@ -9,10 +9,11 @@ from loopkit import perm as perm_module
 from loopkit.core import LoopTable, direct_product
 from loopkit.errors import CapExceeded
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group, word_rows
+from loopkit.multgrp import assoc_group, inner_group, word_rows
 from loopkit.perm import (
     PermGroup,
     Permutation,
+    base_stabilizer,
     contains,
     derived_series,
     derived_subgroup,
@@ -22,7 +23,6 @@ from loopkit.perm import (
     lower_central_series,
     nilpotency_class_group,
     normal_closure,
-    point_stabilizer,
     solvable_class,
 )
 from loopkit.pools import POOL_MASTER_SEED
@@ -757,51 +757,94 @@ def test_non_solvable_hunt_inns_run_no_derived_series(monkeypatch):
     assert not set(witnessed) & set(SOLVABLE_INN_AT_SEED_0)
 
 
-# -- point stabilizers ----------------------------------------------------------
+# -- first base points --------------------------------------------------------------
 
 
-def test_point_stabilizer_of_every_point_of_census_mlts(census_loops):
-    """On every census loop (half with the neutral off 0), the stabilizer
-    of each point of Mlt is the set of Mlt's elements that fix it: both
-    sides enumerated by a breadth-first closure of image tuples."""
+def test_base_stabilizer_of_every_first_base_point_of_census_mlts(census_loops):
+    """On every census loop (half with the neutral off 0), Mlt's chain
+    given a point p as its first base point starts at p and has the
+    unbased chain's order and grown list, and its base stabilizer is the
+    set of Mlt's elements that fix p: both sides enumerated by a
+    breadth-first closure of image tuples.  So is `inner_group` for
+    p = e.  The order-1 loop's groups are trivial."""
     for Q in census_loops:
-        mlt = PermGroup(Q.order, word_rows(Q, "MLT"))
+        rows = word_rows(Q, "MLT")
+        mlt = PermGroup(Q.order, rows)
         elements = closure_elements([g.images for g in mlt.generators], Q.order)
+
+        def stabilizer_elements(group):
+            return closure_elements([g.images for g in group.generators], Q.order)
+
         for p in range(Q.order):
-            stab = point_stabilizer(mlt, p)
-            got = closure_elements([g.images for g in stab.generators], Q.order)
+            based = PermGroup(Q.order, rows, p)
+            assert based.base_sequence()[:1] == ((p,) if Q.order > 1 else ()), (Q.order, p)
+            assert based.order() == mlt.order(), (Q.order, p)
+            assert based._chain.grown == mlt._chain.grown, (Q.order, p)
+            stab = base_stabilizer(based)
+            got = stabilizer_elements(stab)
             assert got == {g for g in elements if g[p] == p}, (Q.order, p)
             assert stab.order() == len(got), (Q.order, p)
+        e = Q.neutral
+        assert stabilizer_elements(inner_group(Q)) == {g for g in elements if g[e] == e}, Q
 
 
-def test_point_stabilizer_of_every_point_of_generic_mlts(generic_loops):
-    """On the generic loops of orders 8-32, whose Mlt is S_n, the
-    stabilizer of each point has order |Mlt| / n, and its generators fix
-    the point and lie in Mlt."""
+def test_base_stabilizer_of_every_first_base_point_of_generic_mlts(generic_loops):
+    """On the generic loops of orders 8-32, whose Mlt is S_n, Mlt's chain
+    given a point p first starts at p, and its base stabilizer has order
+    |Mlt| / n, and generators that fix p and lie in Mlt."""
     for Q in (q for q in generic_loops if q.order <= 32):
         mlt = assoc_group(Q, "MLT")
         for p in range(Q.order):
-            stab = point_stabilizer(mlt, p)
+            based = PermGroup(Q.order, word_rows(Q, "MLT"), p)
+            assert based.base_sequence()[0] == p, (Q.order, p)
+            stab = base_stabilizer(based)
             assert stab.order() == mlt.order() // Q.order, (Q.order, p)
             assert all(g(p) == p and g in mlt for g in stab.generators), (Q.order, p)
 
 
-def test_point_stabilizer_outside_the_base_orbit():
-    """Z2 on {0, 1} beside A5 on {2..6}: the first base point is 0, the
-    stabilizer of 0 or 1 is A5, and a point of the other orbit, or a
-    fixed point, raises.  Every stabilizer of the trivial group is
-    trivial."""
-    group = PermGroup(8, side_by_side(8, (0, [(1, 0)]), (2, A5_GENS)))
-    assert group.base_sequence()[0] == 0
-    for p in (0, 1):
-        stab = point_stabilizer(group, p)
-        assert stab.order() == 60
-        assert all(g(0) == 0 and g(1) == 1 and g in group for g in stab.generators)
-    for p in (2, 6, 7):
+def chain_shape(group):
+    chain = group._chain
+    return chain.grown, chain.base_sequence(), [list(lv.transversal) for lv in chain.levels]
+
+
+def test_first_base_point_that_the_first_generator_fixes():
+    """Z2 on {0, 1} beside A5 on {2..6}, with 7 fixed: the first generator
+    (0 1)(2 3 4 5 6) moves every point but 7.  Given a moved point p, the
+    chain starts at p, and its base stabilizer fixes p and has order
+    120 / |orbit of p|.  Given 7, the chain is the unbased one, which
+    starts at 0.  A first base point outside the degree raises."""
+    gens = side_by_side(8, (0, [(1, 0)]), (2, A5_GENS))
+    unbased = PermGroup(8, gens)
+    assert unbased.base_sequence()[0] == 0
+    for p in range(7):
+        group = PermGroup(8, gens, p)
+        assert group.base_sequence()[0] == p and group.order() == 120
+        stab = base_stabilizer(group)
+        assert stab.order() == (60 if p < 2 else 24), p
+        assert all(g(p) == p and g in unbased for g in stab.generators), p
+    assert chain_shape(PermGroup(8, gens, 7)) == chain_shape(unbased)
+    for p in (8, -1):
         with pytest.raises(ValueError):
-            point_stabilizer(group, p)
-    trivial = point_stabilizer(PermGroup(3, []), 1)
-    assert trivial.is_trivial() and trivial.order() == 1
+            PermGroup(8, gens, p)
+
+
+@pytest.mark.parametrize("degree, first_base", [(0, 0), (1, 0), (3, 0), (3, 2)])
+def test_base_stabilizer_of_the_trivial_group(degree, first_base):
+    """The trivial group has no base point, whatever first base point it
+    is given, and its base stabilizer is trivial."""
+    group = PermGroup(degree, [], first_base)
+    stab = base_stabilizer(group)
+    assert group.base_sequence() == () and stab.is_trivial() and stab.order() == 1
+
+
+def test_inn_chains_ignore_the_neutral_as_first_base_point(census_loops):
+    """INN and TINN fix the neutral, so `assoc_group`'s chains over it
+    have the base sequence, transversals and grown list of unbased
+    builds, on every census loop (half with the neutral off 0)."""
+    for Q in census_loops:
+        for which in ("INN", "TINN"):
+            unbased = PermGroup(Q.order, word_rows(Q, which))
+            assert chain_shape(assoc_group(Q, which)) == chain_shape(unbased), (Q, which)
 
 
 # -- the reduced chain against the textbook one ------------------------------------
