@@ -32,8 +32,8 @@ Abelianess of a normal subloop has three independent routes here:
       commutator identities), which stops at the first failed condition;
       it checks them cheapest first: (ii) on |A|^2 entries, (iii) on
       |A|^2 n, (iv) and (v) on |A| n^2, (vi) on three |A| n^2 arrays,
-      and (i) on |A|^2 per row of INN's (at most n + 2n^2) rows.  Of
-      the first 61 pool tables' normal subloops 114 fail, 86 at (ii).
+      and (i) on |A|^2 per row of `multgrp.inner_rows`.  Of the
+      first 61 pool tables' normal subloops 114 fail, 86 at (ii).
   A4  extraction of a cocycle presenting Q as an extension of A by Q/A.
 
 Centrality gets the analogous four routes C1, C3, C3', C4.
@@ -49,14 +49,13 @@ from .core import LoopTable
 from .errors import CapExceeded, NotNormal
 from .extensions import extract_cocycle
 from .multgrp import (
-    CHUNK_ENTRIES, TOT_INNER_WORDS, assoc_group, inner_group, inner_maps, word_rows,
+    CHUNK_ENTRIES, TOT_INNER_WORDS, assoc_group, inner_group, inner_maps, inner_rows,
 )
-from .perm import generator_rows, group_order, nilpotency_class_group, solvable_class
+from .perm import group_order, nilpotency_class_group, solvable_class
 from .structure import (
     Subloop,
     coset_representatives,
     direct_decomposition,
-    inner_orbits,
     is_normal,
     normal_closure,
 )
@@ -140,8 +139,8 @@ def _a3_conditions(Q: LoopTable, A: Subloop):
     # u/v in A iff u and v share a right coset Av, that is rep u = rep v
     W = rdiv[rdiv[BAX, mul], idx[:, None, None]]  # W[i, x, u] = [a_i, x, u]
     yield "vi", bool(np.array_equal(W, W[:, :, coset_representatives(Q, A)]))
-    # INN's maps on A, CHUNK_ENTRIES products but at least n maps at a time
-    maps = word_rows(Q, "INN")[:, idx]
+    # Inn's generators on A, CHUNK_ENTRIES products but at least n maps at a time
+    maps = inner_rows(Q)[:, idx]
     step = max(n, CHUNK_ENTRIES // len(idx) ** 2)
     yield "i", all(
         _restricts_to_automorphisms(Q, A, maps[i : i + step]) for i in range(0, len(maps), step)
@@ -163,7 +162,10 @@ def a3_subconditions(Q: LoopTable, A: Subloop) -> dict[str, bool]:
 
 
 def is_abelian_in_A3(Q: LoopTable, A: Subloop) -> bool:
-    """All six A3 conditions hold; stops at the first that fails."""
+    """All six A3 conditions hold; stops at the first that fails.
+    NotNormal when A is not a normal subloop."""
+    if not is_normal(Q, A):
+        raise NotNormal("subloop is not normal")
     return A.is_trivial() or all(holds for _, holds in _a3_conditions(Q, A))
 
 
@@ -192,7 +194,7 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
     if mode == "C1":
         return commutator_subloop(Q, A, _whole(Q)).is_trivial()
     if mode == "C3":
-        return bool((word_rows(Q, "INN")[:, idx] == idx).all())
+        return bool((inner_rows(Q)[:, idx] == idx).all())
     if mode == "C3prime":
         if not np.array_equal(mul[idx, :], mul[:, idx].T):
             return False
@@ -214,18 +216,16 @@ def is_central_in(Q: LoopTable, A: Subloop, mode: str) -> bool:
 # -- series and classes -----------------------------------------------------------
 
 
-def congruence_derived_series(Q: LoopTable, rows=None):
+def congruence_derived_series(Q: LoopTable):
     """Iterated commutator with the whole loop as ambient: D0 = Q,
-    D_{i+1} = [D_i, D_i], with D1 = [Q, Q] formed as the derived subloop
-    from rows (as for `derived_subloop`).  Returns (series, class or
-    INFINITE)."""
+    D_{i+1} = [D_i, D_i], with D1 = [Q, Q] the derived subloop
+    (`commutator_subloop`).  Returns (series, class or INFINITE)."""
     series = [_whole(Q)]
     while True:
         current = series[-1]
         if current.is_trivial():
             return series, len(series) - 1
-        nxt = (derived_subloop(Q, rows) if current.is_whole()
-               else commutator_subloop(Q, current, current))
+        nxt = commutator_subloop(Q, current, current)
         if nxt.elements == current.elements:
             return series, INFINITE
         if not set(nxt.elements) <= set(current.elements):
@@ -233,29 +233,23 @@ def congruence_derived_series(Q: LoopTable, rows=None):
         series.append(nxt)
 
 
-def derived_subloop(Q: LoopTable, rows=None) -> Subloop:
+def derived_subloop(Q: LoopTable) -> Subloop:
     """Least normal subloop with a commutative-group quotient: the normal
-    closure of g(a)/a for every g of a generating set of Inn and every a.
-    rows holds the set's image rows, INN's word rows by default.
+    closure of g(a)/a for every row g of `multgrp.inner_rows` and every a.
 
-    For a normal N, x/y lies in N iff xN = yN.  Q/N is a commutative group
-    iff its every T_x (commutativity) and L_{x,y} (x(yz) = (xy)z) is the
-    identity, that is iff Inn(Q/N) is trivial.  Inn(Q) maps onto Inn(Q/N)
-    (as in `upper_central_series`), so that holds iff each g acts trivially
-    on Q/N, that is iff N holds every g(a)/a.  The same rows give the
-    `inner_orbits` that `normal_closure` reads.
+    Q/N is a commutative group iff its every T_x (commutativity) and
+    L_{x,y} (x(yz) = (xy)z) is the identity, that is iff Inn(Q/N) is
+    trivial, and for a normal N that holds iff N holds every g(a)/a
+    (`multgrp.inner_rows`).
     """
-    rows = word_rows(Q, "INN") if rows is None else rows
     seeds = np.zeros(Q.order, dtype=bool)
-    seeds[Q.rdiv[rows, np.arange(Q.order)]] = True
-    inner_orbits(Q, rows)
+    seeds[Q.rdiv[inner_rows(Q), np.arange(Q.order)]] = True
     return normal_closure(Q, np.flatnonzero(seeds).tolist())
 
 
-def classical_derived_series(Q: LoopTable, rows=None):
+def classical_derived_series(Q: LoopTable):
     """Derived-subloop iteration, each step inside the previous term:
-    Q^(0) = Q, Q^(i+1) = (Q^(i))', with Q' taken from rows (as for
-    `derived_subloop`) and each later term from its own INN rows.
+    Q^(0) = Q, Q^(i+1) = (Q^(i))'.
 
     Its length is the classical solvability class, the least length of a
     subnormal series with commutative-group factors.  The iteration is
@@ -275,29 +269,22 @@ def classical_derived_series(Q: LoopTable, rows=None):
         current = series[-1]
         if current.is_trivial():
             return series, len(series) - 1
-        # Q itself for the whole loop: an induced copy would rebuild INN and its orbits
-        table, table_rows = (Q, rows) if current.is_whole() else (current.induced_table(), None)
-        derived = derived_subloop(table, table_rows)
+        # Q itself for the whole loop: an induced copy would rebuild Inn and its orbits
+        derived = derived_subloop(Q if current.is_whole() else current.induced_table())
         lifted = tuple(current.elements[i] for i in derived.elements)
         if lifted == current.elements:
             return series, INFINITE
         series.append(Subloop(Q, lifted))
 
 
-def upper_central_series(Q: LoopTable, rows=None):
+def upper_central_series(Q: LoopTable):
     """Z0 = 1, Z_{i+1} = preimage of the center of Q/Z_i.
 
-    Z_{i+1} is the set of a with g(a) Z_i = a Z_i for every g of a
-    generating set of Inn, whose image rows are rows (INN's word rows by
-    default): one gather per step, and no table of Q/Z_i.  A word in
-    translations of Q induces the same word in translations of Q/Z_i
-    (xa Z_i = xZ_i aZ_i), so Mlt(Q) maps onto Mlt(Q/Z_i), and Q's T, L
-    and R words onto those of Q/Z_i, which generate Inn(Q/Z_i).  So
-    Inn(Q) maps onto Inn(Q/Z_i), and the images of the g generate it.
-    The center of a loop is the fixed set of its inner mapping group
-    (Bruck 1958), so the cosets every g fixes are exactly Z(Q/Z_i).
+    Z_{i+1} is the set of a with g(a) Z_i = a Z_i for every row g of
+    `multgrp.inner_rows`, whose cosets are Z(Q/Z_i) (there): one gather
+    per step, and no table of Q/Z_i.
     """
-    rows = word_rows(Q, "INN") if rows is None else rows
+    rows = inner_rows(Q)
     series = [Subloop(Q, (Q.neutral,))]
     while True:
         Z = series[-1]
@@ -421,19 +408,17 @@ def hierarchy_report(Q: LoopTable) -> HierarchyReport:
           nilpotent (Bruck 1946).
       mlt_solvable_class  inf when Inn is not solvable, as Inn <= Mlt.
       inn_order, inn_solvable_class  Inn = Mlt_e from Mlt's chain
-          (`inner_group`).  The center, the upper central series, Q' and
-          the inner orbits read its generators, as any generating set of
-          Inn serves, so INN's word rows are never formed.
+          (`inner_group`), built first, so the rest reads its generators
+          as `multgrp.inner_rows` and INN's word rows are never formed.
     """
     check_report_order(Q)
     mlt = assoc_group(Q, "MLT")
     inn = inner_group(Q)
-    rows = generator_rows(inn)
     inn_solvable = solvable_class(inn)
-    upper, nilpotency = upper_central_series(Q, rows)
+    upper, nilpotency = upper_central_series(Q)
     # INFINITE compares above every integer
-    congruence = nilpotency if nilpotency <= 2 else congruence_derived_series(Q, rows)[1]
-    classical = congruence if congruence <= 2 else classical_derived_series(Q, rows)[1]
+    congruence = nilpotency if nilpotency <= 2 else congruence_derived_series(Q)[1]
+    classical = congruence if congruence <= 2 else classical_derived_series(Q)[1]
     mlt_nilpotency = nilpotency_class_group(mlt) if is_finite(nilpotency) else INFINITE
     report = HierarchyReport(
         order=Q.order,

@@ -8,27 +8,17 @@ The inner generator families are the standard words
     M_{x,y} = M_{y\\x}^-1 M_x M_y
 
 and the groups are generated from these explicit word families over all
-argument tuples.
+argument tuples: MLT by the translations L_x and R_x, INN by T, L and R.
 
 Each table keeps one array per group, `word_rows`: the distinct maps of
-its generating family.  `assoc_group` wraps it as a PermGroup, and the
-Inn orbits, the center, A3 (i) and C3 read it directly; maps indexed by
-their arguments come from `inner_maps`.
+its generating family.  `assoc_group` wraps it as a PermGroup; maps
+indexed by their arguments come from `inner_maps`.  Inn(Q) is also Mlt_e
+(Bruck, A Survey of Binary Systems, 1958), read off Mlt's chain
+(`inner_group`).  Whatever reads a generating set of Inn asks the table
+for one (`inner_rows`).
 
-Inn(Q) is also Mlt_e (Bruck, A Survey of Binary Systems, 1958).  Each
-group's chain takes e as its first base point, which L_x moves for
-x != e, so Mlt's levels 1 and below are Inn.  The report, which builds
-Mlt anyway, and the Inn search presets take Inn from there
-(`inner_group`); the other paths read INN's cheaper rows.
-Either serves, as any generating set of Inn does: the center is its
-common fixed set, the inner orbits are its orbits, and its image
-generates each Inn(Q/N) (the upper central series, Q').  So the
-report's |MLT| = n * |INN| holds by construction; the tests check
-`inner_group` against INN's rows.
-
-INN's and TINN's words are
-evaluated in blocks of consecutive first arguments of at most
-CHUNK_ENTRIES entries (at least one first argument), so no (n, n, n)
+INN's words are evaluated in blocks of consecutive first arguments of at
+most CHUNK_ENTRIES entries (at least one first argument), so no (n, n, n)
 array is ever formed; up to n = 32 one block holds every x.
 """
 
@@ -38,7 +28,7 @@ import numpy as np
 
 from .core import LoopTable
 from .errors import ArityMismatch
-from .perm import PermGroup, Permutation, base_stabilizer
+from .perm import PermGroup, Permutation, base_stabilizer, generator_rows
 
 INNER_ARITY = {"T": 1, "U": 1, "L": 2, "R": 2, "M": 2}
 TOT_INNER_WORDS = ("T", "U", "L", "R", "M")
@@ -107,21 +97,20 @@ def inner_maps(Q: LoopTable, word: str, points=None, first=slice(None)) -> np.nd
 
 
 def word_rows(Q: LoopTable, which: str) -> np.ndarray:
-    """The distinct maps of MLT, INN, TMLT or TINN's generating family as
-    a read-only (k, n) array in first-occurrence order, identity included;
+    """The distinct maps of MLT's or INN's generating family as a
+    read-only (k, n) array in first-occurrence order, identity included;
     uint8 up to 256 points, else uint16.  Computed once per table."""
     return Q.memo(("word_rows", which), lambda: _word_rows(Q, which))
 
 
 def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
     n = Q.order
-    if which in ("MLT", "TMLT"):
-        blocks = (Q.mul, Q.mul.T, Q.ldiv.T)[: 2 if which == "MLT" else 3]
-    elif which in ("INN", "TINN"):
-        words = INNER_WORDS if which == "INN" else TOT_INNER_WORDS
+    if which == "MLT":
+        blocks = (Q.mul, Q.mul.T)
+    elif which == "INN":
         blocks = (  # one block at a time, CHUNK_ENTRIES entries but at least one x
             inner_maps(Q, w, first=slice(x, x + step)).reshape(-1, n)
-            for w in words
+            for w in INNER_WORDS
             for step in [max(1, CHUNK_ENTRIES // n ** INNER_ARITY[w])]
             for x in range(0, n, step)
         )
@@ -136,9 +125,9 @@ def _word_rows(Q: LoopTable, which: str) -> np.ndarray:
 
 
 def assoc_group(Q: LoopTable, which: str) -> PermGroup:
-    """MLT, INN, TMLT or TINN of the loop as a permutation group over its
-    distinct generating maps (word_rows, identity dropped), with the
-    neutral as first base point, built once per table."""
+    """MLT or INN of the loop as a permutation group over its distinct
+    generating maps (word_rows, identity dropped), with the neutral as
+    first base point, built once per table."""
     return Q.memo(
         ("assoc_group", which), lambda: PermGroup(Q.order, word_rows(Q, which), Q.neutral)
     )
@@ -146,5 +135,30 @@ def assoc_group(Q: LoopTable, which: str) -> PermGroup:
 
 def inner_group(Q: LoopTable) -> PermGroup:
     """Inn(Q) = Mlt_e, levels 1 and below of MLT's chain, whose first base
-    point is e (`perm.base_stabilizer`), once per table."""
-    return Q.memo("inner_group", lambda: base_stabilizer(assoc_group(Q, "MLT")))
+    point is e (`perm.base_stabilizer`), once per table.  Building it
+    records its generators as the table's `inner_rows`, unless some
+    reader has fixed them first."""
+    inn = Q.memo("inner_group", lambda: base_stabilizer(assoc_group(Q, "MLT")))
+    Q.memo("inner_rows", lambda: generator_rows(inn))
+    return inn
+
+
+def inner_rows(Q: LoopTable) -> np.ndarray:
+    """The image rows of one generating set of Inn(Q), identity included,
+    memoised on Q: the generators of `inner_group` when it has been built
+    (the report and the Inn search presets build Mlt's chain anyway), and
+    else INN's word rows, which need no chain and exist above 256 points.
+
+    The table keeps whichever came first, and no result can depend on the
+    choice, for every reader asks only about the group the rows generate:
+    a set's orbits are the group's (the inner orbits, hence normality and
+    normal closures), its common fixed set is the group's (the center,
+    C3), and each map of the group restricts to an automorphism of A iff
+    each of the set does (A3 (i)).  Its image in Inn(Q/N) generates
+    Inn(Q/N), since a word in translations of Q induces the same word on
+    the cosets (xa N = xN aN), so Mlt(Q) maps onto Mlt(Q/N) and Q's T, L
+    and R words onto those of Q/N.  So the set fixes the cosets the group
+    fixes, Z(Q/N) (the upper central series; the center of a loop is the
+    fixed set of Inn, Bruck 1958), and N holds g(a)/a for each g of the
+    set iff Inn(Q/N) is trivial (the derived subloop Q')."""
+    return Q.memo("inner_rows", lambda: word_rows(Q, "INN"))

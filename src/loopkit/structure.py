@@ -6,11 +6,10 @@ enumerated as the join-closure of singleton normal closures, never by
 subset enumeration.
 
 A subloop is normal iff it is invariant under the inner mapping group
-(Bruck, A Survey of Binary Systems, 1958).  The group's generators are
-permutations of a finite set, so that holds iff the subloop is a union
-of their orbits.  Each table memoises one orbit labelling
-(`inner_orbits`), so `is_normal` is O(n) and `normal_closure` alternates
-subloop closure with the union of the orbits the set meets.
+(Bruck, A Survey of Binary Systems, 1958), that is iff it is a union of
+Inn's orbits.  Each table memoises one orbit labelling (`inner_orbits`),
+so `is_normal` is O(n) past the subloop check and `normal_closure`
+alternates subloop closure with the union of the orbits the set meets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .core import LoopTable, direct_product
 from .errors import CapExceeded, NotNormal
-from .multgrp import word_rows
+from .multgrp import inner_rows
 from .perm import orbit_roots
 
 NORMAL_ENUM_CAP = 64
@@ -83,25 +82,26 @@ def subloop_generated(Q: LoopTable, seed) -> Subloop:
     return Subloop(Q, tuple(np.flatnonzero(member).tolist()))
 
 
-def inner_orbits(Q: LoopTable, rows=None) -> np.ndarray:
+def inner_orbits(Q: LoopTable) -> np.ndarray:
     """root[x] = the least element of x's orbit under the inner mapping
     group, computed once per table (read-only) by `perm.orbit_roots` over
-    rows, the image rows of any generating set of Inn (INN's word rows by
-    default).  The orbits of a generating set are the group's, so the
-    memo holds the same labels whichever rows filled it."""
-    return Q.memo("inner_orbits",
-                  lambda: orbit_roots(word_rows(Q, "INN") if rows is None else rows))
+    the table's `multgrp.inner_rows`."""
+    return Q.memo("inner_orbits", lambda: orbit_roots(inner_rows(Q)))
 
 
 def is_normal(Q: LoopTable, A: Subloop) -> bool:
-    """True when the element set is a union of inner-mapping orbits (memoised)."""
+    """True when the element set is a subloop and a union of inner-mapping
+    orbits (memoised).  A nonempty set that mul maps into itself is a
+    subloop, as Q is finite (`core._bfs_labeling`)."""
     if A.loop is not Q and A.loop != Q:
         raise ValueError("subloop belongs to a different table")
 
     def verdict():
+        idx = np.fromiter(A.elements, dtype=np.int64)
         member = np.zeros(Q.order, dtype=bool)
-        member[list(A.elements)] = True
-        return bool((member == member[inner_orbits(Q)]).all())
+        member[idx] = True
+        closed = idx.size > 0 and member[Q.mul[np.ix_(idx, idx)]].all()
+        return bool(closed and (member == member[inner_orbits(Q)]).all())
 
     return Q.memo(("is_normal", A.elements), verdict)
 
@@ -124,9 +124,9 @@ def normal_closure(Q: LoopTable, seed) -> Subloop:
 
 def center_subloop(Q: LoopTable) -> Subloop:
     """Elements commuting and associating with everything: the fixed set
-    of the inner mapping group (Bruck), that is the points every map of a
-    generating set of Inn fixes, here INN's word rows."""
-    fixed = (word_rows(Q, "INN") == np.arange(Q.order)).all(axis=0)
+    of the inner mapping group (Bruck), that is the points every row of
+    `multgrp.inner_rows` fixes."""
+    fixed = (inner_rows(Q) == np.arange(Q.order)).all(axis=0)
     return Subloop(Q, tuple(np.flatnonzero(fixed).tolist()))
 
 

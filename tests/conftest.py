@@ -22,7 +22,9 @@ from loopkit.commutator import commutator_generators
 from loopkit.core import LoopTable
 from loopkit.errors import NoNeutral, NotAbelianGroup, NotLatin
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import INNER_ARITY, INNER_WORDS, inner_generator, inner_maps, word_rows
+from loopkit.multgrp import (
+    INNER_ARITY, INNER_WORDS, TOT_INNER_WORDS, assoc_group, inner_generator, inner_maps, word_rows,
+)
 from loopkit.perm import PermGroup, Permutation
 from loopkit.pools import (
     census,
@@ -209,6 +211,30 @@ def permutation_group_oracle(Q, which) -> PermGroup:
     """The associated group built from one Permutation per row of
     word_rows, the path groups took before they were fed arrays."""
     return PermGroup(Q.order, [Permutation(row) for row in word_rows(Q, which).tolist()])
+
+
+ASSOCIATED_GROUPS = ("MLT", "INN", "TMLT", "TINN")
+
+
+def associated_group(Q, which) -> PermGroup:
+    """MLT or INN from `assoc_group`; TMLT or TINN, which no command
+    builds, from the distinct maps of their generating families: the L, R
+    and M translations, and the T, U, L, R and M words of `inner_maps`.
+    The rows are in first-occurrence order and the neutral is the first
+    base point, so the generators and chain are those `assoc_group` gave
+    these groups when it built them.  Built once per table."""
+    if which in ("MLT", "INN"):
+        return assoc_group(Q, which)
+    return Q.memo(("associated_group", which), lambda: _total_group(Q, which))
+
+
+def _total_group(Q, which) -> PermGroup:
+    if which == "TMLT":
+        maps = np.concatenate((Q.mul, Q.mul.T, Q.ldiv.T))
+    else:
+        maps = np.concatenate([inner_maps(Q, w).reshape(-1, Q.order) for w in TOT_INNER_WORDS])
+    rows = np.array(list(dict.fromkeys(map(tuple, maps.tolist()))), dtype=np.uint8)
+    return PermGroup(Q.order, rows, Q.neutral)
 
 
 def _then(q: tuple, p: tuple) -> tuple:

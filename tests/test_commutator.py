@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopkit import commutator as commutator_module
@@ -33,12 +34,15 @@ from loopkit.commutator import (
     derived_subloop,
 )
 from loopkit.cli import main
-from loopkit.core import LoopTable, parse_table
+from loopkit.core import LoopTable, is_isomorphic, parse_table
 from loopkit.errors import NotNormal
-from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group, inner_generator, inner_group
-from loopkit.perm import PermGroup, derived_series, nilpotency_class_group
+from loopkit.extensions import (
+    AbelianGroupTable, build_extension, decompose_extension, iter_cocycles_random,
+)
+from loopkit.multgrp import assoc_group, inner_generator, inner_group, inner_rows, word_rows
+from loopkit.perm import PermGroup, derived_series, generator_rows, nilpotency_class_group
 from loopkit.pools import POOL_MASTER_SEED
+from loopkit.structure import inner_orbits, is_normal
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 from conftest import (
@@ -66,6 +70,16 @@ A3 = Subloop(S3, (0, 3, 4))
 
 def whole(q):
     return Subloop(q, tuple(range(q.order)))
+
+
+ROUTES = ("A1", "A3", "A4", "C1", "C3", "C3prime", "C4")
+
+
+def run_route(q, a, route):
+    """One of the three abelianess and four centrality routes."""
+    if route.startswith("C"):
+        return is_central_in(q, a, route)
+    return {"A1": is_abelian_in_A1, "A3": is_abelian_in_A3, "A4": is_abelian_in_A4}[route](q, a)
 
 
 def larger_tables(pool):
@@ -182,6 +196,30 @@ def test_a3_subconditions_require_a_normal_subloop():
     # condition (vi) quantifies over the cosets of a normal subloop
     with pytest.raises(NotNormal):
         a3_subconditions(S3, Subloop(S3, (0, 1)))
+
+
+def test_one_element_sets_are_checked_for_normality_by_a3():
+    """{3} of S3 is not a subloop, and {0} of Z4 belongs to another table:
+    A3 answers as A1 and A4 do, though a one-element set needs no scan."""
+    for route in ("A1", "A3", "A4"):
+        with pytest.raises(NotNormal):
+            run_route(S3, Subloop(S3, (3,)), route)
+        with pytest.raises(ValueError, match="different table"):
+            run_route(S3, Subloop(Z4, (0,)), route)
+
+
+def test_a_set_that_is_not_a_subloop_is_not_normal():
+    """{2} of Z4 is a union of Inn's orbits (Inn is trivial), but 2 * 2 = 0
+    lies outside it: it is not normal, and every route says so.  Nor is
+    the empty set."""
+    A = Subloop(Z4, (2,))
+    assert not is_normal(Z4, A)
+    assert not is_normal(Z4, Subloop(Z4, ()))
+    for route in ROUTES:
+        with pytest.raises(NotNormal):
+            run_route(Z4, A, route)
+    with pytest.raises(NotNormal):
+        a3_subconditions(Z4, A)
 
 
 def test_noncommutative_group_fails_only_commuting_condition():
@@ -578,6 +616,73 @@ def test_report_forms_no_inn_word_rows(census_loops, pool, generic_loops):
         hierarchy_report(fresh)
         assert ("word_rows", "INN") not in fresh._memo, Q
         assert ("assoc_group", "INN") not in fresh._memo, Q
+
+
+def inner_readers(Q):
+    """What the readers of `inner_rows` give on Q, as element tuples: the
+    inner orbits, the center, Q', the three series, and the A3 and C3
+    verdicts on every normal subloop up to order 16."""
+    def series(result):
+        return [t.elements for t in result[0]], result[1]
+
+    normals = all_normal_subloops(Q) if Q.order <= 16 else []
+    return (
+        inner_orbits(Q).tolist(),
+        center_subloop(Q).elements,
+        derived_subloop(Q).elements,
+        series(upper_central_series(Q)),
+        series(congruence_derived_series(Q)),
+        series(classical_derived_series(Q)),
+        [(A.elements, is_abelian_in_A3(Q, A), is_central_in(Q, A, "C3")) for A in normals],
+    )
+
+
+def test_inner_rows_from_words_or_from_the_chain_agree(census_loops, pool, generic_loops):
+    """A fresh table reads INN's word rows as `inner_rows`, and a fresh
+    copy read after `inner_group` reads Inn's generators; every reader
+    gives the same on both.  On the census loops (half with the neutral
+    off 0), the pool tables, the generic loops of orders 8-64, and one
+    relabeling of each pool table and generic loop."""
+    tables = [e.table for e in pool] + generic_loops
+    tables += [next(seeded_relabelings(Q, 11, count=1)) for Q in tables] + census_loops
+    for Q in tables:
+        by_words, by_chain = LoopTable(Q.mul), LoopTable(Q.mul)
+        assert inner_rows(by_words) is word_rows(by_words, "INN")
+        inn = inner_group(by_chain)
+        assert np.array_equal(inner_rows(by_chain), generator_rows(inn))
+        assert inner_readers(by_words) == inner_readers(by_chain), Q
+        assert "inner_group" not in by_words._memo, Q
+
+
+def test_no_mlt_chain_off_the_report_path(pool):
+    """On fresh pool tables, the normal-subloop enumeration, the seven
+    routes on every normal subloop and `decompose_extension` on each
+    that passes A3 build no Mlt: they read INN's word rows."""
+    for entry in pool:
+        Q = LoopTable(entry.table.mul)
+        for A in all_normal_subloops(Q):
+            for route in ROUTES:
+                run_route(Q, A, route)
+            if is_abelian_in_A3(Q, A):
+                decompose_extension(Q, A)
+        assert ("assoc_group", "MLT") not in Q._memo, entry.tag
+        assert "inner_group" not in Q._memo, entry.tag
+
+
+def test_inner_rows_above_256_points():
+    """Past `PermGroup`'s degree cap there is no Mlt chain, and INN's
+    uint16 rows serve: on the order-5 loop times Z52 (order 260), the
+    center is Z52, {0, 130} = 1 x {0, 26} is normal, and the extension
+    rebuilt from its decomposition is isomorphic to the table."""
+    Q = direct_product(LoopTable(ORDER_5_LOOP), cyclic(52))
+    assert Q.order == 260
+    rows = inner_rows(Q)
+    assert rows.dtype == np.uint16 and rows is word_rows(Q, "INN")
+    assert center_subloop(Q).size == 52
+    A = Subloop(Q, (0, 130))
+    assert is_normal(Q, A)
+    gamma, _ = decompose_extension(Q, A)
+    assert is_isomorphic(build_extension(gamma), Q) is not None
 
 
 def test_hierarchy_report_of_a_prime_order_loop_with_non_solvable_mlt():

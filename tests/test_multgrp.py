@@ -14,6 +14,8 @@ from loopkit.structure import Subloop, normal_closure
 from loopkit.tables import cyclic, dihedral, klein, symmetric
 
 from conftest import (
+    ASSOCIATED_GROUPS,
+    associated_group,
     inner_generator_family,
     permutation_group_oracle,
 )
@@ -76,7 +78,9 @@ def test_stabilizer_identity(groups, census_loops):
     for q in [entry.table for entry in groups] + census_loops:
         n = q.order
         assert group_order(assoc_group(q, "MLT")) == n * group_order(assoc_group(q, "INN"))
-        assert group_order(assoc_group(q, "TMLT")) == n * group_order(assoc_group(q, "TINN"))
+        assert group_order(associated_group(q, "TMLT")) == n * group_order(
+            associated_group(q, "TINN")
+        )
 
 
 def test_inner_group_is_the_group_of_inn_word_rows(census_loops, pool, generic_loops):
@@ -104,8 +108,8 @@ def test_assoc_group_orders_match_bfs_closure(census_classes):
     from conftest import closure_order
 
     for q in [S3] + [Q for Q in census_classes if Q.order <= 5]:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
-            group = assoc_group(q, which)
+        for which in ASSOCIATED_GROUPS:
+            group = associated_group(q, which)
             raw = [g.images for g in group.generators]
             assert group.order() == closure_order(raw)
 
@@ -152,12 +156,12 @@ def test_inner_maps_match_scalar_generators(pool):
 def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensions, monkeypatch):
     """word_rows holds each distinct generating map once, in first-occurrence
     order, read-only, as the identity followed by the group's generators:
-    the translations for MLT/TMLT and the words for INN/TINN, on the pool
-    tables and on Z4 by a non-associative order-16 pool loop (order 64).
-    On the pool tables of order <= 16, INN and TINN evaluated in blocks of
-    one first argument, and of five with an uneven last block, give the
-    same rows, and inner_maps on a slice of first arguments gives those
-    rows of the whole array."""
+    the translations for MLT and the words for INN, on the pool tables
+    and on Z4 by a non-associative order-16 pool loop (order 64).  On the
+    pool tables of order <= 16, INN evaluated in blocks of one first
+    argument, and of five with an uneven last block, gives the same rows,
+    and inner_maps on a slice of first arguments gives those rows of the
+    whole array.  No other group has word rows."""
     F = next(
         e.table for e in random_extensions
         if e.table.order == 16 and not e.table.is_associative
@@ -166,19 +170,12 @@ def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensio
     tables = [e.table for e in pool] + [build_extension(gamma)]
     for q in tables:
         n = q.order
-        translations = {
-            "MLT": (q.left_translation, q.right_translation),
-            "TMLT": (q.left_translation, q.right_translation, q.middle_translation),
-        }
         families = {
-            which: (t(x).images for t in kinds for x in range(n))
-            for which, kinds in translations.items()
+            "MLT": (t(x).images for t in (q.left_translation, q.right_translation)
+                    for x in range(n)),
+            "INN": (tuple(row) for word in "TLR"
+                    for row in inner_maps(q, word).reshape(-1, n).tolist()),
         }
-        for which, words in (("INN", "TLR"), ("TINN", "TULRM")):
-            families[which] = (
-                tuple(row) for word in words
-                for row in inner_maps(q, word).reshape(-1, n).tolist()
-            )
         for which, maps in families.items():
             rows = word_rows(q, which)
             expected = list(dict.fromkeys(maps))
@@ -187,7 +184,7 @@ def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensio
             # the neutral is 0, so the identity comes first; PermGroup drops it
             gens = [g.images for g in assoc_group(q, which).generators]
             assert [tuple(r) for r in rows.tolist()] == [tuple(range(n))] + gens, which
-            if n > 16 or which not in ("INN", "TINN"):
+            if n > 16 or which != "INN":
                 continue
             for budget in (1, 5 * n * n):
                 monkeypatch.setattr(multgrp, "CHUNK_ENTRIES", budget)
@@ -201,6 +198,16 @@ def test_inner_group_generators_are_the_distinct_word_rows(pool, random_extensio
                     assert np.array_equal(inner_maps(q, word, first=slice(a, b)), whole[a:b])
 
 
+def test_only_mlt_and_inn_have_word_rows():
+    """TMLT and TINN, which no command builds, are gone from `word_rows`
+    and `assoc_group` (the tests build them from `associated_group`)."""
+    for which in ("TMLT", "TINN", "mlt"):
+        with pytest.raises(ValueError, match="unknown associated group"):
+            word_rows(LoopTable(S3.mul), which)
+        with pytest.raises(ValueError, match="unknown associated group"):
+            assoc_group(LoopTable(S3.mul), which)
+
+
 def test_word_rows_above_256_points_are_uint16():
     q = cyclic(257)
     rows = word_rows(q, "MLT")
@@ -209,9 +216,9 @@ def test_word_rows_above_256_points_are_uint16():
 
 
 def test_inner_word_rows_peak_stays_below_one_cube(random_extensions):
-    """INN's and TINN's rows on Z8 by the first non-associative order-16
-    pool loop (order 128) are found in blocks of first arguments: the
-    traced peak stays under 16 MiB, the size of one (n, n, n) int64 word."""
+    """INN's rows on Z8 by the first non-associative order-16 pool loop
+    (order 128) are found in blocks of first arguments: the traced peak
+    stays under 16 MiB, the size of one (n, n, n) int64 word."""
     F = next(
         e.table for e in random_extensions
         if e.table.order == 16 and not e.table.is_associative
@@ -222,7 +229,6 @@ def test_inner_word_rows_peak_stays_below_one_cube(random_extensions):
     tracemalloc.start()
     try:
         word_rows(q, "INN")
-        word_rows(q, "TINN")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,7 +240,7 @@ def test_array_fed_groups_match_the_permutation_path(pool):
     order of groups built from one Permutation per row."""
     for entry in pool:
         Q = entry.table
-        for which in ("MLT", "INN", "TMLT", "TINN"):
+        for which in ("MLT", "INN"):
             oracle = permutation_group_oracle(Q, which)
             assert assoc_group(Q, which).generators == oracle.generators
             fed = PermGroup(Q.order, word_rows(Q, which))  # assoc_group's, without its memo

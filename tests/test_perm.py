@@ -30,7 +30,9 @@ from loopkit.tables import cyclic, klein, quaternion
 from loopkit.util import INFINITE, prime_divisors
 
 from conftest import (
+    ASSOCIATED_GROUPS,
     ORDER_5_LOOP,
+    associated_group,
     closure_elements,
     closure_order,
     hunt_candidates,
@@ -297,8 +299,8 @@ def test_nilpotency_class_by_the_order_bound(monkeypatch, factory, expected, by_
 
 def test_nilpotency_class_of_fresh_pool_groups(pool):
     for entry in pool:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
-            group = assoc_group(entry.table, which)
+        for which in ASSOCIATED_GROUPS:
+            group = associated_group(entry.table, which)
             want = lower_central_series(PermGroup(group.degree, group.generators)).cls
             got = nilpotency_class_group(PermGroup(group.degree, group.generators))
             assert got == want, (entry.tag, which)
@@ -457,7 +459,7 @@ def test_solvable_class_of_fresh_pool_groups(pool):
     test_chain_matches_textbook_on_pool_groups."""
     for entry in pool:
         for which in ("TMLT", "TINN"):
-            group = assoc_group(entry.table, which)
+            group = associated_group(entry.table, which)
             fresh = PermGroup(group.degree, group.generators)
             assert solvable_class(fresh) == textbook_derived_length(group), (entry.tag, which)
 
@@ -554,8 +556,8 @@ def test_is_solvable_of_pool_groups(pool):
     """Chainless copies and the pool's own groups (chains built by the
     earlier oracle) both agree with the oracle."""
     for entry in pool:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
-            group = assoc_group(entry.table, which)
+        for which in ASSOCIATED_GROUPS:
+            group = associated_group(entry.table, which)
             want = solvable_oracle(group)
             assert is_solvable(PermGroup(group.degree, group.generators)) == want, (entry.tag, which)
             group.order()
@@ -838,13 +840,14 @@ def test_base_stabilizer_of_the_trivial_group(degree, first_base):
 
 
 def test_inn_chains_ignore_the_neutral_as_first_base_point(census_loops):
-    """INN and TINN fix the neutral, so `assoc_group`'s chains over it
-    have the base sequence, transversals and grown list of unbased
-    builds, on every census loop (half with the neutral off 0)."""
+    """INN and TINN fix the neutral, so their chains over it have the
+    base sequence, transversals and grown list of unbased builds, on
+    every census loop (half with the neutral off 0)."""
     for Q in census_loops:
         for which in ("INN", "TINN"):
-            unbased = PermGroup(Q.order, word_rows(Q, which))
-            assert chain_shape(assoc_group(Q, which)) == chain_shape(unbased), (Q, which)
+            group = associated_group(Q, which)
+            unbased = PermGroup(Q.order, group.generators)
+            assert chain_shape(group) == chain_shape(unbased), (Q, which)
 
 
 # -- the reduced chain against the textbook one ------------------------------------

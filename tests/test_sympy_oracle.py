@@ -8,7 +8,6 @@ Pool tables stop at order 8: sympy takes minutes on order-16 Mlts.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopkit.multgrp import assoc_group
 from loopkit.perm import (
     PermGroup,
     derived_series,
@@ -20,6 +19,7 @@ from loopkit.perm import (
 )
 from loopkit.util import INFINITE
 
+from conftest import ASSOCIATED_GROUPS, associated_group
 from test_perm import a5, d4, gen_lists, s3, s16
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -73,8 +73,8 @@ def small_pool_groups(pool):
     assert len(tables) == 118
     rows = []
     for Q in tables:
-        for which in ("MLT", "INN", "TMLT", "TINN"):
-            group = assoc_group(Q, which)
+        for which in ASSOCIATED_GROUPS:
+            group = associated_group(Q, which)
             rows.append((Q, which, group, sympy_invariants(group, lower=which in ("MLT", "INN"))))
     return rows
 
