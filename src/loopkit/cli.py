@@ -136,10 +136,10 @@ def _predicate_problem35(Q: LoopTable) -> bool:
     # solvable loops, and the preset's extensions of Z2^3 by Z2 are all
     # congruence solvable (abelian fiber, abelian factor).  Without a
     # witness, Mlt's chain is built once, and `is_solvable` settles Mlt by
-    # Burnside's p^a q^b theorem when |Mlt| has at most two primes, else by
-    # its derived series.  Mlt goes first, as no hunt candidate seen has a
-    # non-solvable Mlt, so Inn, read off Mlt's chain, is formed only for a
-    # would-be hit
+    # Burnside's p^a q^b theorem at the first term of its derived series
+    # whose order has at most two primes.  Mlt goes first, as no hunt
+    # candidate seen has a non-solvable Mlt, so Inn, read off Mlt's chain,
+    # is formed only for a would-be hit
     if _inn_witnessed(Q):
         return False
     return not is_solvable(assoc_group(Q, "MLT")) and is_solvable(inner_group(Q))

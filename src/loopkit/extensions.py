@@ -340,7 +340,7 @@ def _extract_cocycle(Q: LoopTable, A: Subloop):
     idx = np.fromiter(A.elements, dtype=np.int64)
     rep = coset_representatives(Q, A).copy()
     rep[rep == rep[Q.neutral]] = Q.neutral  # the neutral represents the fiber
-    reps = np.unique(rep)
+    reps = np.flatnonzero(np.bincount(rep, minlength=n))  # np.unique would import numpy.ma
     xy = mul[np.ix_(reps, reps)]
     try:
         F = LoopTable(np.searchsorted(reps, rep[xy]))
@@ -363,7 +363,7 @@ def _extract_cocycle(Q: LoopTable, A: Subloop):
         return None
     # verify the canonical map (a, x) -> a * x is an isomorphism, cell by cell
     witness = mul[np.ix_(idx, reps)].T.ravel()
-    if len(np.unique(witness)) != n:
+    if np.count_nonzero(np.bincount(witness, minlength=n)) != n:
         return None
     built = _raw_extension_table(gamma)
     if not np.array_equal(witness[built], mul[np.ix_(witness, witness)]):

@@ -102,30 +102,40 @@ chain may be built over any prescribed first base point (Seress, ch. 4),
 so the stabilizer of a point p is that of the chain given p, when its
 first growing generator moves p.
 
-`solvable_class` is the derived series.  `is_solvable` asks the order
-first: a group whose order has at most two prime divisors is solvable
-(Burnside's p^a q^b theorem).  The chain that gives the order is the one
-the derived series would build first, so an order with three or more
-prime divisors costs a trial division by 2..degree and nothing else.  The
-derived series decides the rest.
+`solvable_class` is the derived series.  `is_solvable` walks the same
+terms G, G', G'', ... and asks Burnside's p^a q^b theorem of each: a
+term whose order has at most two prime divisors is solvable, and then so
+is G, whose quotients G^(i) / G^(i+1) are abelian.  So it stops with
+True at the first such term, and with False at a term whose order equals
+its parent's, where the series stops at a nontrivial group.  Each term's
+order comes from the chain its derived subgroup is built from, so the
+test costs a trial division by 2..degree per term.
 
 `galois_witness` takes a group as image rows and refutes its solvability
 without the whole group's chain.  A transitive constituent, the
 restriction to one orbit, is a quotient of the group, so a constituent
-that is not solvable proves the group not solvable.  A constituent that
-acts on a prime number p of points is settled by Galois's theorem: a
-transitive group of prime degree p is solvable iff its order divides
-p(p - 1).  (A solvable one lies in AGL(1, p).  Conversely, if |G|
-divides p(p - 1), the number of Sylow p-subgroups is 1 mod p and
-divides p - 1, so there is one, and G lies in its normalizer
-AGL(1, p).)  The constituent's chain is built one generator at a time.
-After each one the chain is complete for the subgroup K generated so
-far, and by Lagrange |K| divides the constituent's order, so the first
-partial order that does not divide p(p - 1) proves it not solvable: the
-remaining generators are never sifted.  Constituents of degree 2 and 3
-are skipped, since S2 and S3 are solvable.  The witness is one-sided:
-True proves the group not solvable, False proves nothing (S6 on 6
-points has no constituent of prime degree).
+that is not solvable proves the group not solvable.  By Galois's
+theorem a transitive group of prime degree p is solvable iff it is
+conjugate into AGL(1, p), the maps x -> ax + b of Z/p, iff its order
+divides p(p - 1).  (A solvable one lies in AGL(1, p).  Conversely, if
+|G| divides p(p - 1), the number of Sylow p-subgroups is 1 mod p and
+divides p - 1, so there is one, and G lies in its normalizer AGL(1, p).
+Dixon and Mortimer, Permutation Groups, Springer 1996, ch. 3.)  An
+element of AGL(1, p) is the identity, a p-cycle x -> x + b, or
+x -> ax + b with a != 1, which fixes one point and moves the others in
+cycles of the order of a.  So a restricted generator, or a product of
+two cyclically consecutive ones, of any other cycle type proves the
+constituent not solvable.  Only when all their types are affine is the
+constituent's chain built, one generator at a time.  After each one the
+chain is complete for the subgroup K generated so far, and by Lagrange
+|K| divides the constituent's order, so the first partial order that
+does not divide p(p - 1) proves it not solvable: the remaining
+generators are never sifted.  A constituent that the cycle types prove not solvable has an
+order that does not divide p(p - 1), so the chain would prove it too:
+no verdict depends on which of the two settles it.  Constituents of
+degree 2 and 3 are skipped, since S2 and S3 are solvable.  The witness
+is one-sided: True proves the group not solvable, False proves nothing
+(S6 on 6 points has no constituent of prime degree).
 
 The order of a nilpotent group is bounded by its orbits
 (`nilpotency_class_group`).  A transitive nilpotent group G of degree
@@ -155,7 +165,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, pairwise, product, repeat
 from math import lcm
 from operator import index
 
@@ -646,16 +656,30 @@ def _restrict(images: np.ndarray, root: np.ndarray, r: int) -> PermGroup:
     return PermGroup(len(orbit), label[images[:, orbit]])
 
 
+def _affine_type(p: bytes) -> bool:
+    """Whether the permutation p of prime degree has a cycle type of
+    AGL(1, degree): the identity, one cycle through every point, or one
+    fixed point and every other cycle of one length (module docstring)."""
+    cycles = Permutation._wrap(tuple(p)).cycles()
+    fixed = len(p) - sum(map(len, cycles))
+    return len({len(c) for c in cycles}) <= 1 and fixed in (0, 1, len(p))
+
+
 def galois_witness(images: np.ndarray) -> bool:
     """Whether the group generated by the rows of a (k, n) image array
     (k >= 1) has a constituent of prime degree m > 3 that fails Galois's
-    rule, its order not dividing m(m - 1) (module docstring); False
-    proves nothing."""
+    rule: an element of a cycle type that AGL(1, m) lacks, or else an
+    order not dividing m(m - 1) (module docstring); False proves
+    nothing."""
     root = orbit_roots(images)
     for r, m in enumerate(np.bincount(root).tolist()):
         if m > 3 and prime_divisors(m, m) == (m,):
+            gens = _restrict(images, root, r)._gens
+            products = (g.translate(h + _ID[m:]) for g, h in pairwise(gens + gens[:1]))  # g, then h
+            if not (all(map(_affine_type, gens)) and all(map(_affine_type, products))):
+                return True
             limit = m * (m - 1)
-            chain = _grow(m, _restrict(images, root, r)._gens, divides=limit)
+            chain = _grow(m, gens, divides=limit)
             if chain is None or limit % chain.order():
                 return True
     return False
@@ -667,11 +691,15 @@ def solvable_class(group: PermGroup) -> int | float:
 
 
 def is_solvable(group: PermGroup) -> bool:
-    """Whether the derived series reaches the trivial group: at once when
-    the order has at most two prime divisors (Burnside's p^a q^b theorem),
-    else by the series."""
-    return (len(prime_divisors(group.order(), group.degree)) <= 2
-            or derived_series(group).cls is not INFINITE)
+    """Whether the derived series reaches the trivial group: True at its
+    first term whose order has at most two prime divisors (Burnside's
+    p^a q^b theorem), False at a term as large as its parent."""
+    while len(prime_divisors(group.order(), group.degree)) > 2:
+        derived = derived_subgroup(group)
+        if derived.order() == group.order():
+            return False
+        group = derived
+    return True
 
 
 def _nilpotent_bound(sizes) -> int:

@@ -149,13 +149,16 @@ def all_normal_subloops(Q: LoopTable) -> list[Subloop]:
 
 
 def _normal_subloop_elements(Q: LoopTable) -> tuple[tuple[int, ...], ...]:
-    found = {(Q.neutral,)} | {normal_closure(Q, (x,)).elements for x in range(Q.order)}
+    n = Q.order
+    found = {(Q.neutral,)} | {normal_closure(Q, (x,)).elements for x in range(n)}
     frontier = list(found)
     while frontier:
         fresh = []
         for a in frontier:
             for b in list(found):
-                joined = tuple(np.unique(Q.mul[np.ix_(a, b)]).tolist())
+                # the distinct products, as np.unique gives them without importing numpy.ma
+                products = np.bincount(Q.mul[np.ix_(a, b)].ravel(), minlength=n)
+                joined = tuple(np.flatnonzero(products).tolist())
                 if joined not in found:
                     found.add(joined)
                     fresh.append(joined)
@@ -181,7 +184,7 @@ def quotient(Q: LoopTable, A: Subloop):
     if not is_normal(Q, A):
         raise NotNormal("quotient requires a normal subloop")
     rep = coset_representatives(Q, A)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(np.bincount(rep, minlength=Q.order))
     cls = np.searchsorted(reps, rep)
     return LoopTable(cls[Q.mul[np.ix_(reps, reps)]]), [int(v) for v in cls]
 

@@ -42,13 +42,14 @@ def write_table(tmp_path, name, table):
     return str(path)
 
 
-def run_fresh(argv):
-    """`python -m loopkit.cli argv` in a new process, loopkit on its path."""
+def run_fresh(argv, entry=("-m", "loopkit.cli")):
+    """`python -m loopkit.cli argv` in a new process, loopkit on its path;
+    entry replaces the interpreter arguments before argv."""
     env = dict(os.environ)
     paths = [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return subprocess.run(
-        [sys.executable, "-m", "loopkit.cli", *argv], env=env, capture_output=True, timeout=120
+        [sys.executable, *entry, *argv], env=env, capture_output=True, timeout=120
     )
 
 
@@ -566,17 +567,23 @@ def series_class(Q, which):
 @pytest.fixture
 def asked(monkeypatch):
     """The groups the predicates ask assoc_group for, in order, with
-    "derived" for each derived series run."""
+    "derived" for each derived subgroup taken."""
     calls = []
-    real, real_series = cli.assoc_group, perm.derived_series
+    real, real_derived = cli.assoc_group, perm.derived_subgroup
     monkeypatch.setattr(cli, "assoc_group", lambda Q, which: calls.append(which) or real(Q, which))
-    monkeypatch.setattr(perm, "derived_series", lambda G: calls.append("derived") or real_series(G))
+    monkeypatch.setattr(perm, "derived_subgroup",
+                        lambda G: calls.append("derived") or real_derived(G))
     return calls
 
 
 def assert_no_inn_rows(Q):
     """Neither INN's word rows nor INN's group is memoised on Q."""
     assert not {("word_rows", "INN"), ("assoc_group", "INN")} & Q._memo.keys(), Q
+
+
+# the derived terms is_solvable takes of each Mlt that Burnside's theorem
+# does not settle at once, in candidate order
+DERIVED_TERMS = {0: [1, 2, 1, 1, 1, 2], 5: [2, 2]}
 
 
 @pytest.mark.parametrize(
@@ -588,9 +595,11 @@ def test_problem35_predicate_matches_the_derived_series(asked, seed, by_burnside
     maps settles every non-solvable Inn, and assoc_group is asked for
     nothing.  Otherwise Mlt's chain is built once; where |Mlt| has at
     most two prime divisors, Burnside's theorem settles it and no
-    derived series is run.  Every other Mlt here is solvable, so Inn is
-    never formed.  Neither Inn predicate forms INN's word rows."""
-    settled = []
+    derived subgroup is taken.  Every other Mlt here is solvable: its
+    derived series is walked only to the first term whose order has at
+    most two prime divisors, never to the trivial group, and Inn is never
+    formed.  Neither Inn predicate forms INN's word rows."""
+    settled, taken = [], []
     for i, Q in enumerate(hunt_candidates(seed, 240)):
         asked.clear()
         got = _predicate_problem35(Q)
@@ -607,8 +616,12 @@ def test_problem35_predicate_matches_the_derived_series(asked, seed, by_burnside
         elif calls == ["MLT"]:
             settled.append(i)
         else:
-            assert calls == ["MLT", "derived"] and "inner_group" not in Q._memo, i
+            k = len(calls) - 1
+            assert calls == ["MLT"] + ["derived"] * k and "inner_group" not in Q._memo, i
+            assert 1 <= k < series_class(Q, "MLT"), i
+            taken.append(k)
     assert settled == by_burnside
+    assert taken == DERIVED_TERMS[seed]
 
 
 def test_inn_witness_is_sound(pool, census_loops):
@@ -706,6 +719,19 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
 
     assert files(here) == files(fresh)
     assert len(files(here)) == 6  # cat.tsv, the log, two hits of two files each
+
+
+def test_decompose_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call (numpy 2.4 asks
+    np.ma.is_masked), about 14 ms per process; decompose and the
+    extraction behind it take distinct element indices without it."""
+    data = Path(__file__).parent / "data"
+    then = ("import sys; from loopkit.cli import main; code = main(sys.argv[1:]); "
+            "sys.stderr.write(str('numpy.ma' in sys.modules)); sys.exit(code)")
+    proc = run_fresh(["decompose", str(data / "d4.table"), "--fiber", "0,2"], entry=("-c", then))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (data / "d4-fiber-0-2.decompose").read_bytes()
+    assert proc.stderr == b"False"
 
 
 def test_console_entry_point(tmp_path):

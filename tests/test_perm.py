@@ -9,7 +9,7 @@ from loopkit import perm as perm_module
 from loopkit.core import LoopTable, direct_product
 from loopkit.errors import CapExceeded
 from loopkit.extensions import AbelianGroupTable, build_extension, iter_cocycles_random
-from loopkit.multgrp import assoc_group, inner_group, word_rows
+from loopkit.multgrp import assoc_group, inner_group, inner_maps, word_rows
 from loopkit.perm import (
     PermGroup,
     Permutation,
@@ -486,7 +486,7 @@ def test_solvable_class_of_fresh_hunt_inns():
     assert {cls for which, cls in classes if which == "MLT"} == {2, 3, 4, 5, INFINITE}
 
 
-# -- is_solvable: Burnside's p^a q^b, then the derived series -------------------
+# -- is_solvable: Burnside's p^a q^b at each term of the derived series ----------
 
 
 def solvable_oracle(group):
@@ -533,7 +533,7 @@ def test_prime_divisors(n, limit, expected):
 )
 def test_is_solvable_examples(factory, expected, by_order):
     """A group whose order has at most two prime divisors, the trivial
-    group included, is settled without building G'; any other runs its
+    group included, is settled without building G'; any other walks its
     derived series, whatever its orbits."""
     group = factory()
     assert is_solvable(group) is expected
@@ -614,6 +614,31 @@ def image_rows(group):
     return np.array([range(group.degree)] + [g.images for g in group.generators])
 
 
+def chain_rule(rows):
+    """The witness's verdict on each prime-degree constituent of degree
+    m > 3, by its fallback alone: the constituent's chain grown until its
+    order does not divide m(m - 1)."""
+    root = perm_module.orbit_roots(rows)
+    verdicts = {}
+    for r, m in enumerate(np.bincount(root).tolist()):
+        if m > 3 and prime_divisors(m, m) == (m,):
+            gens = perm_module._restrict(rows, root, r)._gens
+            chain = perm_module._grow(m, gens, divides=m * (m - 1))
+            verdicts[r] = chain is None or m * (m - 1) % chain.order() != 0
+    return verdicts
+
+
+def assert_witness_is_the_chain_rule(rows):
+    """galois_witness on each prime-degree constituent alone, and on the
+    whole rows, agrees with chain_rule; the number of constituents."""
+    verdicts = chain_rule(rows)
+    root = perm_module.orbit_roots(rows)
+    for r, want in verdicts.items():
+        assert galois_witness(image_rows(perm_module._restrict(rows, root, r))) is want, r
+    assert galois_witness(rows) is any(verdicts.values())
+    return len(verdicts)
+
+
 def fresh_mlt(Q):
     group = assoc_group(Q, "MLT")
     return PermGroup(group.degree, group.generators)
@@ -650,6 +675,7 @@ def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     with the derived series of a fresh copy."""
     group = factory()
     assert galois_witness(image_rows(group)) is (group.degree > 3 and not solvable)
+    assert_witness_is_the_chain_rule(image_rows(group))
     assert is_solvable(group) is solvable
     assert solvable_oracle(group) is solvable
     assert solvable_class(factory()) == textbook_derived_length(group)
@@ -668,20 +694,90 @@ def test_galois_rule_on_prime_degree_groups(factory, order, solvable):
     ],
 )
 def test_galois_exit_leaves_no_partial_chain(monkeypatch, degree, gens, order):
-    """The first partial order that does not divide p(p - 1) ends the
-    witness's build before the last generator is sifted."""
+    """Each group has a generator of a cycle type AGL(1, p) lacks, so the
+    witness sifts nothing.  Its fallback, the chain of the prime-degree
+    constituent, ends at the first partial order that does not divide
+    p(p - 1), before the last generator is sifted."""
     group = PermGroup(degree, gens)
+    rows = image_rows(group)
+    root = perm_module.orbit_roots(rows)
+    p = int(np.bincount(root).max())
+    constituent = perm_module._restrict(rows, root, 0)._gens
     sifted = []
     real = perm_module._Chain.add_generator
     monkeypatch.setattr(perm_module._Chain, "add_generator",
-                        lambda chain, p: sifted.append(p) or real(chain, p))
-    assert galois_witness(image_rows(group)) is True
+                        lambda chain, g: sifted.append(g) or real(chain, g))
+    assert galois_witness(rows) is True
+    assert sifted == []
+    assert perm_module._grow(p, constituent, divides=p * (p - 1)) is None
     monkeypatch.undo()
     assert len(sifted) == 2 < len(gens)
     assert is_solvable(group) is False
     assert group.order() == order == PermGroup(degree, gens).order()
     assert solvable_class(group) is INFINITE
     assert textbook_derived_length(group) is INFINITE
+
+
+def affine_map(p, a, b):
+    return Permutation([(a * x + b) % p for x in range(p)])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_every_map_of_agl1_has_an_affine_cycle_type(p):
+    maps = {affine_map(p, a, b).images for a in range(1, p) for b in range(p)}
+    assert len(maps) == p * (p - 1)
+    assert all(perm_module._affine_type(bytes(m)) for m in maps)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        perm((0, 1), degree=5),  # 2 1^3
+        perm((0, 1, 2), degree=5),  # 3 1^2: two fixed points
+        perm((0, 1), (2, 3), degree=7),  # 2^2 1^3, an involution of PSL(3, 2)
+        perm((0, 1, 2, 3), (4, 5), degree=7),  # 4 2 1, of order 4 in PSL(3, 2)
+    ],
+    ids=["2 1^3", "3 1^2", "2^2 1^3", "4 2 1"],
+)
+def test_cycle_types_outside_agl1(g):
+    assert not perm_module._affine_type(bytes(g.images))
+
+
+def hunt_witness_rows(Q):
+    """The 3n rows the Inn presets' witness runs on (cli._inn_witnessed)."""
+    maps = [inner_maps(Q, w, first=slice(-1, None))[0] for w in ("L", "R")]
+    return np.concatenate([inner_maps(Q, "T")] + maps)
+
+
+@pytest.mark.parametrize("seed, constituents", [(0, 232), (5, 238)])
+def test_galois_witness_is_the_chain_rule_on_hunt_rows(seed, constituents):
+    """On the first 240 hunt candidates; most have one 7-point orbit."""
+    assert sum(assert_witness_is_the_chain_rule(hunt_witness_rows(Q))
+               for Q in hunt_candidates(seed, 240)) == constituents
+
+
+def test_galois_witness_is_the_chain_rule_on_inn_rows(pool, census_loops):
+    """On INN's word rows of the pool and the census loops."""
+    constituents = sum(assert_witness_is_the_chain_rule(word_rows(Q, "INN"))
+                       for Q in [e.table for e in pool] + census_loops)
+    assert constituents == 235
+
+
+def test_few_hunt_witnesses_reach_the_chain(monkeypatch):
+    """Of the first 240 hunt candidates at seed 0, cycle types settle 214
+    of the 226 witnesses.  The chain runs for 18: the 12 others, and 6 of
+    the 14 candidates without a witness (8 have no constituent of prime
+    degree above 3)."""
+    grown = []
+    real = perm_module._grow
+    monkeypatch.setattr(perm_module, "_grow", lambda *a, **k: grown.append(1) or real(*a, **k))
+    verdicts = []
+    for Q in hunt_candidates(0, 240):
+        grown.clear()
+        verdicts.append((galois_witness(hunt_witness_rows(Q)), bool(grown)))
+    assert len([w for w, _ in verdicts if w]) == 226
+    assert len([1 for _, chain in verdicts if chain]) == 18
+    assert len([1 for w, chain in verdicts if w and chain]) == 12
 
 
 def s_n(n):
@@ -718,6 +814,7 @@ def test_galois_witness(factory, witnessed, solvable):
     """A witness is a prime-degree constituent that fails Galois's rule:
     it proves the group not solvable, and its absence proves nothing."""
     assert galois_witness(image_rows(factory())) is witnessed
+    assert_witness_is_the_chain_rule(image_rows(factory()))
     assert solvable_oracle(factory()) is solvable
 
 
