@@ -5,12 +5,16 @@ The first line is the format header HEADER; further lines starting with
 thirteen report fields in dataclass order, then the source tag.  The
 fingerprint is the 64-bit hash of the canonical table (core.canonicalize:
 the least of the labelings grown from an isomorphism-invariant set of
-generator tuples), so isomorphic tables collide by construction.  Values
-are parsed by util.parse_value with commutator.FIELD_KINDS; a bad
+generator tuples), so isomorphic tables collide by construction.  Each
+line is checked against one compiled record pattern (_RECORD), built
+from util.VALUE_PATTERNS and commutator.FIELD_KINDS; reading a catalog
+builds no records, and a line the pattern rejects goes to the
+per-column parser (CatalogRecord._from_columns), which decides: a bad
 column, or an order column other than the report's order, raises
-Malformed.  A catalog with records but without the header holds
-fingerprints of an earlier canonical form and is rejected.  Writers are
-expected to be exclusive (single-writer rule); readers may run at any
+Malformed naming it.  A catalog with records but without the header holds fingerprints
+of an earlier canonical form and is rejected.  Writers are exclusive
+(single-writer rule): an append holds an exclusive flock on the catalog
+from its read to its write.  Readers take no lock and may run at any
 time.  A writer that dies mid-record leaves a last line without its
 trailing newline: readers skip it with a warning, and the next append
 cuts it off before writing.  A source tag is one column of one line, so
@@ -19,6 +23,7 @@ a tab, CR or LF in it raises Malformed before anything is written.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import operator
 import re
@@ -27,12 +32,29 @@ from dataclasses import dataclass
 from .commutator import FIELD_KINDS, HierarchyReport, check_report_order, hierarchy_report
 from .core import LoopTable, fingerprint
 from .errors import Malformed
-from .util import parse_value
+from .util import VALUE_PATTERNS, parse_value, values_of
 
 HEADER = "# loopkit-catalog v2"
 
 _FINGERPRINT = re.compile("[0-9a-f]{16}")
 _SOURCE_BREAKS = re.compile("[\t\r\n]")
+# One record line whose report order repeats the order column's text; a
+# line it rejects goes to CatalogRecord._from_columns.  Its groups: the
+# fingerprint, the report's fields in dataclass order (order, the first,
+# is the order column), the source.
+_RECORD = re.compile(
+    "\t".join(
+        [
+            f"({_FINGERPRINT.pattern})",
+            f"(?P<order>{VALUE_PATTERNS['int']})",
+            *(
+                "(?P=order)" if name == "order" else f"({VALUE_PATTERNS[kind]})"
+                for name, kind in FIELD_KINDS.items()
+            ),
+            "([^\t\r\n]*)",
+        ]
+    )
+)
 
 _log = logging.getLogger(__name__)
 
@@ -55,8 +77,21 @@ class CatalogRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "CatalogRecord":
-        """to_line's inverse; a bad column raises Malformed naming it."""
-        cols = line.rstrip("\n").split("\t")
+        """to_line's inverse; a bad column raises Malformed naming it.  A
+        line _RECORD matches is read from its groups, any other by
+        _from_columns."""
+        line = line.rstrip("\n")
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            return cls._from_columns(line)
+        fp, *values, source = match.groups()
+        report = HierarchyReport(*values_of(values))
+        return cls(int(fp, 16), report.order, report, source)
+
+    @classmethod
+    def _from_columns(cls, line: str) -> "CatalogRecord":
+        """The per-column parser, which decides what a record line is."""
+        cols = line.split("\t")
         if len(cols) != 2 + len(FIELD_KINDS) + 1:
             raise Malformed(f"catalog record has {len(cols)} columns")
         if not _FINGERPRINT.fullmatch(cols[0]):
@@ -82,15 +117,11 @@ def record_for(Q: LoopTable, source: str = "") -> CatalogRecord:
     )
 
 
-def _load(path) -> tuple[list[CatalogRecord], bytes]:
-    """The records of the complete lines, and the torn last line (b"" if
-    none).  A malformed complete line, or a first line that is not
-    HEADER, raises Malformed naming the file (and the 1-based line)."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return [], b""
+def _record_lines(path, data: bytes) -> tuple[list[str], bytes]:
+    """The record lines among the complete lines of data, each one
+    checked, and the torn last line (b"" if none).  A malformed complete
+    line, or a first line that is not HEADER, raises Malformed naming the
+    file (and the 1-based line)."""
     end = data.rfind(b"\n") + 1
     torn = data[end:]
     if torn:
@@ -108,29 +139,42 @@ def _load(path) -> tuple[list[CatalogRecord], bytes]:
             f"catalog {path} does not start with {HEADER!r}; its fingerprints "
             "are from an earlier canonical form"
         )
-    records = []
+    checked = []
+    match = _RECORD.fullmatch
     for number, ln in enumerate(lines, 1):
-        if ln.strip() and ln[0] != "#":
+        if match(ln):  # only an accelerator: _from_columns decides the rest
+            checked.append(ln)
+        elif ln.strip() and ln[0] != "#":
             try:
-                records.append(CatalogRecord.from_line(ln))
+                CatalogRecord._from_columns(ln)
             except Malformed as exc:
                 raise Malformed(f"catalog {path} line {number}: {exc}") from None
-    return records, torn
+            checked.append(ln)
+    return checked, torn
 
 
 def load_catalog(path) -> list[CatalogRecord]:
-    return _load(path)[0]
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return []
+    return [CatalogRecord.from_line(ln) for ln in _record_lines(path, data)[0]]
 
 
 def _append(path, fp: int, make_record) -> bool:
-    """Append make_record() unless fingerprint fp is already present.  A
-    torn last line is cut off first, so the record starts a line of its
-    own; a catalog with no complete line gets the header first."""
-    existing, torn = _load(path)
-    if any(r.fingerprint == fp for r in existing):
-        return False
-    text = make_record().to_line() + "\n"
-    with open(path, "ab") as fh:
+    """Append make_record() unless fingerprint fp is already present,
+    holding an exclusive lock from the read to the write.  A torn last
+    line is cut off first, so the record starts a line of its own; a
+    catalog with no complete line gets the header first."""
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+        fh.seek(0)
+        lines, torn = _record_lines(path, fh.read())
+        key = f"{fp:016x}"
+        if any(ln[:16] == key for ln in lines):
+            return False
+        text = make_record().to_line() + "\n"
         start = fh.tell() - len(torn)
         if torn:
             fh.truncate(start)

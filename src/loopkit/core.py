@@ -403,7 +403,9 @@ def _bfs_labeling(Q: LoopTable, gens) -> list[int]:
     neutral, then gens, then each product of two listed elements as it
     first appears, taking element m against elements 0..m in turn (the
     product with m on the right first).  A finite subset closed under
-    multiplication is a subloop, so products alone reach all of it."""
+    multiplication is a subloop, so products alone reach all of it.  The
+    walk stops once all n elements are listed, as no later product is new."""
+    n = Q.order
     rows = Q.rows
     order = [Q.neutral, *gens]
     seen = set(order)
@@ -416,6 +418,8 @@ def _bfs_labeling(Q: LoopTable, gens) -> list[int]:
                 if p not in seen:
                     seen.add(p)
                     order.append(p)
+                    if len(order) == n:
+                        return order
         m += 1
     return order
 
@@ -447,6 +451,12 @@ def canonicalize(Q: LoopTable) -> LoopTable:
     The walk visits at most CANONICAL_NODE_BUDGET nodes and raises
     CapExceeded, naming the order and the budget, beyond that.
     """
+    n = Q.order
+    return LoopTable(np.frombuffer(_canonical_key(Q), dtype=">u2").reshape(n, n))
+
+
+def _canonical_key(Q: LoopTable) -> bytes:
+    """The entries of canonicalize(Q), row-major, as big-endian uint16."""
     n = Q.order
     rows = Q.rows
     profile = _profiles(Q)
@@ -517,10 +527,11 @@ def canonicalize(Q: LoopTable) -> LoopTable:
         return len(gens)
 
     walk(())
-    return LoopTable(np.frombuffer(best[0], dtype=">u2").reshape(n, n))
+    return best[0]
 
 
 def fingerprint(Q: LoopTable) -> int:
-    """64-bit relabeling-invariant fingerprint: hash of the canonical table."""
-    canon = canonicalize(Q)
-    return hash_tokens([canon.order, *canon.mul.ravel().tolist()])
+    """64-bit relabeling-invariant fingerprint: hash of the canonical
+    table's order, then its entries row-major."""
+    entries = np.frombuffer(_canonical_key(Q), dtype=">u2")
+    return hash_tokens([Q.order, *entries.tolist()])

@@ -1,7 +1,8 @@
 """Small shared values: INFINITE, report value text, seeded RNG, 64-bit mixing.
 
 INFINITE is math.inf: it compares above every integer and prints as inf.
-format_value and parse_value are the one text form of report values.
+format_value and parse_value are the one text form of report values, and
+VALUE_PATTERNS its one grammar, which the catalog's record pattern reuses.
 
 The random generator is splitmix64 with the standard constants
 (increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
@@ -12,6 +13,7 @@ candidate sequence drawn from it, so search hits are replayable.
 from __future__ import annotations
 
 import math
+import re
 
 from .errors import Malformed
 
@@ -24,7 +26,13 @@ FINGERPRINT_BASIS = 0xCBF29CE484222325
 
 INFINITE = math.inf
 
+# The text of each kind of report value: ASCII digits, no sign or padding,
+# and no more than the 4,300 digits int() takes by default.
+_DECIMAL = "[0-9]{1,4300}"
+VALUE_PATTERNS = {"bool": "true|false", "int": _DECIMAL, "class": f"{_DECIMAL}|inf"}
+_VALUE_TEXT = {kind: re.compile(pattern) for kind, pattern in VALUE_PATTERNS.items()}
 _KIND_TEXT = {"bool": "true or false", "int": "a decimal integer", "class": "a decimal or inf"}
+_WORDS = {"true": True, "false": False, "inf": INFINITE}
 
 
 def is_finite(value) -> bool:
@@ -39,15 +47,17 @@ def format_value(value) -> str:
     return str(value)
 
 
+def values_of(texts) -> list:
+    """The values of texts that each fit one of VALUE_PATTERNS (unchecked)."""
+    return [_WORDS[t] if t in _WORDS else int(t) for t in texts]
+
+
 def parse_value(text: str, kind: str, label: str = "value"):
     """format_value's inverse for the kind "bool", "int" or "class" (an int
-    or INFINITE); text that does not fit raises Malformed naming label."""
-    if kind == "bool" and text in ("true", "false"):
-        return text == "true"
-    if kind == "class" and text == "inf":
-        return INFINITE
-    if kind != "bool" and text.isascii() and text.isdecimal():
-        return int(text)
+    or INFINITE); text that does not fit VALUE_PATTERNS[kind] raises
+    Malformed naming label."""
+    if _VALUE_TEXT[kind].fullmatch(text):
+        return values_of((text,))[0]
     raise Malformed(f"{label} needs {_KIND_TEXT[kind]}, got {text!r}")
 
 
@@ -77,10 +87,15 @@ class SplitMix64:
 
 
 def hash_tokens(tokens) -> int:
-    """Fold a token sequence into 64 bits: h = mix64(h xor token), FNV basis."""
+    """Fold a token sequence into 64 bits: h = mix64(h xor token), FNV basis.
+    mix64 is written out in the loop, a call fewer per token."""
+    mask, mul_1, mul_2 = _MASK64, _MIX_MUL_1, _MIX_MUL_2
     h = FINGERPRINT_BASIS
     for v in tokens:
-        h = mix64(h ^ (int(v) & _MASK64))
+        z = h ^ (int(v) & mask)
+        z = ((z ^ (z >> 30)) * mul_1) & mask
+        z = ((z ^ (z >> 27)) * mul_2) & mask
+        h = z ^ (z >> 31)
     return h
 
 

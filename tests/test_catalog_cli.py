@@ -1,7 +1,10 @@
+import fcntl
 import itertools
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,14 +45,22 @@ def write_table(tmp_path, name, table):
     return str(path)
 
 
-def run_fresh(argv, entry=("-m", "loopkit.cli")):
-    """`python -m loopkit.cli argv` in a new process, loopkit on its path;
-    entry replaces the interpreter arguments before argv."""
+DATA = Path(__file__).parent / "data"
+
+
+def fresh_env():
+    """The environment with loopkit on PYTHONPATH, for a new process."""
     env = dict(os.environ)
     paths = [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+def run_fresh(argv, entry=("-m", "loopkit.cli")):
+    """`python -m loopkit.cli argv` in a new process, loopkit on its path;
+    entry replaces the interpreter arguments before argv."""
     return subprocess.run(
-        [sys.executable, *entry, *argv], env=env, capture_output=True, timeout=120
+        [sys.executable, *entry, *argv], env=fresh_env(), capture_output=True, timeout=120
     )
 
 
@@ -71,6 +82,23 @@ def test_value_text_round_trips_and_inf_sorts_last():
     assert sorted([INFINITE, 10**400, 0]) == [0, 10**400, INFINITE] and INFINITE > 10**400
 
 
+def test_a_decimal_longer_than_int_takes_is_malformed(tmp_path):
+    """int() takes at most 4,300 digits by default, and so does the value
+    grammar: a longer column is an input error, not a ValueError."""
+    assert parse_value("9" * 4300, "class") == 10**4300 - 1
+    with pytest.raises(Malformed, match="center_size needs"):
+        parse_value("1" * 4301, "int", "center_size")
+    header, line = (DATA / "catalog-pins.tsv").read_text().splitlines()[:2]
+    cols = line.split("\t")
+    cols[5] = "1" * 4301
+    cat = tmp_path / "cat.tsv"
+    cat.write_text(f"{header}\n" + "\t".join(cols) + "\n")
+    with pytest.raises(Malformed, match=re.escape(f"catalog {cat} line 2: center_size")):
+        load_catalog(cat)
+    with pytest.raises(Malformed, match="center_size"):
+        add_table(cat, cyclic(2))
+
+
 def test_report_text_of_the_wrong_kind_is_malformed():
     text = hierarchy_report(symmetric(3)).to_lines()
     for field, bad in [("order", "true"), ("commutative", "1"), ("nilpotency_class", "-1")]:
@@ -85,6 +113,7 @@ def test_census_reports_and_records_round_trip(census_tables):
     # OEIS A057771: loops of order n up to isomorphism
     assert [len(census_tables[n]) for n in range(1, 7)] == [1, 1, 1, 2, 6, 109]
     infinite = 0
+    lines = []
     for n, tables in census_tables.items():
         fps = [fingerprint(Q) for Q in tables]
         assert fps == sorted(set(fps)) and {Q.order for Q in tables} == {n}
@@ -94,8 +123,11 @@ def test_census_reports_and_records_round_trip(census_tables):
             assert HierarchyReport.from_lines(rep.to_lines()) == rep
             record = CatalogRecord(fp, n, rep, "census")
             assert CatalogRecord.from_line(record.to_line()) == record
+            lines.append(record.to_line() + "\n")
             infinite += rep.congruence_solvability_class is INFINITE
     assert infinite == 100  # 5 of order 5, 95 of order 6
+    # the census pin, as the README's census command writes it
+    assert "".join(lines) == (DATA / "census-1-6.tsv").read_text()
 
 
 def test_append_skips_duplicates(tmp_path):
@@ -393,6 +425,98 @@ def test_torn_last_line_is_skipped_and_cut_but_malformed_line_is_fatal(
             err = capsys.readouterr().err
             assert err.startswith(f"error: catalog {cat} line 2:") and column in err, err
         assert cat.read_text() == text
+
+
+# Each corruption of a column's text v; every one is malformed in every
+# column but the source, which takes any text without a tab, CR or LF.
+CORRUPTIONS = {
+    "empty": lambda v: "",
+    "space-padded": lambda v: f" {v} ",
+    "leading plus": lambda v: f"+{v}",
+    "Inf": lambda v: "Inf",
+    "uppercase hex": lambda v: "85673F5A5A6BA8EE",
+    "15 hex digits": lambda v: "85673f5a5a6ba8e",
+    "non-ASCII digit": lambda v: "\u0663",
+    "CR": lambda v: f"{v}\r",
+    "extra tab": lambda v: f"{v}\tx",
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_record_pattern_and_column_parser_agree(tmp_path, corruption):
+    """On each column of a valid record line, _RECORD matches the
+    corrupted line exactly when the per-column parser accepts it.  A
+    rejected line raises Malformed naming its column (an extra tab: the
+    column count) from from_line, and its file and line from
+    load_catalog."""
+    header, line = (DATA / "catalog-pins.tsv").read_text().splitlines()[:2]
+    cols = line.split("\t")
+    names = ["fingerprint", "order", *catalog.FIELD_KINDS, "source"]
+    assert len(cols) == len(names) == 16
+    cat = tmp_path / "cat.tsv"
+    for i, name in enumerate(names):
+        bad = "\t".join(cols[:i] + [CORRUPTIONS[corruption](cols[i])] + cols[i + 1:])
+        matched = catalog._RECORD.fullmatch(bad) is not None
+        cat.write_text(f"{header}\n{line}\n{bad}\n")
+        if name == "source" and corruption not in ("CR", "extra tab"):
+            assert matched, (name, corruption)
+            record = CatalogRecord._from_columns(bad)
+            assert CatalogRecord.from_line(bad) == record and load_catalog(cat)[1] == record
+            continue
+        assert not matched, (name, corruption)
+        expected = "17 columns" if corruption == "extra tab" else name
+        for parse in (CatalogRecord._from_columns, CatalogRecord.from_line):
+            with pytest.raises(Malformed, match=re.escape(expected)):
+                parse(bad)
+        with pytest.raises(Malformed, match=re.escape(f"catalog {cat} line 3: ")):
+            load_catalog(cat)
+
+
+def test_order_columns_equal_as_integers_load():
+    """The pattern wants the two order columns as the same text; the
+    per-column parser, which decides, compares them as integers."""
+    line = (DATA / "catalog-pins.tsv").read_text().splitlines()[1]
+    fp, _, _, rest = line.split("\t", 3)
+    for first, second in [("016", "16"), ("16", "016")]:
+        text = "\t".join([fp, first, second, rest])
+        assert catalog._RECORD.fullmatch(text) is None
+        record = CatalogRecord.from_line(text)
+        assert record.order == record.report.order == 16
+        assert record == CatalogRecord._from_columns(text)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/locks"), reason="reads blocked locks in /proc/locks")
+def test_catalog_add_waits_for_the_write_lock(tmp_path):
+    """A second writer blocks on the catalog's exclusive lock: it writes
+    nothing while the lock is held and adds its one record once the lock
+    is released."""
+    cat = tmp_path / "cat.tsv"
+    assert append_record(cat, record_for(cyclic(2), source="first"))
+    before = cat.read_bytes()
+    s3 = write_table(tmp_path, "s3.table", symmetric(3))
+    argv = ["-m", "loopkit.cli", "catalog", "add", s3, "--catalog", str(cat), "--source", "s"]
+    with open(cat, "a+b") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        child = subprocess.Popen(
+            [sys.executable, *argv], env=fresh_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        waiting = re.compile(rf"->\s+FLOCK\s+ADVISORY\s+WRITE\s+{child.pid}\s")
+        deadline = time.monotonic() + 60
+        try:
+            while not waiting.search(Path("/proc/locks").read_text()):
+                assert child.poll() is None, "the add did not wait for the lock"
+                assert time.monotonic() < deadline, "the add never reached the lock"
+                time.sleep(0.01)
+            assert cat.read_bytes() == before
+        except BaseException:
+            child.kill()
+            child.communicate()
+            raise
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0 and out.startswith(b"added"), err
+    assert cat.read_bytes().startswith(before)
+    assert [r.source for r in load_catalog(cat)] == ["first", "s"]
 
 
 def test_catalog_v2_header_and_unversioned_catalog_exits_2(tmp_path, capsys):
@@ -725,12 +849,11 @@ def test_decompose_does_not_import_numpy_ma():
     """np.unique imports numpy.ma on its first call (numpy 2.4 asks
     np.ma.is_masked), about 14 ms per process; decompose and the
     extraction behind it take distinct element indices without it."""
-    data = Path(__file__).parent / "data"
     then = ("import sys; from loopkit.cli import main; code = main(sys.argv[1:]); "
             "sys.stderr.write(str('numpy.ma' in sys.modules)); sys.exit(code)")
-    proc = run_fresh(["decompose", str(data / "d4.table"), "--fiber", "0,2"], entry=("-c", then))
+    proc = run_fresh(["decompose", str(DATA / "d4.table"), "--fiber", "0,2"], entry=("-c", then))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (data / "d4-fiber-0-2.decompose").read_bytes()
+    assert proc.stdout == (DATA / "d4-fiber-0-2.decompose").read_bytes()
     assert proc.stderr == b"False"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -28,6 +29,7 @@ from loopkit.tables import (
     cyclic, dihedral, elementary_abelian, klein, latin_squares, quaternion, reduced_latin_squares,
     symmetric,
 )
+from loopkit.util import FINGERPRINT_BASIS, hash_tokens, mix64
 
 from conftest import group_inverse, profiles_oracle, seeded_relabelings
 
@@ -506,6 +508,34 @@ def test_fingerprint_on_elementary_abelian_eight():
 
     q = elementary_abelian(2, 3)
     assert fingerprint(q.relabel([3, 1, 0, 2, 7, 5, 4, 6])) == fingerprint(q)
+
+
+# sha256 of the fingerprints of random_extension_pool(290), one line of
+# 16 lowercase hex digits each: a change to the canonical form or the
+# hash fold shows here, as it would in every catalog.
+POOL_290_FINGERPRINTS = "de7421ea029461de5c7c1750b605cb179e207997c8767be21b6add82b38ea55e"
+
+
+def test_fingerprints_of_the_pool_are_pinned():
+    tables = [e.table for e in random_extension_pool(290)]
+    fps = [fingerprint(q) for q in tables]
+    text = "".join(f"{fp:016x}\n" for fp in fps)
+    assert hashlib.sha256(text.encode()).hexdigest() == POOL_290_FINGERPRINTS
+    for q, fp in zip(tables[:20], fps):  # the hash of canonicalize's table
+        canon = canonicalize(q)
+        assert fp == hash_tokens([canon.order, *canon.mul.ravel().tolist()])
+
+
+def test_hash_tokens_is_the_mix64_fold():
+    tokens = [
+        0, 1, -1, -(2**63), 2**64 - 1, 2**64, 2**64 + 5, 3 * 2**70 - 1,
+        np.int64(-7), np.uint16(65535), np.uint64(2**64 - 1), np.int8(-3), True, False,
+    ]
+    h, folds = FINGERPRINT_BASIS, [FINGERPRINT_BASIS]
+    for v in tokens:
+        h = mix64(h ^ (int(v) % 2**64))
+        folds.append(h)
+    assert [hash_tokens(tokens[:k]) for k in range(len(tokens) + 1)] == folds
 
 
 # -- the division-compatibility lemma ------------------------------------------------
